@@ -11,115 +11,42 @@
  */
 
 #include <cstdio>
-#include <functional>
-#include <string>
-#include <vector>
 
-#include "faas/platform.h"
-#include "sfi/runtime.h"
-#include "swivel/swivel.h"
-#include "workloads/crypto.h"
-#include "workloads/faas_workloads.h"
-#include "workloads/image.h"
+#include "serve/engine.h"
+#include "workloads/table1.h"
 
 namespace
 {
 
 using namespace hfi;
 
-struct Table1Workload
+struct Row
 {
-    std::string name;
-    swivel::CodeProfile profile;
-    faas::Handler handler;
-    /** Relative magnitude knob so the four rows spread like Table 1. */
-    unsigned requests;
+    serve::ServeResult result;
+    std::uint64_t binaryBytes;
 };
 
-std::vector<Table1Workload>
-table1Workloads()
+Row
+run(const workloads::Table1Workload &workload, serve::Scheme scheme)
 {
-    std::vector<Table1Workload> list;
-
-    list.push_back(
-        {"XML to JSON", swivel::xmlToJsonProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             const std::string xml =
-                 workloads::faas::makeXmlDocument(220, seed);
-             s.memory().writeBytes(64, xml.data(), xml.size());
-             workloads::faas::xmlToJson(s, 64, xml.size());
-         },
-         300});
-
-    list.push_back(
-        {"Image classification", swivel::imageClassifyProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             const auto img = workloads::image::makeTestImage(96, 96, seed);
-             s.memory().writeBytes(64, img.data(), img.size());
-             workloads::faas::classifyImage(s, 64, 96, seed);
-         },
-         200});
-
-    list.push_back(
-        {"Check SHA-256", swivel::checkShaProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             std::vector<std::uint8_t> payload(96 * 1024);
-             for (std::size_t i = 0; i < payload.size(); ++i)
-                 payload[i] = static_cast<std::uint8_t>(i ^ seed);
-             s.memory().writeBytes(64, payload.data(), payload.size());
-             const auto digest = workloads::crypto::sha256(
-                 payload.data(), payload.size());
-             s.memory().writeBytes(1 << 20, digest.data(), 32);
-             workloads::faas::checkSha256(s, 64, payload.size(), 1 << 20);
-         },
-         300});
-
-    list.push_back(
-        {"Templated HTML", swivel::templatedHtmlProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             const std::string tpl = workloads::faas::makeHtmlTemplate(0);
-             s.memory().writeBytes(64, tpl.data(), tpl.size());
-             workloads::faas::renderTemplate(s, 64, tpl.size(), 24, seed);
-         },
-         400});
-
-    return list;
-}
-
-faas::RunResult
-run(const Table1Workload &workload, faas::Protection protection)
-{
-    vm::VirtualClock clock;
-    vm::Mmu mmu(clock);
-    core::HfiContext ctx(clock);
-    sfi::RuntimeConfig runtime_config;
-    runtime_config.backend = sfi::BackendKind::GuardPages;
-    sfi::Runtime runtime(mmu, ctx, runtime_config);
-    auto sandbox = runtime.createSandbox({64, 4096});
-    if (!sandbox)
-        return {};
-
-    faas::PlatformConfig config;
-    config.clients = 100;
-    config.requests = workload.requests;
-    config.protection = protection;
-    config.stockBinaryBytes =
-        workload.profile.codeBytes + workload.profile.dataBytes;
-    if (protection == faas::Protection::Swivel)
-        config.swivelEffect = swivel::apply(workload.profile);
-    return faas::runClosedLoop(config, *sandbox, ctx, workload.handler);
+    return {serve::ServeEngine(workloads::table1Config(workload, scheme),
+                               workload.handler)
+                .run(),
+            workloads::table1BinaryBytes(workload, scheme)};
 }
 
 void
-printRow(const char *scheme, const faas::RunResult &res)
+printRow(serve::Scheme scheme, const Row &row)
 {
+    const serve::ServeResult &res = row.result;
     std::printf("  %-16s avg %8.2f ms   p50 %8.2f   p95 %8.2f   "
                 "p99 %8.2f   p99.9 %8.2f ms   thru %8.1f r/s   "
                 "bin %5.1f MiB\n",
-                scheme, res.avgLatencyNs / 1e6, res.p50LatencyNs / 1e6,
-                res.p95LatencyNs / 1e6, res.tailLatencyNs / 1e6,
-                res.p999LatencyNs / 1e6, res.throughputRps,
-                static_cast<double>(res.binaryBytes) / (1 << 20));
+                serve::schemeName(scheme), res.meanLatencyNs / 1e6,
+                res.latency.p50 / 1e6, res.latency.p95 / 1e6,
+                res.latency.p99 / 1e6, res.latency.p999 / 1e6,
+                res.throughputRps,
+                static_cast<double>(row.binaryBytes) / (1 << 20));
 }
 
 } // namespace
@@ -127,31 +54,27 @@ printRow(const char *scheme, const faas::RunResult &res)
 int
 main()
 {
+    using serve::Scheme;
     std::printf("Table 1: impact of Spectre protection on FaaS tail "
                 "latency (100 closed-loop clients)\n");
-    for (const auto &workload : table1Workloads()) {
-        const auto unsafe_run = run(workload, faas::Protection::Unsafe);
-        const auto hfi_run = run(workload, faas::Protection::HfiNative);
-        const auto soe_run =
-            run(workload, faas::Protection::HfiSwitchOnExit);
-        const auto swivel_run = run(workload, faas::Protection::Swivel);
+    for (const auto &workload : workloads::table1Workloads()) {
+        const Row unsafe_run = run(workload, Scheme::Unsafe);
+        const Row hfi_run = run(workload, Scheme::HfiNative);
+        const Row soe_run = run(workload, Scheme::HfiSwitchOnExit);
+        const Row swivel_run = run(workload, Scheme::Swivel);
 
         std::printf("\n%s\n", workload.name.c_str());
-        printRow("Lucet(Unsafe)", unsafe_run);
-        printRow("Lucet+HFI", hfi_run);
-        printRow("Lucet+HFI(soe)", soe_run);
-        printRow("Lucet+Swivel", swivel_run);
+        printRow(Scheme::Unsafe, unsafe_run);
+        printRow(Scheme::HfiNative, hfi_run);
+        printRow(Scheme::HfiSwitchOnExit, soe_run);
+        printRow(Scheme::Swivel, swivel_run);
+        const double unsafe_tail = unsafe_run.result.latency.p99;
         std::printf("  tail increase: HFI %+0.2f%%, switch-on-exit "
                     "%+0.2f%%, Swivel %+0.1f%%\n",
-                    100.0 * (hfi_run.tailLatencyNs /
-                                 unsafe_run.tailLatencyNs -
-                             1.0),
-                    100.0 * (soe_run.tailLatencyNs /
-                                 unsafe_run.tailLatencyNs -
-                             1.0),
-                    100.0 * (swivel_run.tailLatencyNs /
-                                 unsafe_run.tailLatencyNs -
-                             1.0));
+                    100.0 * (hfi_run.result.latency.p99 / unsafe_tail - 1.0),
+                    100.0 * (soe_run.result.latency.p99 / unsafe_tail - 1.0),
+                    100.0 *
+                        (swivel_run.result.latency.p99 / unsafe_tail - 1.0));
     }
     std::printf("\n(paper: HFI tail increase 0%%-2%%; Swivel 9%%-42%% "
                 "with up to ~73%% on templated HTML average latency)\n");

@@ -16,7 +16,8 @@
  *  - hfi::syscall — BPF/seccomp and HFI syscall interposition
  *  - hfi::swivel  — the Swivel-SFI cost model
  *  - hfi::spectre — attack gadgets and the measurement harness
- *  - hfi::faas / hfi::nginx / hfi::workloads — evaluation scaffolding
+ *  - hfi::faas (latency recording) / hfi::nginx / hfi::workloads —
+ *    evaluation scaffolding
  */
 
 #ifndef HFI_HFI_H
@@ -65,7 +66,6 @@
 #include "spectre/gadget.h"
 
 #include "faas/latency.h"
-#include "faas/platform.h"
 #include "nginx/server.h"
 
 #include "workloads/crypto.h"

@@ -1,6 +1,8 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <exception>
+#include <stdexcept>
 #include <thread>
 
 #include "serve/shard_queue.h"
@@ -16,9 +18,7 @@ ServeEngine::ServeEngine(EngineConfig config, Handler handler)
 /**
  * Fill the ServeResult scalar fields from the merged registry. Counter
  * sums are order-independent uint64 additions, so these views are
- * bit-identical to the manual per-field merging they replaced — in both
- * the sequential and the threaded driver, which now share this one
- * reduction.
+ * bit-identical to the manual per-field merging they replaced.
  */
 static void
 deriveFromMetrics(ServeResult &res)
@@ -37,133 +37,123 @@ deriveFromMetrics(ServeResult &res)
     res.hfiStateMismatches = m.counter("serve.hfi_state_mismatches");
 }
 
-bool
-ServeEngine::threadable(const EngineConfig &config)
+/**
+ * realThreads only runs configurations whose cores are independent.
+ * With one worker every configuration is a single partition already.
+ */
+static void
+checkDecomposable(const EngineConfig &config)
 {
-    return config.realThreads && config.mode == LoadMode::OpenLoop &&
-           config.sharding == Sharding::RoundRobin &&
-           !config.workStealing && config.workers > 1;
+    if (!config.realThreads || config.workers <= 1)
+        return;
+    if (config.mode == LoadMode::ClosedLoop)
+        throw std::invalid_argument(
+            "realThreads: closed-loop load couples arrivals to completions "
+            "on every core");
+    if (config.workStealing)
+        throw std::invalid_argument(
+            "realThreads: work stealing couples the queue shards");
+    if (config.sharding == Sharding::SingleShard)
+        throw std::invalid_argument(
+            "realThreads: single-shard routing sends every arrival to "
+            "shard 0");
 }
 
 ServeResult
 ServeEngine::run()
 {
-    if (threadable(config_))
-        return runThreaded();
+    checkDecomposable(config_);
+    std::vector<Partition> parts = partition();
+    if (parts.size() == 1) {
+        drive(parts[0], config_);
+    } else {
+        // A handler that throws on a partition's thread is rethrown
+        // here after every thread joined, as the sequential run would.
+        std::vector<std::exception_ptr> errors(parts.size());
+        {
+            std::vector<std::jthread> threads;
+            threads.reserve(parts.size());
+            for (std::size_t i = 0; i < parts.size(); ++i) {
+                threads.emplace_back([this, &parts, &errors, i] {
+                    try {
+                        drive(parts[i], config_);
+                    } catch (...) {
+                        errors[i] = std::current_exception();
+                    }
+                });
+            }
+        }
+        for (const auto &e : errors)
+            if (e)
+                std::rethrow_exception(e);
+    }
+    return reduce(parts);
+}
 
+std::vector<ServeEngine::Partition>
+ServeEngine::partition() const
+{
+    const unsigned n = config_.workers;
     std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
+    workers.reserve(n);
+    for (unsigned w = 0; w < n; ++w)
         workers.push_back(std::make_unique<Worker>(w, config_.worker,
                                                    handler_, config_.seed));
 
+    std::vector<Partition> parts;
     if (config_.mode == LoadMode::ClosedLoop) {
-        ClosedLoopSource source(config_.clients, config_.requests, 0.0,
-                                config_.seed, config_.closedLoopLegacySeeds);
-        return drive(workers, source, config_, 0.0);
+        // Clients start once every worker has booted (warmed its pool),
+        // so no request queues behind the platform's start-up.
+        Partition &part = parts.emplace_back();
+        for (const auto &w : workers)
+            part.startNs = std::max(part.startNs, w->freeNs());
+        part.workers = std::move(workers);
+        part.source = std::make_unique<ClosedLoopSource>(
+            config_.clients, config_.requests, part.startNs, config_.seed);
+        return parts;
     }
-    OpenLoopPoissonSource source(config_.requests,
-                                 config_.meanInterarrivalNs, config_.seed,
-                                 0.0);
-    return drive(workers, source, config_, 0.0);
-}
 
-ServeResult
-ServeEngine::runThreaded()
-{
+    auto arrivals = std::make_unique<OpenLoopPoissonSource>(
+        config_.requests, config_.meanInterarrivalNs, config_.seed, 0.0);
+    if (!config_.realThreads || n == 1) {
+        Partition &part = parts.emplace_back();
+        part.workers = std::move(workers);
+        part.source = std::move(arrivals);
+        return parts;
+    }
+
     // With round-robin sharding and no stealing, worker w only ever
     // touches shard w, and open-loop arrivals do not depend on
     // completions — so the global event loop is the disjoint union of n
-    // per-shard event loops, one per core. Generate the one global
-    // arrival sequence, partition it by shard, and replay each
-    // partition through the ordinary drive() on its own host thread
-    // with a single-worker queue set. Per-shard event order (including
-    // the admit-vs-serve tie break and bounded-queue shedding) is
-    // exactly what the shard would see inside the sequential loop, so
-    // the merged result is bit-identical.
-    const unsigned n = config_.workers;
-    OpenLoopPoissonSource global(config_.requests, config_.meanInterarrivalNs,
-                                 config_.seed, 0.0);
-    std::vector<std::vector<Request>> parts(n);
-    for (const Request &req : global.arrivals())
-        parts[static_cast<std::size_t>(req.id % n)].push_back(req);
-
-    std::vector<ServeResult> sub(n);
-    std::vector<std::thread> threads;
-    threads.reserve(n);
+    // per-shard event loops. Split the one global arrival sequence by
+    // shard; each partition then sees exactly the per-shard event order
+    // (including the admit-vs-serve tie break and bounded-queue
+    // shedding) of the sequential loop, so the result is bit-identical.
+    std::vector<std::vector<Request>> split(n);
+    for (const Request &req : arrivals->arrivals())
+        split[static_cast<std::size_t>(req.id % n)].push_back(req);
+    parts.resize(n);
     for (unsigned w = 0; w < n; ++w) {
-        threads.emplace_back([this, w, &parts, &sub] {
-            std::vector<std::unique_ptr<Worker>> one;
-            one.push_back(std::make_unique<Worker>(w, config_.worker,
-                                                   handler_, config_.seed));
-            VectorSource source(std::move(parts[w]));
-            sub[w] = drive(one, source, config_, 0.0);
-        });
+        parts[w].workers.push_back(std::move(workers[w]));
+        parts[w].source = std::make_unique<VectorSource>(std::move(split[w]));
     }
-    for (auto &t : threads)
-        t.join();
-
-    // Merge in worker-index order — the same order the sequential
-    // driver folds per-worker recorders — so every derived statistic
-    // matches bit-for-bit.
-    ServeResult res;
-    res.usedThreads = n;
-    res.perCore.resize(n);
-    for (unsigned w = 0; w < n; ++w) {
-        const ServeResult &s = sub[w];
-        // Same single typed merge the sequential driver uses: each
-        // sub-run's registry (counters sum, gauges max) carries every
-        // scalar the result's view fields need — including per-shard
-        // shed, the one source of truth, with no double counting.
-        res.metrics.merge(s.metrics);
-        res.latencies.merge(s.latencies);
-        res.durationNs = std::max(res.durationNs, s.durationNs);
-        // Each sub-run drove one worker over one shard: its per-core
-        // entry 0 *is* core w's breakdown.
-        res.perCore[w] = s.perCore.empty() ? RobustnessStats{}
-                                           : s.perCore[0];
-        res.robustness.merge(res.perCore[w]);
-    }
-    deriveFromMetrics(res);
-    res.throughputRps = res.latencies.throughput(res.durationNs);
-    res.meanLatencyNs = res.latencies.mean();
-    res.latency = res.latencies.percentiles();
-    return res;
+    return parts;
 }
 
-ServeResult
-ServeEngine::runResident(const EngineConfig &config, core::HfiContext &ctx,
-                         sfi::Sandbox &sandbox, const Handler &handler)
+void
+ServeEngine::drive(Partition &part, const EngineConfig &config)
 {
-    const double start = ctx.clock().nowNs();
-    std::vector<std::unique_ptr<Worker>> workers;
-    workers.push_back(std::make_unique<Worker>(0, config.worker, handler,
-                                               ctx, sandbox, config.seed));
-
-    if (config.mode == LoadMode::ClosedLoop) {
-        ClosedLoopSource source(config.clients, config.requests, start,
-                                config.seed, config.closedLoopLegacySeeds);
-        return drive(workers, source, config, start);
-    }
-    OpenLoopPoissonSource source(config.requests, config.meanInterarrivalNs,
-                                 config.seed, start);
-    return drive(workers, source, config, start);
-}
-
-ServeResult
-ServeEngine::drive(std::vector<std::unique_ptr<Worker>> &workers,
-                   ArrivalSource &source, const EngineConfig &config,
-                   double start_ns)
-{
+    auto &workers = part.workers;
+    ArrivalSource &source = *part.source;
     const unsigned n = static_cast<unsigned>(workers.size());
     ShardedQueues queues(n, config.queueCapacity);
     std::size_t stolen = 0;
 
     // Wire the trace: worker w (and its HfiContext/Scheduler) records
     // into the ring of its *global* core index, and so does queue shard
-    // w — in the threaded driver this sub-run drives one worker whose
-    // index is the core, so the per-core streams come out identical to
-    // the sequential run's.
+    // w — a threaded partition drives one worker whose index is the
+    // core, so the per-core streams come out identical to the
+    // sequential run's.
     HFI_OBS_STMT(if (config.trace) for (unsigned w = 0; w < n; ++w) {
         workers[w]->attachTrace(config.trace);
         queues.setTrace(w, &config.trace->buffer(workers[w]->index()));
@@ -233,34 +223,46 @@ ServeEngine::drive(std::vector<std::unique_ptr<Worker>> &workers,
             staged = source.next();
     }
 
+    part.shed.resize(n);
+    for (unsigned w = 0; w < n; ++w)
+        part.shed[w] = queues.shedCount(w);
+    part.stolen = stolen;
+    part.maxQueueDepth = queues.maxDepth();
+}
+
+ServeResult
+ServeEngine::reduce(const std::vector<Partition> &parts)
+{
     ServeResult res;
-    res.perCore.resize(n);
-    double lastFree = start_ns;
-    for (unsigned w = 0; w < n; ++w) {
-        // One typed merge per worker: the worker exports its plain
-        // counters into a registry (plus this shard's admission shed)
-        // and the engine folds registries — no per-field summing here.
-        obs::MetricsRegistry wm;
-        workers[w]->exportMetrics(wm);
-        wm.counterAdd("serve.shed", queues.shedCount(w));
-        res.metrics.merge(wm);
+    res.usedThreads = static_cast<unsigned>(parts.size());
+    for (const Partition &part : parts) {
+        double lastFree = part.startNs;
+        for (std::size_t w = 0; w < part.workers.size(); ++w) {
+            const Worker &worker = *part.workers[w];
+            // One typed merge per worker: the worker exports its plain
+            // counters into a registry (plus its shard's admission shed)
+            // and the engine folds registries.
+            obs::MetricsRegistry wm;
+            worker.exportMetrics(wm);
+            wm.counterAdd("serve.shed", part.shed[w]);
+            res.metrics.merge(wm);
 
-        res.latencies.merge(workers[w]->latencies());
-        lastFree = std::max(lastFree, workers[w]->freeNs());
+            res.latencies.merge(worker.latencies());
+            lastFree = std::max(lastFree, worker.freeNs());
 
-        // By-core breakdown; shed comes from the core's queue shard —
-        // the one source of truth the engine-wide total sums (the
-        // threaded merge derives it the same way, so sequential and
-        // threaded shed always agree).
-        res.perCore[w] = workers[w]->stats().robustness;
-        res.perCore[w].shed = queues.shedCount(w);
-        res.robustness.merge(res.perCore[w]);
+            // By-core breakdown; shed comes from the core's queue shard,
+            // the one source of truth the engine-wide total sums.
+            RobustnessStats core = worker.stats().robustness;
+            core.shed = part.shed[w];
+            res.robustness.merge(core);
+            res.perCore.push_back(core);
+        }
+        res.metrics.counterAdd("serve.stolen", part.stolen);
+        res.metrics.gaugeSet("serve.max_queue_depth", part.maxQueueDepth);
+        res.durationNs = std::max(res.durationNs, lastFree - part.startNs);
     }
-    res.metrics.counterAdd("serve.stolen", stolen);
-    res.metrics.gaugeSet("serve.max_queue_depth", queues.maxDepth());
 
     deriveFromMetrics(res);
-    res.durationNs = lastFree - start_ns;
     res.throughputRps = res.latencies.throughput(res.durationNs);
     res.meanLatencyNs = res.latencies.mean();
     res.latency = res.latencies.percentiles();

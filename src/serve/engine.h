@@ -11,12 +11,16 @@
  * population). Per-worker latency accumulators are merged into global
  * p50/p95/p99/p999.
  *
- * The engine is a sequential discrete-event simulation: at every step
- * the earliest actionable event (an arrival, or the earliest possible
- * service start across all cores, ties to the lowest core index) is
- * processed. All state is seeded and virtual-clocked, so a run is
- * bit-for-bit reproducible — and, when requests do not contend, the
- * per-request latency multiset is identical for any worker count.
+ * A run is: partition, drive each partition, reduce once. A partition
+ * is a set of workers plus the arrivals routed to their shards; drive()
+ * is a sequential discrete-event simulation over it: at every step the
+ * earliest actionable event (an arrival, or the earliest possible
+ * service start across the partition's cores, ties to the lowest core
+ * index) is processed. The sequential driver is the one-partition case;
+ * realThreads drives one single-worker partition per host thread. All
+ * state is seeded and virtual-clocked, so a run is bit-for-bit
+ * reproducible — and, when requests do not contend, the per-request
+ * latency multiset is identical for any worker count.
  */
 
 #ifndef HFI_SERVE_ENGINE_H
@@ -70,29 +74,19 @@ struct EngineConfig
     Sharding sharding = Sharding::RoundRobin;
 
     /**
-     * Compatibility switch for the closed-loop per-request seed
-     * sequence. Closed-loop seeds were historically
-     * `issued * 2654435761u`, ignoring EngineConfig::seed entirely —
-     * every closed-loop run drew identical per-request work. Table 1's
-     * golden numbers are pinned against that sequence, so
-     * faas::runClosedLoop keeps it; new closed-loop users get seeds
-     * mixed from EngineConfig::seed.
-     */
-    bool closedLoopLegacySeeds = false;
-
-    /**
      * Run one host std::thread per simulated core instead of the
      * sequential event loop. Only configurations whose cores are
      * provably independent qualify — open loop, round-robin sharding,
      * no work stealing — because then the global event loop decomposes
      * into per-shard loops with no cross-core event ordering, and the
      * merged result is bit-identical to the sequential run (asserted by
-     * tests and the serve_scaling --threads gate). Anything else
-     * (closed loop couples clients to completions; stealing couples
-     * queues) silently falls back to the sequential driver; check
-     * ServeResult::usedThreads for what actually ran. Handlers must be
-     * pure functions of (sandbox, seed) — already required for
-     * determinism — and are called concurrently in this mode.
+     * tests and the serve_scaling --threads gate). With more than one
+     * worker, anything else (closed loop couples clients to
+     * completions; stealing and single-shard routing couple queues) is
+     * rejected by run() with std::invalid_argument; one worker runs
+     * the sequential driver. Handlers must be pure functions of
+     * (sandbox, seed) — already required for determinism — and are
+     * called concurrently in this mode.
      */
     bool realThreads = false;
 
@@ -119,7 +113,12 @@ struct ServeResult
     std::size_t stolen = 0;   ///< requests served off another shard
     std::size_t maxQueueDepth = 0;
 
-    double durationNs = 0; ///< first arrival issue to last completion
+    /**
+     * Run start to last completion. Open loop starts at virtual time 0;
+     * closed-loop clients start when the workers finish booting (the
+     * latest worker's free time after pool warm-up).
+     */
+    double durationNs = 0;
     double throughputRps = 0;
     double meanLatencyNs = 0;
     faas::Percentiles latency{};
@@ -165,29 +164,36 @@ class ServeEngine
   public:
     ServeEngine(EngineConfig config, Handler handler);
 
-    /** Run with owned per-core stacks (the normal configuration). */
+    /**
+     * Serve the configured load. Throws std::invalid_argument for a
+     * realThreads configuration that does not decompose (see
+     * EngineConfig::realThreads).
+     */
     ServeResult run();
 
-    /**
-     * Single-worker run on the caller's clock/context with a resident
-     * caller-owned sandbox — the faas::runClosedLoop compatibility
-     * path.
-     */
-    static ServeResult runResident(const EngineConfig &config,
-                                   core::HfiContext &ctx,
-                                   sfi::Sandbox &sandbox,
-                                   const Handler &handler);
-
   private:
-    static ServeResult drive(std::vector<std::unique_ptr<Worker>> &workers,
-                             ArrivalSource &source,
-                             const EngineConfig &config, double start_ns);
+    /**
+     * Workers whose shards no other partition touches, the arrivals
+     * routed to those shards, and what the partition's queues saw
+     * (filled by drive(), indexed like workers).
+     */
+    struct Partition
+    {
+        std::vector<std::unique_ptr<Worker>> workers;
+        std::unique_ptr<ArrivalSource> source;
+        /** Virtual time the load starts (ServeResult::durationNs). */
+        double startNs = 0;
+        std::vector<std::size_t> shed;
+        std::size_t stolen = 0;
+        std::size_t maxQueueDepth = 0;
+    };
 
-    /** One host thread per core; requires threadable(config_). */
-    ServeResult runThreaded();
-
-    /** True when the configuration decomposes into independent shards. */
-    static bool threadable(const EngineConfig &config);
+    /** Build the workers and split the load. */
+    std::vector<Partition> partition() const;
+    /** Run one partition's event loop until its source is dry. */
+    static void drive(Partition &part, const EngineConfig &config);
+    /** Fold every partition, in worker-index order, into one result. */
+    static ServeResult reduce(const std::vector<Partition> &parts);
 
     EngineConfig config_;
     Handler handler_;

@@ -52,10 +52,9 @@ OpenLoopPoissonSource::next()
 }
 
 ClosedLoopSource::ClosedLoopSource(unsigned clients, unsigned requests,
-                                   double start_ns, std::uint64_t seed,
-                                   bool legacy_seeds)
+                                   double start_ns, std::uint64_t seed)
     : ready(clients, start_ns), outstanding(clients, false), total(requests),
-      seed_(seed), legacySeeds_(legacy_seeds)
+      seed_(seed)
 {
 }
 
@@ -76,12 +75,7 @@ ClosedLoopSource::next()
     Request req;
     req.id = issued;
     req.arrivalNs = ready[who];
-    // Per-request work draws from the engine seed like the open-loop
-    // source; the legacy Knuth-hash sequence (which ignored the seed)
-    // is kept behind a flag so Table 1 reproduces bit-for-bit.
-    req.seed = legacySeeds_
-                   ? static_cast<std::uint32_t>(issued) * 2654435761u
-                   : mixSeed(seed_, issued);
+    req.seed = mixSeed(seed_, issued);
     req.client = who;
     outstanding[who] = true;
     ++issued;

@@ -105,16 +105,15 @@ class VectorSource : public ArrivalSource
  * request the moment its previous response lands (the Table 1 model).
  * Earliest-ready client issues first; ties go to the lowest index.
  *
- * Per-request handler seeds mix @p seed with the issue index, so runs
- * with different engine seeds draw different work. @p legacy_seeds
- * restores the historical `issued * 2654435761u` sequence (which
- * ignored the engine seed — the bug) for Table 1 golden compatibility.
+ * Per-request handler seeds are mixSeed(@p seed, issue index), the
+ * open-loop convention, so runs with different engine seeds draw
+ * different work.
  */
 class ClosedLoopSource : public ArrivalSource
 {
   public:
     ClosedLoopSource(unsigned clients, unsigned requests, double start_ns,
-                     std::uint64_t seed = 0, bool legacy_seeds = true);
+                     std::uint64_t seed = 0);
 
     std::optional<Request> next() override;
     void onComplete(const Request &req, double done_ns) override;
@@ -125,7 +124,6 @@ class ClosedLoopSource : public ArrivalSource
     unsigned issued = 0;
     unsigned total;
     std::uint64_t seed_;
-    bool legacySeeds_;
 };
 
 } // namespace hfi::serve

@@ -1,7 +1,7 @@
 /**
  * @file
  * Core vocabulary of the serving engine: requests, protection schemes,
- * and the handler signature shared with the FaaS platform.
+ * and the request handler signature.
  *
  * A Request is one unit of tenant work flowing through the engine. Its
  * arrival time is virtual nanoseconds on the engine's simulated wall
@@ -22,9 +22,7 @@ namespace hfi::serve
 
 /**
  * How handler execution is protected against escapes/Spectre — the
- * Table 1 / §6.5 schemes. faas::Protection is a declaration-order
- * compatible alias of this enum (checked by a static_assert in
- * faas/platform.cc).
+ * Table 1 / §6.5 schemes.
  */
 enum class Scheme
 {

@@ -20,55 +20,36 @@ schemeName(Scheme s)
     return "?";
 }
 
+static sfi::RuntimeConfig
+runtimeConfig(const WorkerConfig &config)
+{
+    sfi::RuntimeConfig rc;
+    rc.backend = config.backend;
+    return rc;
+}
+
 Worker::Worker(unsigned index, const WorkerConfig &config,
                const Handler &handler, std::uint64_t engine_seed)
-    : index_(index), config_(config), handler_(handler)
+    : index_(index), config_(config), handler_(handler),
+      mmu_(clock_, config_.vaBits), ctx_(clock_),
+      runtime_(mmu_, ctx_, runtimeConfig(config_)),
+      sched_(ctx_, config_.schedulerCosts)
 {
-    ownClock = std::make_unique<vm::VirtualClock>();
-    ownMmu = std::make_unique<vm::Mmu>(*ownClock, config_.vaBits);
-    ownCtx = std::make_unique<core::HfiContext>(*ownClock);
-    sfi::RuntimeConfig rc;
-    rc.backend = config_.backend;
-    runtime = std::make_unique<sfi::Runtime>(*ownMmu, *ownCtx, rc);
-    clock_ = ownClock.get();
-    ctx_ = ownCtx.get();
-
-    sched_.emplace(*ctx_, config_.schedulerCosts);
-    serverPid = sched_->createProcess("server-core" + std::to_string(index));
-    tenantPid = sched_->createProcess("tenant-core" + std::to_string(index));
+    serverPid = sched_.createProcess("server-core" + std::to_string(index));
+    tenantPid = sched_.createProcess("tenant-core" + std::to_string(index));
 
     if (config_.faults.rate > 0)
         injector_.emplace(config_.faults, engine_seed);
     // Pre-warm the pool; creation is charged to the clock before the
     // first request, like a platform's boot phase.
     for (std::size_t i = 0; i < config_.poolSize; ++i) {
-        auto s = runtime->createSandbox(config_.sandboxOptions);
+        auto s = runtime_.createSandbox(config_.sandboxOptions);
         if (!s)
             break;
         ++stats_.instancesCreated;
         pool_.push_back(std::move(s));
     }
-    freeNs_ = clock_->nowNs();
-}
-
-Worker::Worker(unsigned index, const WorkerConfig &config,
-               const Handler &handler, core::HfiContext &ctx,
-               sfi::Sandbox &resident_sandbox, std::uint64_t engine_seed)
-    : index_(index), config_(config), handler_(handler)
-{
-    // Borrowed mode serves on the caller's clock against a resident
-    // instance; the scheduler path is disabled so the cost sequence is
-    // exactly the original closed-loop serveOne. No pool: the resident
-    // instance cannot be quarantined, only its requests retried.
-    config_.dispatchViaScheduler = false;
-    config_.quantumNs = 0;
-    config_.poolSize = 0;
-    clock_ = &ctx.clock();
-    ctx_ = &ctx;
-    resident = &resident_sandbox;
-    if (config_.faults.rate > 0)
-        injector_.emplace(config_.faults, engine_seed);
-    freeNs_ = clock_->nowNs();
+    freeNs_ = clock_.nowNs();
 }
 
 void
@@ -77,9 +58,8 @@ Worker::attachTrace(obs::Trace *trace)
     engineTrace_ = trace;
     trace_ = trace && index_ < trace->cores() ? &trace->buffer(index_)
                                               : nullptr;
-    ctx_->setTrace(trace_);
-    if (sched_)
-        sched_->setTrace(trace_);
+    ctx_.setTrace(trace_);
+    sched_.setTrace(trace_);
     if (!trace)
         return;
     // Export-time labelers: events store raw enum values; these spell
@@ -99,7 +79,7 @@ Worker::attachTrace(obs::Trace *trace)
 void
 Worker::exportMetrics(obs::MetricsRegistry &m) const
 {
-    m.counterAdd("serve.served", stats_.served);
+    m.counterAdd("serve.served", stats_.robustness.served);
     m.counterAdd("serve.rejected", stats_.rejected);
     m.counterAdd("serve.preemptions", stats_.preemptions);
     m.counterAdd("serve.instances_created", stats_.instancesCreated);
@@ -129,31 +109,31 @@ Worker::exportMetrics(obs::MetricsRegistry &m) const
 void
 Worker::preemptForQuantum(double service_start_ns)
 {
-    if (config_.quantumNs <= 0 || !sched_ || !config_.dispatchViaScheduler)
+    if (config_.quantumNs <= 0 || !config_.dispatchViaScheduler)
         return;
-    const double elapsed = clock_->nowNs() - service_start_ns;
+    const double elapsed = clock_.nowNs() - service_start_ns;
     auto slices =
         static_cast<std::uint64_t>(elapsed / config_.quantumNs);
     // A sanity cap: one request cannot eat more timer ticks than a
     // pathological config would generate (keeps runaway costs bounded).
     slices = std::min<std::uint64_t>(slices, 64);
 
-    const bool wasEnabled = ctx_->enabled();
-    const core::SandboxConfig wasConfig = ctx_->config();
+    const bool wasEnabled = ctx_.enabled();
+    const core::SandboxConfig wasConfig = ctx_.config();
     for (std::uint64_t i = 0; i < slices; ++i) {
         // Timer fires: the kernel switches to another process and back,
         // xsave/xrstor-ing the live HFI register file both ways.
-        sched_->switchTo(serverPid);
-        sched_->switchTo(tenantPid);
+        sched_.switchTo(serverPid);
+        sched_.switchTo(tenantPid);
         ++stats_.preemptions;
     }
     // The §3.3.3 guarantee: a process preempted mid-sandbox resumes
     // still sandboxed, with the same configuration.
-    if (ctx_->enabled() != wasEnabled ||
+    if (ctx_.enabled() != wasEnabled ||
         (wasEnabled &&
-         (ctx_->config().isHybrid != wasConfig.isHybrid ||
-          ctx_->config().switchOnExit != wasConfig.switchOnExit ||
-          ctx_->config().isSerialized != wasConfig.isSerialized)))
+         (ctx_.config().isHybrid != wasConfig.isHybrid ||
+          ctx_.config().switchOnExit != wasConfig.switchOnExit ||
+          ctx_.config().isSerialized != wasConfig.isSerialized)))
         ++stats_.hfiStateMismatches;
 }
 
@@ -166,7 +146,7 @@ Worker::runBody(sfi::Sandbox &sandbox, std::uint32_t seed, FaultKind kind,
             // The handler wedges and never returns; the watchdog kills
             // the attempt at the deadline, leaving the instance in an
             // unknown state.
-            clock_->tick(clock_->nsToCycles(config_.requestTimeoutNs));
+            clock_.tick(clock_.nsToCycles(config_.requestTimeoutNs));
             out.completed = false;
             out.timedOut = true;
             out.poisoned = true;
@@ -174,7 +154,7 @@ Worker::runBody(sfi::Sandbox &sandbox, std::uint32_t seed, FaultKind kind,
         }
         // No watchdog: the livelock eventually clears and the request
         // completes — slowly. (This is why deadlines matter.)
-        clock_->tick(clock_->nsToCycles(injector_->stallNs()));
+        clock_.tick(clock_.nsToCycles(injector_->stallNs()));
     }
     handler_(sandbox, seed);
     if (kind == FaultKind::Poison)
@@ -198,7 +178,7 @@ Worker::runProtected(sfi::Sandbox &sandbox, std::uint32_t seed,
         sandbox.enter();
         runBody(sandbox, seed, kind, out);
         if (out.completed && raises) {
-            out.exitReason = injector_->raise(kind, *ctx_);
+            out.exitReason = injector_->raise(kind, ctx_);
             out.completed = false;
         }
         if (out.completed)
@@ -213,27 +193,27 @@ Worker::runProtected(sfi::Sandbox &sandbox, std::uint32_t seed,
         sc.isHybrid = false;
         sc.isSerialized = true;
         sc.exitHandler = 0x7000'0000;
-        ctx_->enter(sc);
+        ctx_.enter(sc);
         sandbox.enter();
         runBody(sandbox, seed, kind, out);
         if (out.completed && raises) {
-            out.exitReason = injector_->raise(kind, *ctx_);
+            out.exitReason = injector_->raise(kind, ctx_);
             out.completed = false;
         }
         if (out.completed)
             preemptForQuantum(service_start_ns);
         sandbox.exit();
         if (out.completed) {
-            ctx_->exit();
+            ctx_.exit();
         } else {
             // The trap already left HFI mode (onFault/onSyscall
             // disabled it); a watchdog kill finds the sandbox still
             // live and tears it down as a hardware fault. Either way
             // the runtime's handler reads the MSR to classify the exit
             // (§3.3.2).
-            if (ctx_->enabled())
-                ctx_->onFault(core::ExitReason::HardwareFault);
-            ctx_->readExitReasonMsr();
+            if (ctx_.enabled())
+                ctx_.onFault(core::ExitReason::HardwareFault);
+            ctx_.readExitReasonMsr();
         }
         break;
       }
@@ -244,22 +224,22 @@ Worker::runProtected(sfi::Sandbox &sandbox, std::uint32_t seed,
         core::SandboxConfig sc;
         sc.isHybrid = false;
         sc.switchOnExit = true;
-        ctx_->enter(sc);
+        ctx_.enter(sc);
         sandbox.enter();
         runBody(sandbox, seed, kind, out);
         if (out.completed && raises) {
-            out.exitReason = injector_->raise(kind, *ctx_);
+            out.exitReason = injector_->raise(kind, ctx_);
             out.completed = false;
         }
         if (out.completed)
             preemptForQuantum(service_start_ns);
         sandbox.exit();
         if (out.completed) {
-            ctx_->exit();
+            ctx_.exit();
         } else {
-            if (ctx_->enabled())
-                ctx_->onFault(core::ExitReason::HardwareFault);
-            ctx_->readExitReasonMsr();
+            if (ctx_.enabled())
+                ctx_.onFault(core::ExitReason::HardwareFault);
+            ctx_.readExitReasonMsr();
         }
         break;
       }
@@ -271,7 +251,7 @@ void
 Worker::retire(std::unique_ptr<sfi::Sandbox> instance)
 {
     retired.push_back(std::move(instance));
-    if (retired.size() < config_.teardownBatch || !runtime)
+    if (retired.size() < config_.teardownBatch)
         return;
     // One madvise spanning the whole batch of adjacent instances — the
     // §6.3.1 batched teardown; destruction then releases the VA so the
@@ -280,7 +260,7 @@ Worker::retire(std::unique_ptr<sfi::Sandbox> instance)
     raw.reserve(retired.size());
     for (const auto &s : retired)
         raw.push_back(s.get());
-    runtime->reclaim(raw, config_.reclaimPolicy, retired.size());
+    runtime_.reclaim(raw, config_.reclaimPolicy, retired.size());
     ++stats_.reclaimBatches;
     retired.clear();
 }
@@ -293,7 +273,7 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
         // FaaS instance-per-request: a cold instance from this core's
         // pool shard. Creation cost (mmap + backend setup) is part of
         // the request's latency, as it is on a real platform.
-        auto fresh = runtime->createSandbox(config_.sandboxOptions);
+        auto fresh = runtime_.createSandbox(config_.sandboxOptions);
         if (fresh)
             ++stats_.instancesCreated;
         return fresh;
@@ -303,7 +283,7 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
     // charged at the first dispatch that can observe the new instance.
     while (!respawns_.empty() && respawns_.front() <= wall_ns) {
         respawns_.pop_front();
-        auto s = runtime->createSandbox(config_.sandboxOptions);
+        auto s = runtime_.createSandbox(config_.sandboxOptions);
         if (s) {
             ++stats_.instancesCreated;
             ++stats_.robustness.respawns;
@@ -319,7 +299,7 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
         ++stats_.robustness.poolWaits;
         *wait_ns = respawns_.front() - wall_ns;
         respawns_.pop_front();
-        auto s = runtime->createSandbox(config_.sandboxOptions);
+        auto s = runtime_.createSandbox(config_.sandboxOptions);
         if (s) {
             ++stats_.instancesCreated;
             ++stats_.robustness.respawns;
@@ -331,7 +311,7 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
     if (pool_.empty()) {
         // Zero warm slots survived construction (VA exhaustion); fall
         // back to a cold synchronous create.
-        auto s = runtime->createSandbox(config_.sandboxOptions);
+        auto s = runtime_.createSandbox(config_.sandboxOptions);
         if (s)
             ++stats_.instancesCreated;
         return s;
@@ -362,42 +342,36 @@ Worker::serve(const Request &req)
                            static_cast<std::uint64_t>(kind));
         }
 
-        const double service_start = clock_->nowNs();
-        if (config_.dispatchViaScheduler && sched_)
-            sched_->switchTo(tenantPid);
+        const double service_start = clock_.nowNs();
+        if (config_.dispatchViaScheduler)
+            sched_.switchTo(tenantPid);
 
-        sfi::Sandbox *sandbox = resident;
-        std::unique_ptr<sfi::Sandbox> instance;
         double poolWait = 0;
-        if (!sandbox) {
-            instance = acquireInstance(wall, &poolWait);
-            if (!instance) {
-                ++stats_.rejected;
-                if (config_.dispatchViaScheduler && sched_)
-                    sched_->switchTo(serverPid);
-                return {};
-            }
-            sandbox = instance.get();
-            // Warm-pool dispatch: the core's register file was swapped
-            // by process switches since this instance last ran, so its
-            // enforcement state must be re-installed — before the
-            // scheme's own (region-locking) hfi_enter. Cold per-request
-            // instances were created under the live bank and need
-            // nothing.
-            if (config_.poolSize > 0) {
-                HFI_OBS_RECORD(trace_, obs::EventType::RegionRebind, wall,
-                               req.id);
-                sandbox->rebindRegions();
-            }
-            if (poolWait > 0)
-                HFI_OBS_RECORD(trace_, obs::EventType::PoolWait, wall,
-                               req.id);
+        std::unique_ptr<sfi::Sandbox> instance =
+            acquireInstance(wall, &poolWait);
+        if (!instance) {
+            ++stats_.rejected;
+            if (config_.dispatchViaScheduler)
+                sched_.switchTo(serverPid);
+            return {};
         }
+        // Warm-pool dispatch: the core's register file was swapped by
+        // process switches since this instance last ran, so its
+        // enforcement state must be re-installed — before the scheme's
+        // own (region-locking) hfi_enter. Cold per-request instances
+        // were created under the live bank and need nothing.
+        if (config_.poolSize > 0) {
+            HFI_OBS_RECORD(trace_, obs::EventType::RegionRebind, wall,
+                           req.id);
+            instance->rebindRegions();
+        }
+        if (poolWait > 0)
+            HFI_OBS_RECORD(trace_, obs::EventType::PoolWait, wall, req.id);
 
         AttemptOutcome at =
-            runProtected(*sandbox, req.seed, service_start, kind);
+            runProtected(*instance, req.seed, service_start, kind);
 
-        double service = clock_->nowNs() - service_start;
+        double service = clock_.nowNs() - service_start;
         if (config_.scheme == Scheme::Swivel &&
             config_.swivelEffect.computeFactor > 1.0) {
             // Swivel's hardening multiplies the executed cycles; charge
@@ -405,7 +379,7 @@ Worker::serve(const Request &req)
             // causal.
             const double extra =
                 service * (config_.swivelEffect.computeFactor - 1.0);
-            clock_->tick(clock_->nsToCycles(extra));
+            clock_.tick(clock_.nsToCycles(extra));
             service += extra;
         }
         // Watchdog: an attempt that ran past the deadline is counted
@@ -430,46 +404,42 @@ Worker::serve(const Request &req)
         // and switching back to the server process — delays the *next*
         // attempt/request but is invisible to this one's latency: the
         // response (or fault signal) has already left.
-        const double post_start = clock_->nowNs();
-        if (instance) {
-            if (config_.poolSize > 0) {
-                if (at.poisoned) {
-                    // Quarantine: tear the suspect instance down (it
-                    // joins the batched-madvise path) and schedule a
-                    // background respawn for its slot.
-                    ++stats_.robustness.quarantines;
-                    HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done,
-                                   req.id);
-                    respawns_.push_back(done + config_.respawnDelayNs);
-                    retire(std::move(instance));
-                } else {
-                    // HFI contained the fault (or the request was
-                    // clean): the instance state is intact, back into
-                    // the warm pool.
-                    pool_.push_back(std::move(instance));
-                }
-            } else {
-                if (at.poisoned) {
-                    ++stats_.robustness.quarantines;
-                    HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done,
-                                   req.id);
-                }
+        const double post_start = clock_.nowNs();
+        if (config_.poolSize > 0) {
+            if (at.poisoned) {
+                // Quarantine: tear the suspect instance down (it joins
+                // the batched-madvise path) and schedule a background
+                // respawn for its slot.
+                ++stats_.robustness.quarantines;
+                HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done,
+                               req.id);
+                respawns_.push_back(done + config_.respawnDelayNs);
                 retire(std::move(instance));
+            } else {
+                // HFI contained the fault (or the request was clean):
+                // the instance state is intact, back into the warm pool.
+                pool_.push_back(std::move(instance));
             }
+        } else {
+            if (at.poisoned) {
+                ++stats_.robustness.quarantines;
+                HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done,
+                               req.id);
+            }
+            retire(std::move(instance));
         }
-        if (config_.dispatchViaScheduler && sched_) {
+        if (config_.dispatchViaScheduler) {
             if (at.completed)
-                sched_->switchTo(serverPid);
+                sched_.switchTo(serverPid);
             else
                 // The kernel delivers the fault signal to the trusted
                 // runtime on its way back (§3.3.2).
-                sched_->deliverFault(serverPid);
+                sched_.deliverFault(serverPid);
         }
-        const double post = clock_->nowNs() - post_start;
+        const double post = clock_.nowNs() - post_start;
 
         if (at.completed && !at.timedOut) {
             freeNs_ = done + post;
-            ++stats_.served;
             ++stats_.robustness.served;
             latencies_.add(done - req.arrivalNs);
 

@@ -17,11 +17,6 @@
  * exactly like the original closed-loop model. That keeps per-request
  * service independent of arrival spacing, which is what makes latency
  * multisets reproducible across worker counts.
- *
- * A Worker can instead *borrow* a caller-provided clock/context/sandbox
- * (resident-instance mode): that is how faas::runClosedLoop becomes a
- * thin single-worker configuration of this engine without perturbing
- * Table 1.
  */
 
 #ifndef HFI_SERVE_WORKER_H
@@ -101,7 +96,6 @@ struct WorkerConfig
 /** Counters one worker accumulates; merged by the engine. */
 struct WorkerStats
 {
-    std::uint64_t served = 0;
     std::uint64_t instancesCreated = 0;
     std::uint64_t reclaimBatches = 0;
     std::uint64_t preemptions = 0;
@@ -121,20 +115,12 @@ class Worker
 {
   public:
     /**
-     * Owned-resources worker: a full per-core stack. @p engine_seed
-     * keys the fault injector (when config.faults.rate > 0) so fault
-     * schedules follow the engine's master seed.
+     * A worker with its full per-core stack. @p engine_seed keys the
+     * fault injector (when config.faults.rate > 0) so fault schedules
+     * follow the engine's master seed.
      */
     Worker(unsigned index, const WorkerConfig &config,
            const Handler &handler, std::uint64_t engine_seed = 0);
-
-    /**
-     * Borrowed-resources worker: serve on the caller's clock/context
-     * with a caller-owned resident sandbox (no pool, no scheduler).
-     */
-    Worker(unsigned index, const WorkerConfig &config,
-           const Handler &handler, core::HfiContext &ctx,
-           sfi::Sandbox &resident, std::uint64_t engine_seed = 0);
 
     Worker(Worker &&) = delete;
 
@@ -156,7 +142,7 @@ class Worker
 
     const WorkerStats &stats() const { return stats_; }
     const faas::LatencyRecorder &latencies() const { return latencies_; }
-    core::HfiContext &context() { return *ctx_; }
+    core::HfiContext &context() { return ctx_; }
 
     /** This worker's (global) core index. */
     unsigned index() const { return index_; }
@@ -175,11 +161,7 @@ class Worker
      * hand. Hot-path accounting stays plain struct increments.
      */
     void exportMetrics(obs::MetricsRegistry &m) const;
-    std::uint64_t
-    contextSwitches() const
-    {
-        return sched_ ? sched_->totalSwitches() : 0;
-    }
+    std::uint64_t contextSwitches() const { return sched_.totalSwitches(); }
 
   private:
     /** What one attempt inside the sandbox did (see runProtected). */
@@ -215,17 +197,12 @@ class Worker
     WorkerConfig config_;
     Handler handler_;
 
-    // Owned per-core stack (null in borrowed mode).
-    std::unique_ptr<vm::VirtualClock> ownClock;
-    std::unique_ptr<vm::Mmu> ownMmu;
-    std::unique_ptr<core::HfiContext> ownCtx;
-    std::unique_ptr<sfi::Runtime> runtime;
-
-    vm::VirtualClock *clock_ = nullptr;
-    core::HfiContext *ctx_ = nullptr;
-    sfi::Sandbox *resident = nullptr;
-
-    std::optional<os::Scheduler> sched_;
+    // The per-core stack, in construction order.
+    vm::VirtualClock clock_;
+    vm::Mmu mmu_;
+    core::HfiContext ctx_;
+    sfi::Runtime runtime_;
+    os::Scheduler sched_;
     int serverPid = -1;
     int tenantPid = -1;
 

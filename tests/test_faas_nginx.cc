@@ -1,16 +1,18 @@
 /**
  * @file
- * Tests for the FaaS platform (Table 1 harness) and the NGINX/OpenSSL
- * server (Fig 5 harness): latency statistics, closed-loop queueing
- * behaviour, protection-scheme cost ordering, and real ciphertext.
+ * Tests for the FaaS platform shape of Table 1 (on the serving engine)
+ * and the NGINX/OpenSSL server (Fig 5 harness): latency statistics,
+ * closed-loop queueing behaviour, protection-scheme cost ordering, and
+ * real ciphertext.
  */
 
 #include <gtest/gtest.h>
 
 #include "faas/latency.h"
-#include "faas/platform.h"
 #include "nginx/server.h"
+#include "serve/engine.h"
 #include "sfi/runtime.h"
+#include "swivel/swivel.h"
 #include "workloads/crypto.h"
 
 namespace
@@ -50,62 +52,55 @@ TEST(LatencyRecorder, EmptyIsZero)
 
 // ----------------------------------------------------------- platform
 
+/**
+ * The Table 1 platform shape, scaled down: one core, closed-loop
+ * clients, one warm guard-page instance run in place.
+ */
 class PlatformTest : public ::testing::Test
 {
   protected:
-    std::unique_ptr<sfi::Sandbox>
-    makeSandbox()
+    static serve::ServeResult
+    run(serve::Scheme scheme, unsigned requests = 120)
     {
-        sfi::RuntimeConfig config;
-        config.backend = sfi::BackendKind::GuardPages;
-        sfi::Runtime runtime(mmu, ctx, config);
-        return runtime.createSandbox({4, 64});
-    }
-
-    faas::RunResult
-    run(faas::Protection protection, unsigned requests = 120)
-    {
-        auto sandbox = makeSandbox();
-        faas::PlatformConfig config;
-        config.clients = 10;
-        config.requests = requests;
-        config.protection = protection;
-        config.stockBinaryBytes = 3 << 20;
-        if (protection == faas::Protection::Swivel) {
-            config.swivelEffect =
+        serve::EngineConfig ec;
+        ec.mode = serve::LoadMode::ClosedLoop;
+        ec.clients = 10;
+        ec.requests = requests;
+        ec.worker.scheme = scheme;
+        if (scheme == serve::Scheme::Swivel) {
+            ec.worker.swivelEffect =
                 swivel::apply(swivel::templatedHtmlProfile());
         }
-        return faas::runClosedLoop(config, *sandbox, ctx,
-                                   [](sfi::Sandbox &s, std::uint32_t seed) {
-                                       // A small real handler.
-                                       for (int i = 0; i < 200; ++i)
-                                           s.store<std::uint32_t>(
-                                               64 + (i % 64) * 4,
-                                               seed + i);
-                                       s.chargeOps(20'000);
-                                   });
+        ec.worker.dispatchViaScheduler = false;
+        ec.worker.quantumNs = 0;
+        ec.worker.backend = sfi::BackendKind::GuardPages;
+        ec.worker.sandboxOptions = {4, 64};
+        ec.worker.poolSize = 1;
+        return serve::ServeEngine(ec, [](sfi::Sandbox &s,
+                                         std::uint32_t seed) {
+                   // A small real handler.
+                   for (int i = 0; i < 200; ++i)
+                       s.store<std::uint32_t>(64 + (i % 64) * 4, seed + i);
+                   s.chargeOps(20'000);
+               }).run();
     }
-
-    vm::VirtualClock clock;
-    vm::Mmu mmu{clock};
-    core::HfiContext ctx{clock};
 };
 
 TEST_F(PlatformTest, ClosedLoopLatencyNearClientsTimesService)
 {
-    const auto res = run(faas::Protection::Unsafe);
+    const auto res = run(serve::Scheme::Unsafe);
     // Saturated single server with C clients: latency ~= C x service.
     const double service_ns = 1e9 / res.throughputRps;
-    EXPECT_NEAR(res.avgLatencyNs / service_ns, 10.0, 1.5);
-    EXPECT_GE(res.tailLatencyNs, res.avgLatencyNs);
+    EXPECT_NEAR(res.meanLatencyNs / service_ns, 10.0, 1.5);
+    EXPECT_GE(res.latency.p99, res.meanLatencyNs);
 }
 
 TEST_F(PlatformTest, HfiCostsAtMostAFewPercent)
 {
-    const auto unsafe_run = run(faas::Protection::Unsafe);
-    const auto hfi_run = run(faas::Protection::HfiNative);
+    const auto unsafe_run = run(serve::Scheme::Unsafe);
+    const auto hfi_run = run(serve::Scheme::HfiNative);
     const double tail_increase =
-        hfi_run.tailLatencyNs / unsafe_run.tailLatencyNs - 1.0;
+        hfi_run.latency.p99 / unsafe_run.latency.p99 - 1.0;
     // Table 1: 0%-2%.
     EXPECT_GE(tail_increase, -0.005);
     EXPECT_LE(tail_increase, 0.02);
@@ -113,10 +108,10 @@ TEST_F(PlatformTest, HfiCostsAtMostAFewPercent)
 
 TEST_F(PlatformTest, SwivelCostsMuchMore)
 {
-    const auto unsafe_run = run(faas::Protection::Unsafe);
-    const auto swivel_run = run(faas::Protection::Swivel);
+    const auto unsafe_run = run(serve::Scheme::Unsafe);
+    const auto swivel_run = run(serve::Scheme::Swivel);
     const double tail_increase =
-        swivel_run.tailLatencyNs / unsafe_run.tailLatencyNs - 1.0;
+        swivel_run.latency.p99 / unsafe_run.latency.p99 - 1.0;
     // The branchy HTML profile sits at the high end of Table 1.
     EXPECT_GT(tail_increase, 0.3);
     EXPECT_GT(unsafe_run.throughputRps, swivel_run.throughputRps);
@@ -124,25 +119,18 @@ TEST_F(PlatformTest, SwivelCostsMuchMore)
 
 TEST_F(PlatformTest, SwitchOnExitCheaperThanSerialized)
 {
-    const auto serialized = run(faas::Protection::HfiNative);
-    const auto soe = run(faas::Protection::HfiSwitchOnExit);
-    EXPECT_LE(soe.avgLatencyNs, serialized.avgLatencyNs * 1.001);
-}
-
-TEST_F(PlatformTest, BinarySizesReported)
-{
-    const auto unsafe_run = run(faas::Protection::Unsafe);
-    const auto swivel_run = run(faas::Protection::Swivel);
-    EXPECT_EQ(unsafe_run.binaryBytes, 3u << 20);
-    EXPECT_GT(swivel_run.binaryBytes, unsafe_run.binaryBytes);
+    const auto serialized = run(serve::Scheme::HfiNative);
+    const auto soe = run(serve::Scheme::HfiSwitchOnExit);
+    EXPECT_LE(soe.meanLatencyNs, serialized.meanLatencyNs * 1.001);
 }
 
 TEST_F(PlatformTest, ProtectionNames)
 {
-    EXPECT_STREQ(faas::protectionName(faas::Protection::Unsafe),
-                 "Lucet(Unsafe)");
-    EXPECT_STREQ(faas::protectionName(faas::Protection::Swivel),
-                 "Lucet+Swivel");
+    EXPECT_STREQ(serve::schemeName(serve::Scheme::Unsafe), "Lucet(Unsafe)");
+    EXPECT_STREQ(serve::schemeName(serve::Scheme::HfiNative), "Lucet+HFI");
+    EXPECT_STREQ(serve::schemeName(serve::Scheme::HfiSwitchOnExit),
+                 "Lucet+HFI(soe)");
+    EXPECT_STREQ(serve::schemeName(serve::Scheme::Swivel), "Lucet+Swivel");
 }
 
 // -------------------------------------------------------------- nginx

@@ -21,22 +21,20 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/context.h"
-#include "faas/platform.h"
+#include "serve/engine.h"
 #include "sfi/guard_page_backend.h"
 #include "sfi/hfi_backend.h"
 #include "sfi/runtime.h"
 #include "sim/kernels.h"
 #include "sim/pipeline.h"
 #include "spectre/attacker.h"
-#include "swivel/swivel.h"
 #include "vm/mmu.h"
-#include "workloads/crypto.h"
-#include "workloads/faas_workloads.h"
-#include "workloads/image.h"
+#include "workloads/table1.h"
 
 namespace
 {
@@ -141,116 +139,63 @@ TEST(GoldenResults, FaasTeardownSection631)
 // Table 1: Spectre protection vs FaaS tail latency.
 // ---------------------------------------------------------------------
 
-struct Table1Workload
+/**
+ * Pinned outcomes per workload, in table1Workloads() order: percent
+ * tail-latency increase over Unsafe, and binary sizes in MiB at the
+ * bench's 0.1 MiB display precision.
+ */
+struct Table1Pins
 {
-    std::string name;
-    swivel::CodeProfile profile;
-    faas::Handler handler;
-    unsigned requests;
-    // Pinned outcomes (percent tail-latency increase over Unsafe, and
-    // binary sizes in MiB at the bench's 0.1 MiB display precision).
     double hfiTailDeltaPct;
     double swivelTailDeltaPct;
     double stockBinMib;
     double swivelBinMib;
 };
 
-std::vector<Table1Workload>
-table1Workloads()
-{
-    std::vector<Table1Workload> list;
-    list.push_back(
-        {"XML to JSON", swivel::xmlToJsonProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             const std::string xml =
-                 workloads::faas::makeXmlDocument(220, seed);
-             s.memory().writeBytes(64, xml.data(), xml.size());
-             workloads::faas::xmlToJson(s, 64, xml.size());
-         },
-         300, 0.15, 34.3, 3.5, 4.1});
-    list.push_back(
-        {"Image classification", swivel::imageClassifyProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             const auto img = workloads::image::makeTestImage(96, 96, seed);
-             s.memory().writeBytes(64, img.data(), img.size());
-             workloads::faas::classifyImage(s, 64, 96, seed);
-         },
-         200, 0.00, 1.1, 34.3, 34.5});
-    list.push_back(
-        {"Check SHA-256", swivel::checkShaProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             std::vector<std::uint8_t> payload(96 * 1024);
-             for (std::size_t i = 0; i < payload.size(); ++i)
-                 payload[i] = static_cast<std::uint8_t>(i ^ seed);
-             s.memory().writeBytes(64, payload.data(), payload.size());
-             const auto digest = workloads::crypto::sha256(
-                 payload.data(), payload.size());
-             s.memory().writeBytes(1 << 20, digest.data(), 32);
-             workloads::faas::checkSha256(s, 64, payload.size(), 1 << 20);
-         },
-         300, 0.01, 10.4, 3.9, 4.6});
-    list.push_back(
-        {"Templated HTML", swivel::templatedHtmlProfile(),
-         [](sfi::Sandbox &s, std::uint32_t seed) {
-             const std::string tpl = workloads::faas::makeHtmlTemplate(0);
-             s.memory().writeBytes(64, tpl.data(), tpl.size());
-             workloads::faas::renderTemplate(s, 64, tpl.size(), 24, seed);
-         },
-         400, 1.16, 73.5, 3.6, 4.2});
-    return list;
-}
+constexpr Table1Pins kTable1Pins[] = {
+    {0.15, 34.3, 3.5, 4.1},   // XML to JSON
+    {0.00, 1.1, 34.3, 34.5},  // Image classification
+    {0.01, 10.4, 3.9, 4.6},   // Check SHA-256
+    {1.16, 73.5, 3.6, 4.2},   // Templated HTML
+};
 
-faas::RunResult
-runTable1(const Table1Workload &workload, faas::Protection protection)
+double
+table1TailNs(const workloads::Table1Workload &workload, serve::Scheme scheme)
 {
-    vm::VirtualClock clock;
-    vm::Mmu mmu(clock);
-    core::HfiContext ctx(clock);
-    sfi::RuntimeConfig runtime_config;
-    runtime_config.backend = sfi::BackendKind::GuardPages;
-    sfi::Runtime runtime(mmu, ctx, runtime_config);
-    auto sandbox = runtime.createSandbox({64, 4096});
-    EXPECT_TRUE(sandbox);
-
-    faas::PlatformConfig config;
-    config.clients = 100;
-    config.requests = workload.requests;
-    config.protection = protection;
-    config.stockBinaryBytes =
-        workload.profile.codeBytes + workload.profile.dataBytes;
-    if (protection == faas::Protection::Swivel)
-        config.swivelEffect = swivel::apply(workload.profile);
-    return faas::runClosedLoop(config, *sandbox, ctx, workload.handler);
+    return serve::ServeEngine(workloads::table1Config(workload, scheme),
+                              workload.handler)
+        .run()
+        .latency.p99;
 }
 
 TEST(GoldenResults, Table1TailLatencyAndBinaryBloat)
 {
-    for (const auto &workload : table1Workloads()) {
+    using serve::Scheme;
+    const auto list = workloads::table1Workloads();
+    ASSERT_EQ(list.size(), std::size(kTable1Pins));
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        const auto &workload = list[i];
+        const Table1Pins &pins = kTable1Pins[i];
         SCOPED_TRACE(workload.name);
-        const auto unsafe_run =
-            runTable1(workload, faas::Protection::Unsafe);
-        const auto hfi_run =
-            runTable1(workload, faas::Protection::HfiNative);
-        const auto swivel_run =
-            runTable1(workload, faas::Protection::Swivel);
+        const double unsafe_tail = table1TailNs(workload, Scheme::Unsafe);
+        const double hfi_tail = table1TailNs(workload, Scheme::HfiNative);
+        const double swivel_tail = table1TailNs(workload, Scheme::Swivel);
 
-        const double hfi_delta =
-            100.0 * (hfi_run.tailLatencyNs / unsafe_run.tailLatencyNs -
-                     1.0);
-        const double swivel_delta =
-            100.0 *
-            (swivel_run.tailLatencyNs / unsafe_run.tailLatencyNs - 1.0);
-        EXPECT_NEAR(hfi_delta, workload.hfiTailDeltaPct, 0.005);
-        EXPECT_NEAR(swivel_delta, workload.swivelTailDeltaPct, 0.05);
+        EXPECT_NEAR(100.0 * (hfi_tail / unsafe_tail - 1.0),
+                    pins.hfiTailDeltaPct, 0.005);
+        EXPECT_NEAR(100.0 * (swivel_tail / unsafe_tail - 1.0),
+                    pins.swivelTailDeltaPct, 0.05);
 
         // The paper's bloat story: HFI adds nothing, Swivel ~0.6 MiB.
-        EXPECT_EQ(hfi_run.binaryBytes, unsafe_run.binaryBytes);
-        EXPECT_NEAR(
-            static_cast<double>(unsafe_run.binaryBytes) / (1 << 20),
-            workload.stockBinMib, 0.05);
-        EXPECT_NEAR(
-            static_cast<double>(swivel_run.binaryBytes) / (1 << 20),
-            workload.swivelBinMib, 0.05);
+        const auto mib = [&](Scheme scheme) {
+            return static_cast<double>(
+                       workloads::table1BinaryBytes(workload, scheme)) /
+                   (1 << 20);
+        };
+        EXPECT_EQ(workloads::table1BinaryBytes(workload, Scheme::HfiNative),
+                  workloads::table1BinaryBytes(workload, Scheme::Unsafe));
+        EXPECT_NEAR(mib(Scheme::Unsafe), pins.stockBinMib, 0.05);
+        EXPECT_NEAR(mib(Scheme::Swivel), pins.swivelBinMib, 0.05);
     }
 }
 

@@ -253,6 +253,33 @@ TEST(ServeEngine, ClosedLoopModeServesAllRequests)
     EXPECT_GT(res.meanLatencyNs, 0.0);
 }
 
+TEST(ServeEngine, ClosedLoopClientsStartAfterPoolWarmup)
+{
+    // One client against one warm instance: every request is served
+    // alone, so every latency is the same pure service time. A client
+    // that started before the pool was warm would see the instance
+    // creation in its first sample.
+    EngineConfig ec;
+    ec.mode = LoadMode::ClosedLoop;
+    ec.clients = 1;
+    ec.requests = 16;
+    ec.worker.poolSize = 1;
+    ec.worker.dispatchViaScheduler = false;
+    const auto res = ServeEngine(ec, [](sfi::Sandbox &s, std::uint32_t) {
+                         s.chargeOps(5'000);
+                     }).run();
+    ASSERT_EQ(res.served, 16u);
+    // Equal up to the rounding of absolute virtual times (~1e-12 ns);
+    // an instance creation would add microseconds.
+    constexpr double kEps = 1e-6;
+    const auto &lat = res.latencies.values();
+    for (double l : lat)
+        EXPECT_NEAR(l, lat.front(), kEps);
+    // The run is measured from the end of the warm-up: back-to-back
+    // service, nothing else.
+    EXPECT_NEAR(res.durationNs, 16 * lat.front(), kEps);
+}
+
 // --------------------------------------------- preemption / HFI state
 
 TEST(ServeEngine, PreemptionRoundTripsHfiStateMidSandbox)

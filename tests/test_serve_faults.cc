@@ -383,27 +383,12 @@ TEST(ServeFaults, FaultsRideTheSchedulerSignalPath)
 }
 
 // ---------------------------------------------------------------------
-// Closed-loop seeding (satellite 2).
-
-TEST(ClosedLoopSeeds, LegacyModeIgnoresEngineSeed)
-{
-    ClosedLoopSource a(4, 16, 0.0, /*seed=*/1, /*legacy_seeds=*/true);
-    ClosedLoopSource b(4, 16, 0.0, /*seed=*/999, /*legacy_seeds=*/true);
-    for (unsigned i = 0; i < 16; ++i) {
-        auto ra = a.next();
-        auto rb = b.next();
-        ASSERT_TRUE(ra && rb);
-        EXPECT_EQ(ra->seed, rb->seed);
-        EXPECT_EQ(ra->seed, static_cast<std::uint32_t>(i) * 2654435761u);
-        a.onComplete(*ra, 1.0);
-        b.onComplete(*rb, 1.0);
-    }
-}
+// Closed-loop seeding.
 
 TEST(ClosedLoopSeeds, MixedModeVariesWithEngineSeed)
 {
-    ClosedLoopSource a(4, 16, 0.0, /*seed=*/1, /*legacy_seeds=*/false);
-    ClosedLoopSource b(4, 16, 0.0, /*seed=*/999, /*legacy_seeds=*/false);
+    ClosedLoopSource a(4, 16, 0.0, /*seed=*/1);
+    ClosedLoopSource b(4, 16, 0.0, /*seed=*/999);
     unsigned differing = 0;
     for (unsigned i = 0; i < 16; ++i) {
         auto ra = a.next();
@@ -420,10 +405,10 @@ TEST(ClosedLoopSeeds, MixedModeVariesWithEngineSeed)
 TEST(ClosedLoopSeeds, MixedModeMatchesOpenLoopConvention)
 {
     // Open-loop request seeds are mixSeed(engine_seed, id); closed loop
-    // in non-legacy mode must use the identical convention so a handler
-    // sees the same work distribution under either source.
+    // must use the identical convention so a handler sees the same work
+    // distribution under either source.
     OpenLoopPoissonSource open(8, 1'000.0, /*seed=*/77, 0.0);
-    ClosedLoopSource closed(8, 8, 0.0, /*seed=*/77, /*legacy_seeds=*/false);
+    ClosedLoopSource closed(8, 8, 0.0, /*seed=*/77);
     for (unsigned i = 0; i < 8; ++i) {
         auto ro = open.next();
         auto rc = closed.next();

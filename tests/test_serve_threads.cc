@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "serve/engine.h"
 
 namespace
@@ -167,27 +169,45 @@ TEST(ServeThreads, FaultCampaignIsBitIdenticalUnderThreads)
     expectIdentical(threaded, sequential);
 }
 
-TEST(ServeThreads, NonDecomposableConfigsFallBackToSequential)
+TEST(ServeThreads, HandlerExceptionReachesTheCaller)
 {
-    // Work stealing couples the shards: must not thread.
+    // A throwing handler on a worker thread surfaces from run() like it
+    // does in the sequential driver, after every thread has joined.
+    const Handler throwing = [](sfi::Sandbox &s, std::uint32_t seed) {
+        s.chargeOps(1'000);
+        if (seed % 5 == 0)
+            throw std::runtime_error("handler failed");
+    };
+    auto cfg = threadableConfig(4);
+    cfg.realThreads = true;
+    EXPECT_THROW(ServeEngine(cfg, throwing).run(), std::runtime_error);
+    cfg.realThreads = false;
+    EXPECT_THROW(ServeEngine(cfg, throwing).run(), std::runtime_error);
+}
+
+TEST(ServeThreads, NonDecomposableConfigsAreRejected)
+{
+    // Work stealing couples the shards.
     auto stealing = threadableConfig(4);
     stealing.realThreads = true;
     stealing.workStealing = true;
-    EXPECT_EQ(ServeEngine(stealing, testHandler()).run().usedThreads, 1u);
+    EXPECT_THROW(ServeEngine(stealing, testHandler()).run(),
+                 std::invalid_argument);
 
-    // Closed loop couples arrivals to completions: must not thread.
+    // Closed loop couples arrivals to completions.
     auto closed = threadableConfig(4);
     closed.realThreads = true;
     closed.mode = LoadMode::ClosedLoop;
     closed.clients = 8;
-    EXPECT_EQ(ServeEngine(closed, testHandler()).run().usedThreads, 1u);
+    EXPECT_THROW(ServeEngine(closed, testHandler()).run(),
+                 std::invalid_argument);
 
-    // Single-shard routing funnels everything to shard 0: must not
-    // thread.
+    // Single-shard routing funnels everything to shard 0.
     auto single = threadableConfig(4);
     single.realThreads = true;
     single.sharding = Sharding::SingleShard;
-    EXPECT_EQ(ServeEngine(single, testHandler()).run().usedThreads, 1u);
+    EXPECT_THROW(ServeEngine(single, testHandler()).run(),
+                 std::invalid_argument);
 
     // One worker: the sequential driver is the per-shard loop already.
     auto one = threadableConfig(1);
