@@ -17,6 +17,12 @@
  * whether an access traps and where it lands) and *costs* (a small POD of
  * per-access/per-op overheads that the Sandbox charges on the hot path,
  * plus lifecycle methods that charge MMU/HFI work to the virtual clock).
+ *
+ * checkAccess is the Sandbox's slow path, not its per-access call: the
+ * Sandbox accepts in-bounds accesses inline (against the memory's size,
+ * or HFI's live heap register, HfiBackend::accepts) and calls
+ * checkAccess only for the rest, so every trap, every mask wrap and
+ * every HFI trap reason comes from here.
  */
 
 #ifndef HFI_SFI_BACKEND_H
@@ -118,7 +124,10 @@ class IsolationBackend
      */
     virtual void grow(std::uint64_t old_pages, std::uint64_t new_pages) = 0;
 
-    /** Check (and possibly redirect) an access of @p width at @p offset. */
+    /**
+     * Check (and possibly redirect) an access of @p width at @p offset.
+     * Must pass every access the Sandbox's inline accept passes.
+     */
     virtual AccessCheck checkAccess(std::uint64_t offset, std::uint32_t width,
                                     bool write,
                                     const LinearMemory &mem) = 0;

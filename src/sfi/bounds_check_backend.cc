@@ -62,7 +62,7 @@ BoundsCheckBackend::checkAccess(std::uint64_t offset, std::uint32_t width,
     // The emitted compare+branch: trap stub when out of bounds. The
     // cycle cost of the check itself is charged via steadyStateCosts on
     // the Sandbox hot path.
-    if (offset + width <= mem.size())
+    if (mem.inBounds(offset, width))
         return {AccessOutcome::Ok, offset};
     return {AccessOutcome::Trap, offset};
 }

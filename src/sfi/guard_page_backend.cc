@@ -79,7 +79,7 @@ GuardPageBackend::checkAccess(std::uint64_t offset, std::uint32_t width,
     // so the effective offset is at most 2^33 - 2 and always lands inside
     // the reservation: either in accessible pages (proceed) or in
     // PROT_NONE pages (SIGSEGV). No instructions are executed to check.
-    if (offset + width <= mem.size())
+    if (mem.inBounds(offset, width))
         return {AccessOutcome::Ok, offset};
     return {AccessOutcome::Trap, offset};
 }

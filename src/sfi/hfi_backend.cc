@@ -66,6 +66,16 @@ HfiBackend::grow(std::uint64_t old_pages, std::uint64_t new_pages)
     programRegion(new_pages * kWasmPageSize);
 }
 
+const core::FlatRegionSlot &
+HfiBackend::heapSlot() const
+{
+    static const core::FlatRegionSlot kNoRegion{};
+    if (config_.explicitSlot >= core::kNumExplicitRegions)
+        return kNoRegion;
+    return ctx.registerFile().flat(core::kFirstExplicitRegion +
+                                   config_.explicitSlot);
+}
+
 AccessCheck
 HfiBackend::checkAccess(std::uint64_t offset, std::uint32_t width,
                         bool write, const LinearMemory &mem)

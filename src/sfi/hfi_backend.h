@@ -12,7 +12,9 @@
  *
  * Bounds enforcement goes through the real AccessChecker::checkHmov
  * bit-level check, so out-of-bounds accesses trap with the same precise
- * semantics the hardware provides.
+ * semantics the hardware provides. The Sandbox's inline fast path asks
+ * accepts() first, which reads the same live heap register; anything it
+ * does not accept reaches checkAccess and so checkHmov.
  */
 
 #ifndef HFI_SFI_HFI_BACKEND_H
@@ -70,6 +72,37 @@ class HfiBackend : public IsolationBackend
     std::uint64_t reservedVaBytes() const override { return maxBytes; }
 
     std::uint64_t baseAddress() const override { return base; }
+
+    /**
+     * The live explicit-region register holding the heap, in the
+     * context's register file (a static empty slot when the configured
+     * slot is not 0..3, so every access falls through to checkAccess).
+     * The Sandbox keeps this reference, not a copy of its bound: a
+     * cleared or swapped register must trap on the next access.
+     */
+    const core::FlatRegionSlot &heapSlot() const;
+
+    /**
+     * Inline accept for an hmov of @p bytes at @p offset through
+     * @p heap (index = offset, scale 1, no displacement). For every
+     * well-formed region (HfiContext::setRegion admits no other) it is
+     * true exactly when AccessChecker::checkHmov passes, save a small
+     * region ending at the very top of the address space, which it
+     * leaves to checkAccess. A large region's 32-bit compare of bits
+     * [47:16] equals `offset + bytes <= bound` because base and bound
+     * are 64 KiB aligned; a small region's 33-bit compare equals it
+     * outright. The last clause rejects a region whose limit wraps the
+     * address space.
+     */
+    static bool
+    accepts(const core::FlatRegionSlot &heap, std::uint64_t offset,
+            std::uint64_t bytes, bool write)
+    {
+        return heap.kind == core::RegionKind::ExplicitData &&
+               (write ? heap.permWrite : heap.permRead) &&
+               offset < heap.bound && bytes <= heap.bound - offset &&
+               heap.base + heap.bound >= heap.base;
+    }
 
     /** Exit reason of the last trapping access (for tests). */
     core::ExitReason lastTrapReason() const { return lastTrap; }

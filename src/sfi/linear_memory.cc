@@ -1,13 +1,77 @@
 #include "sfi/linear_memory.h"
 
+#include <iterator>
+
 namespace hfi::sfi
 {
+
+namespace
+{
+
+/**
+ * Spare backing stores kept per thread: one teardown batch of the
+ * serving engine (WorkerConfig::teardownBatch), in at most 8 MiB.
+ */
+constexpr std::size_t kSpareStores = 32;
+constexpr std::uint64_t kSpareBytes = 8ULL << 20;
+
+/** Backing stores of destroyed memories on this thread, oldest first. */
+struct SpareStores
+{
+    std::vector<std::vector<std::uint8_t>> stores;
+    std::uint64_t bytes = 0;
+
+    ~SpareStores();
+};
+
+/**
+ * Set when this thread's SpareStores is destroyed at thread exit, so a
+ * memory destroyed after it frees its store instead. Trivially
+ * destructible, so it stays readable then.
+ */
+thread_local bool spareGone = false;
+thread_local SpareStores spare;
+
+SpareStores::~SpareStores()
+{
+    spareGone = true;
+}
+
+} // namespace
 
 LinearMemory::LinearMemory(std::uint64_t initial_pages,
                            std::uint64_t max_pages)
     : sizePages(initial_pages), maxPages_(max_pages)
 {
-    bytes.resize(sizePages * kWasmPageSize, 0);
+    const std::uint64_t size = sizePages * kWasmPageSize;
+    if (!spareGone) {
+        // The newest spare store that fits without wasting over half.
+        auto &stores = spare.stores;
+        for (auto it = stores.rbegin(); it != stores.rend(); ++it) {
+            if (it->capacity() >= size && it->capacity() <= 2 * size) {
+                spare.bytes -= it->capacity();
+                bytes = std::move(*it);
+                stores.erase(std::next(it).base());
+                break;
+            }
+        }
+    }
+    bytes.assign(size, 0);
+}
+
+LinearMemory::~LinearMemory()
+{
+    const std::uint64_t capacity = bytes.capacity();
+    if (spareGone || capacity == 0 || capacity > kSpareBytes)
+        return;
+    auto &stores = spare.stores;
+    while (stores.size() == kSpareStores ||
+           spare.bytes + capacity > kSpareBytes) {
+        spare.bytes -= stores.front().capacity();
+        stores.erase(stores.begin());
+    }
+    spare.bytes += capacity;
+    stores.push_back(std::move(bytes));
 }
 
 std::int64_t

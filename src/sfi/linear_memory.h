@@ -28,6 +28,12 @@ constexpr std::uint64_t kWasmPageSize = 1ULL << 16;
  * Storage is allocated lazily in Wasm-page chunks as the memory grows,
  * mirroring how a real runtime's reserved-but-unmapped pages only gain
  * backing on mprotect/touch.
+ *
+ * A destroyed memory's backing store is kept, per host thread, for the
+ * next memory created there (up to 32 stores in 8 MiB, oldest dropped
+ * first); the new memory zero-fills it. A serving run that creates and
+ * tears down instances by the batch would otherwise hand their pages
+ * back to the OS and fault them in again for the next batch.
  */
 class LinearMemory
 {
@@ -39,6 +45,12 @@ class LinearMemory
      */
     explicit LinearMemory(std::uint64_t initial_pages = 1,
                           std::uint64_t max_pages = 65536);
+    /** Keeps the backing store for this thread's next LinearMemory. */
+    ~LinearMemory();
+    LinearMemory(const LinearMemory &) = default;
+    LinearMemory(LinearMemory &&) = default;
+    LinearMemory &operator=(const LinearMemory &) = default;
+    LinearMemory &operator=(LinearMemory &&) = default;
 
     /**
      * Grow by @p delta_pages (memory_grow semantics).

@@ -1,5 +1,6 @@
 #include "sfi/mask_backend.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "sfi/linear_memory.h"
@@ -59,14 +60,19 @@ MaskBackend::checkAccess(std::uint64_t offset, std::uint32_t width,
                          bool write, const LinearMemory &mem)
 {
     (void)write;
-    if (offset + width <= mem.size())
+    if (mem.inBounds(offset, width))
         return {AccessOutcome::Ok, offset};
     // No trap: the AND forces the address into the accessible region.
     // We mask to the largest power of two not exceeding the accessible
-    // size so the wrapped access (including its width) always lands on
-    // mapped memory — the silent-corruption behaviour §2 describes.
-    const std::uint64_t eff_mask = std::bit_floor(mem.size()) - 1;
-    return {AccessOutcome::Wrapped, offset & mask_ & eff_mask};
+    // size, and pull an access that would straddle its end back by the
+    // overhang, so the wrapped access (including its width) always lands
+    // on mapped memory — the silent-corruption behaviour §2 describes.
+    // Only a memory too small to hold the access at all faults.
+    const std::uint64_t span = std::bit_floor(mem.size());
+    if (width > span)
+        return {AccessOutcome::Trap, offset};
+    const std::uint64_t at = offset & mask_ & (span - 1);
+    return {AccessOutcome::Wrapped, std::min<std::uint64_t>(at, span - width)};
 }
 
 void

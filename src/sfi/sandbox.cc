@@ -5,23 +5,27 @@
 namespace hfi::sfi
 {
 
-SandboxTrap::SandboxTrap(std::uint64_t offset, std::uint32_t width,
-                         bool write)
-    : std::runtime_error([&] {
-          std::ostringstream os;
-          os << "sandbox trap: " << (write ? "store" : "load") << " of "
-             << width << " bytes at offset 0x" << std::hex << offset;
-          return os.str();
-      }()),
-      offset_(offset), width_(width), write_(write)
+const char *
+SandboxTrap::what() const noexcept
 {
+    if (message_.empty()) {
+        std::ostringstream os;
+        os << "sandbox trap: " << (write_ ? "store" : "load") << " of "
+           << width_ << " bytes at offset 0x" << std::hex << offset_;
+        message_ = os.str();
+    }
+    return message_.c_str();
 }
 
 Sandbox::Sandbox(std::unique_ptr<IsolationBackend> backend, vm::Mmu &mmu,
                  SandboxOptions opts)
     : backend_(std::move(backend)), mmu_(mmu),
-      memory_(opts.initialPages, opts.maxPages), opts(opts)
+      memory_(opts.initialPages, opts.maxPages), opts(opts),
+      kind_(backend_->kind())
 {
+    if (kind_ == BackendKind::Hfi)
+        hfiHeap_ = &static_cast<const HfiBackend &>(*backend_).heapSlot();
+    touched.resize(memory_.size() / vm::kPageSize, 0);
     valid_ = backend_->create(opts.initialPages, opts.maxPages);
     if (!valid_)
         return;
@@ -34,8 +38,6 @@ Sandbox::Sandbox(std::unique_ptr<IsolationBackend> backend, vm::Mmu &mmu,
     loadMilli = costs.loadExtraMilli + icache + costs.opPressureMilli;
     storeMilli = costs.storeExtraMilli + icache + costs.opPressureMilli;
     opMilli = costs.opPressureMilli;
-
-    touched.resize(opts.maxPages * (kWasmPageSize / vm::kPageSize), false);
 }
 
 Sandbox::~Sandbox()
@@ -69,6 +71,7 @@ Sandbox::memoryGrow(std::uint64_t delta_pages)
     if (prev < 0)
         return -1;
     backend_->grow(old_pages, memory_.pages());
+    touched.resize(memory_.size() / vm::kPageSize, 0);
     return prev;
 }
 
@@ -88,17 +91,17 @@ Sandbox::checkedOffset(std::uint64_t offset, std::uint32_t width, bool write)
         throw SandboxTrap(offset, width, write);
     if (check.outcome == AccessOutcome::Wrapped)
         ++stats_.wrappedAccesses;
-
-    // First touch of a 4 KiB page takes a minor fault through the Mmu
-    // (allocation + page-table fill); later accesses are free.
-    const std::uint64_t page = check.offset / vm::kPageSize;
-    if (page < touched.size() && !touched[page]) {
-        touched[page] = true;
-        // Access the backing virtual address so the Mmu charges the
-        // fault and marks residency for the teardown experiments.
-        mmu_.access(backend_->baseAddress() + check.offset, width, write);
-    }
     return check.offset;
+}
+
+void
+Sandbox::firstTouch(std::uint64_t page, std::uint64_t at,
+                    std::uint32_t width, bool write)
+{
+    touched[page] = 1;
+    // Access the backing virtual address so the Mmu charges the fault
+    // and marks residency for the teardown experiments.
+    mmu_.access(backend_->baseAddress() + at, width, write);
 }
 
 } // namespace hfi::sfi

@@ -9,11 +9,21 @@
  * (b) charged to the virtual clock with the backend's steady-state cost
  * structure. This is the same separation the paper's compiler-based
  * emulation makes (§5.2): real work, modeled isolation costs.
+ *
+ * The access path is header-inline and makes no virtual call when the
+ * access is in bounds: the sandbox accepts it against live state (the
+ * linear memory's size, or HFI's heap region register), probes a byte
+ * map of touched 4 KiB pages, charges the cached cost and moves bytes.
+ * Everything it does not accept goes to the backend's checkAccess, the
+ * one slow path, which raises every trap and performs every mask wrap.
+ * loadN/storeN check a whole span once and charge it as n accesses.
  */
 
 #ifndef HFI_SFI_SANDBOX_H
 #define HFI_SFI_SANDBOX_H
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -21,6 +31,7 @@
 #include <vector>
 
 #include "sfi/backend.h"
+#include "sfi/hfi_backend.h"
 #include "sfi/linear_memory.h"
 #include "vm/mmu.h"
 
@@ -35,7 +46,18 @@ namespace hfi::sfi
 class SandboxTrap : public std::runtime_error
 {
   public:
-    SandboxTrap(std::uint64_t offset, std::uint32_t width, bool write);
+    SandboxTrap(std::uint64_t offset, std::uint32_t width, bool write)
+        : std::runtime_error(std::string()), offset_(offset), width_(width),
+          write_(write)
+    {
+    }
+
+    /**
+     * "sandbox trap: <load|store> of <width> bytes at offset 0x<hex>",
+     * formatted on first use: workloads that catch traps as control
+     * flow (invoke, fault injection) never pay for the string.
+     */
+    const char *what() const noexcept override;
 
     std::uint64_t offset() const { return offset_; }
     std::uint32_t width() const { return width_; }
@@ -45,6 +67,7 @@ class SandboxTrap : public std::runtime_error
     std::uint64_t offset_;
     std::uint32_t width_;
     bool write_;
+    mutable std::string message_;
 };
 
 /** Per-sandbox construction parameters. */
@@ -81,9 +104,10 @@ struct SandboxStats
 /**
  * One sandbox instance.
  *
- * Thin, fast hot path: load/store perform the backend check, charge the
- * cached milli-cycle cost, page in newly touched 4 KiB pages through the
- * Mmu (first touch only), and move real bytes.
+ * Thin, fast hot path: load/store accept the access inline (or take the
+ * backend's checkAccess), page in newly touched 4 KiB pages through the
+ * Mmu (first touch only), charge the cached milli-cycle cost, and move
+ * real bytes.
  */
 class Sandbox
 {
@@ -141,7 +165,7 @@ class Sandbox
     T
     load(std::uint64_t offset)
     {
-        const std::uint64_t at = checkedOffset(offset, sizeof(T), false);
+        const std::uint64_t at = access(offset, sizeof(T), false);
         ++stats_.loads;
         chargeMilli(1000 + loadMilli);
         return memory_.load<T>(at);
@@ -152,10 +176,48 @@ class Sandbox
     void
     store(std::uint64_t offset, T value)
     {
-        const std::uint64_t at = checkedOffset(offset, sizeof(T), true);
+        const std::uint64_t at = access(offset, sizeof(T), true);
         ++stats_.stores;
         chargeMilli(1000 + storeMilli);
         memory_.store<T>(at, value);
+    }
+
+    /**
+     * Load @p n consecutive T from @p offset into @p dst: the same
+     * bytes, counters, charge, page faults and traps as n load<T> calls
+     * at offset, offset + sizeof(T), ... A span the sandbox accepts is
+     * checked once and charged as n loads; any other span runs the
+     * element loop, so a trap lands on the same element.
+     */
+    template <typename T>
+    void
+    loadN(std::uint64_t offset, T *dst, std::size_t n)
+    {
+        if (!acceptsSpan(offset, sizeof(T), n, false)) {
+            for (std::size_t i = 0; i < n; ++i)
+                dst[i] = load<T>(offset + i * sizeof(T));
+            return;
+        }
+        touchSpan(offset, sizeof(T), n, false);
+        stats_.loads += n;
+        chargeMilli(n * (1000 + loadMilli));
+        memory_.readBytes(offset, dst, n * sizeof(T));
+    }
+
+    /** Store @p n consecutive T from @p src at @p offset; see loadN. */
+    template <typename T>
+    void
+    storeN(std::uint64_t offset, const T *src, std::size_t n)
+    {
+        if (!acceptsSpan(offset, sizeof(T), n, true)) {
+            for (std::size_t i = 0; i < n; ++i)
+                store<T>(offset + i * sizeof(T), src[i]);
+            return;
+        }
+        touchSpan(offset, sizeof(T), n, true);
+        stats_.stores += n;
+        chargeMilli(n * (1000 + storeMilli));
+        memory_.writeBytes(offset, src, n * sizeof(T));
     }
 
     /**
@@ -180,9 +242,76 @@ class Sandbox
     void flushCharge();
 
   private:
-    /** Backend check + first-touch paging; returns the final offset. */
+    /**
+     * Inline accept against live state: HFI's heap region register, or
+     * for the software backends the linear memory's size — the bound
+     * their checkAccess tests. False sends the access to checkAccess.
+     */
+    bool
+    accepts(std::uint64_t offset, std::uint64_t bytes, bool write) const
+    {
+        if (kind_ == BackendKind::Hfi)
+            return HfiBackend::accepts(*hfiHeap_, offset, bytes, write);
+        return memory_.inBounds(offset, bytes);
+    }
+
+    /** accepts() for n elements of @p width; n == 0 is never accepted. */
+    bool
+    acceptsSpan(std::uint64_t offset, std::uint64_t width, std::size_t n,
+                bool write) const
+    {
+        const std::uint64_t bytes = n * width;
+        return n != 0 && bytes / width == n && accepts(offset, bytes, write);
+    }
+
+    /** Check one access and page it in; returns the offset accessed. */
+    std::uint64_t
+    access(std::uint64_t offset, std::uint32_t width, bool write)
+    {
+        const std::uint64_t at = accepts(offset, width, write)
+                                     ? offset
+                                     : checkedOffset(offset, width, write);
+        touch(at, width, write);
+        return at;
+    }
+
+    /**
+     * First touch of a 4 KiB page takes a minor fault through the Mmu
+     * (allocation + page-table fill); later accesses are free.
+     */
+    void
+    touch(std::uint64_t at, std::uint32_t width, bool write)
+    {
+        const std::uint64_t page = at / vm::kPageSize;
+        assert(page < touched.size());
+        if (!touched[page])
+            firstTouch(page, at, width, write);
+    }
+
+    /**
+     * touch() for each page of an accepted span, by the element that
+     * first lands on it — the element loop's Mmu calls, in its order.
+     */
+    void
+    touchSpan(std::uint64_t offset, std::uint32_t width, std::size_t n,
+              bool write)
+    {
+        const std::uint64_t first = offset / vm::kPageSize;
+        const std::uint64_t last = (offset + (n - 1) * width) / vm::kPageSize;
+        touch(offset, width, write);
+        for (std::uint64_t page = first + 1; page <= last; ++page) {
+            const std::uint64_t skip = page * vm::kPageSize - offset;
+            touch(offset + (skip + width - 1) / width * width, width, write);
+        }
+    }
+
+    /** The backend's checkAccess: traps, wraps and HFI trap reasons. */
     std::uint64_t checkedOffset(std::uint64_t offset, std::uint32_t width,
                                 bool write);
+
+    /** Mark @p page touched and fault it in through the Mmu. */
+    void firstTouch(std::uint64_t page, std::uint64_t at,
+                    std::uint32_t width, bool write);
 
     void
     chargeMilli(std::uint64_t milli)
@@ -204,6 +333,10 @@ class Sandbox
     LinearMemory memory_;
     SandboxOptions opts;
     bool valid_ = false;
+    /** backend_->kind(), cached at construction. */
+    BackendKind kind_;
+    /** HFI only: the live heap region register (HfiBackend::heapSlot). */
+    const core::FlatRegionSlot *hfiHeap_ = nullptr;
 
     /** Cached per-access costs (backend table + icache sensitivity). */
     std::uint64_t loadMilli = 0;
@@ -211,8 +344,11 @@ class Sandbox
     std::uint64_t opMilli = 0;
 
     std::uint64_t pendingMilli = 0;
-    /** First-touch tracking per 4 KiB page of the linear memory. */
-    std::vector<bool> touched;
+    /**
+     * First-touch flag per 4 KiB page of the *accessible* memory, one
+     * byte each; memoryGrow extends it.
+     */
+    std::vector<std::uint8_t> touched;
 
     SandboxStats stats_;
 };

@@ -158,10 +158,9 @@ sha256Sandboxed(sfi::Sandbox &sandbox, std::uint64_t in_off,
     std::uint8_t block[64];
     std::uint64_t off = 0;
     while (len - off >= 64) {
-        for (int i = 0; i < 64; i += 8) {
-            const std::uint64_t v = sandbox.load<std::uint64_t>(in_off + off + i);
-            std::memcpy(block + i, &v, 8);
-        }
+        std::uint64_t words[8];
+        sandbox.loadN(in_off + off, words, 8);
+        std::memcpy(block, words, 64);
         sha256Compress(h, block);
         // The compression function is ~64 rounds of ~12 ALU ops plus
         // the message schedule.

@@ -1,6 +1,8 @@
 #include "workloads/faas_workloads.h"
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "workloads/crypto.h"
 #include "workloads/support.h"
@@ -124,30 +126,23 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
                                   256);
     }
 
-    // Convolution.
+    // Convolution: per output pixel, the three 3-pixel input rows and
+    // the filter's nine weights, each one span.
     for (std::uint32_t f = 0; f < filters; ++f) {
         for (std::uint32_t y = 1; y + 1 < side; ++y) {
             for (std::uint32_t x = 1; x + 1 < side; ++x) {
+                std::uint8_t px[9];
+                for (std::uint32_t ky = 0; ky < 3; ++ky)
+                    s.loadN(img_off +
+                                static_cast<std::uint64_t>(y + ky - 1) *
+                                    side +
+                                (x - 1),
+                            px + ky * 3, 3);
+                std::int32_t w[9];
+                s.loadN(conv_w + f * 9 * 4, w, 9);
                 std::int64_t acc = 0;
-                for (int ky = -1; ky <= 1; ++ky) {
-                    for (int kx = -1; kx <= 1; ++kx) {
-                        const std::uint64_t px_off =
-                            img_off +
-                            static_cast<std::uint64_t>(
-                                static_cast<std::int64_t>(y) + ky) *
-                                side +
-                            static_cast<std::uint64_t>(
-                                static_cast<std::int64_t>(x) + kx);
-                        const std::uint8_t px =
-                            s.load<std::uint8_t>(px_off);
-                        const std::int32_t w = s.load<std::int32_t>(
-                            conv_w + (f * 9 +
-                                      static_cast<std::uint32_t>(
-                                          (ky + 1) * 3 + kx + 1)) *
-                                         4);
-                        acc += static_cast<std::int64_t>(px) * w;
-                    }
-                }
+                for (int k = 0; k < 9; ++k)
+                    acc += static_cast<std::int64_t>(px[k]) * w[k];
                 const std::int32_t relu = static_cast<std::int32_t>(
                     std::max<std::int64_t>(acc >> 4, 0));
                 s.store<std::int32_t>(
@@ -165,18 +160,14 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
         for (std::uint32_t y = 0; y < pooled_side; ++y) {
             for (std::uint32_t x = 0; x < pooled_side; ++x) {
                 std::int32_t best = 0;
-                for (int dy = 0; dy < 2; ++dy) {
-                    for (int dx = 0; dx < 2; ++dx) {
-                        best = std::max(
-                            best,
-                            s.load<std::int32_t>(
-                                fmap +
-                                (static_cast<std::uint64_t>(f) * side * side +
-                                 (2 * y + static_cast<std::uint32_t>(dy)) *
-                                     side +
-                                 2 * x + static_cast<std::uint32_t>(dx)) *
-                                    4));
-                    }
+                for (std::uint32_t dy = 0; dy < 2; ++dy) {
+                    std::int32_t pair[2];
+                    s.loadN(fmap + (static_cast<std::uint64_t>(f) * side *
+                                        side +
+                                    (2 * y + dy) * side + 2 * x) *
+                                       4,
+                            pair, 2);
+                    best = std::max({best, pair[0], pair[1]});
                 }
                 s.store<std::int32_t>(
                     pooled + (static_cast<std::uint64_t>(f) * pooled_side *
@@ -196,8 +187,10 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
     std::int64_t logits[10] = {};
     const std::uint64_t feat_count =
         static_cast<std::uint64_t>(filters) * pooled_side * pooled_side;
+    std::vector<std::int32_t> features(feat_count);
+    s.loadN(pooled, features.data(), feat_count);
     for (std::uint64_t i = 0; i < feat_count; ++i) {
-        const std::int32_t v = s.load<std::int32_t>(pooled + i * 4);
+        const std::int32_t v = features[i];
         const std::uint64_t w = dense_rng.next();
         for (int k = 0; k < 10; ++k) {
             logits[k] += static_cast<std::int64_t>(v) *
@@ -226,13 +219,12 @@ checkSha256(sfi::Sandbox &s, std::uint64_t in_off, std::uint64_t in_len,
     const std::uint64_t digest_sum =
         crypto::sha256Sandboxed(s, in_off, in_len, computed);
 
-    bool match = true;
-    for (int i = 0; i < 32; ++i) {
-        if (s.load<std::uint8_t>(computed + i) !=
-            s.load<std::uint8_t>(digest_off + i))
-            match = false;
-        s.chargeOps(3);
-    }
+    std::uint8_t got[32];
+    std::uint8_t want[32];
+    s.loadN(computed, got, 32);
+    s.loadN(digest_off, want, 32);
+    const bool match = std::memcmp(got, want, 32) == 0;
+    s.chargeOps(32 * 3);
     Checksum sum;
     sum.mix(digest_sum);
     sum.mix(match ? 1 : 0);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the Wasm-style linear memory: 64 KiB-page growth semantics
- * and typed access.
+ * Tests for the Wasm-style linear memory: 64 KiB-page growth semantics,
+ * typed access, and zeroing of reused backing stores.
  */
 
 #include <gtest/gtest.h>
@@ -85,6 +85,25 @@ TEST(LinearMemory, BulkCopies)
     char back[sizeof(text)] = {};
     mem.readBytes(100, back, sizeof(text));
     EXPECT_STREQ(back, text);
+}
+
+TEST(LinearMemory, ReusedStoreStartsZeroed)
+{
+    // A destroyed memory's store backs the next one on this thread, and
+    // none of its bytes may show through: not in the new size, and not
+    // in the pages a later grow adds from the store's spare capacity.
+    const std::uint8_t *store = nullptr;
+    {
+        LinearMemory old(4, 8);
+        for (std::uint64_t i = 0; i < old.size(); ++i)
+            old.store<std::uint8_t>(i, 0xab);
+        store = old.data();
+    }
+    LinearMemory fresh(3, 8);
+    EXPECT_EQ(fresh.data(), store); // the store was reused
+    ASSERT_EQ(fresh.grow(1), 3);
+    for (std::uint64_t i = 0; i < fresh.size(); ++i)
+        ASSERT_EQ(fresh.load<std::uint8_t>(i), 0) << "byte " << i;
 }
 
 } // namespace
