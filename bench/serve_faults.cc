@@ -100,19 +100,8 @@ perCoreConsistent(const ServeResult &r)
     RobustnessStats sum;
     for (const auto &core : r.perCore)
         sum.merge(core);
-    if (sum.shed != r.shed || sum.served != r.served)
-        return false;
-    if (sum.exits != r.robustness.exits ||
-        sum.retries != r.robustness.retries ||
-        sum.timeouts != r.robustness.timeouts ||
-        sum.quarantines != r.robustness.quarantines ||
-        sum.respawns != r.robustness.respawns ||
-        sum.failed != r.robustness.failed)
-        return false;
-    for (unsigned i = 0; i < core::kNumExitReasons; ++i)
-        if (sum.exitsByReason[i] != r.robustness.exitsByReason[i])
-            return false;
-    return true;
+    return sum == r.robustness && sum.shed == r.shed &&
+           sum.served == r.served;
 }
 
 int
@@ -247,32 +236,17 @@ runSweep()
 bool
 identical(const ServeResult &a, const ServeResult &b)
 {
-    if (a.served != b.served || a.shed != b.shed ||
-        a.rejected != b.rejected || a.maxQueueDepth != b.maxQueueDepth ||
-        a.contextSwitches != b.contextSwitches ||
-        a.preemptions != b.preemptions ||
-        a.instancesCreated != b.instancesCreated ||
-        a.reclaimBatches != b.reclaimBatches ||
-        a.hfiStateMismatches != b.hfiStateMismatches ||
-        a.durationNs != b.durationNs)
-        return false;
-    const auto &ra = a.robustness, &rb = b.robustness;
-    if (ra.faultsInjected != rb.faultsInjected || ra.exits != rb.exits ||
-        ra.retries != rb.retries || ra.timeouts != rb.timeouts ||
-        ra.quarantines != rb.quarantines || ra.respawns != rb.respawns ||
-        ra.failed != rb.failed || ra.poolWaits != rb.poolWaits)
-        return false;
-    for (unsigned i = 0; i < core::kNumExitReasons; ++i)
-        if (ra.exitsByReason[i] != rb.exitsByReason[i])
-            return false;
-    // The latency multiset must match sample-for-sample once each side
-    // is put in a canonical order (threaded merge order differs from
-    // sequential service order across cores).
-    std::vector<double> la = a.latencies.values();
-    std::vector<double> lb = b.latencies.values();
-    std::sort(la.begin(), la.end());
-    std::sort(lb.begin(), lb.end());
-    return la == lb;
+    return a.served == b.served && a.shed == b.shed &&
+           a.rejected == b.rejected && a.stolen == b.stolen &&
+           a.maxQueueDepth == b.maxQueueDepth &&
+           a.contextSwitches == b.contextSwitches &&
+           a.preemptions == b.preemptions &&
+           a.instancesCreated == b.instancesCreated &&
+           a.reclaimBatches == b.reclaimBatches &&
+           a.hfiStateMismatches == b.hfiStateMismatches &&
+           a.durationNs == b.durationNs && a.robustness == b.robustness &&
+           a.perCore == b.perCore &&
+           a.latencies.values() == b.latencies.values();
 }
 
 int

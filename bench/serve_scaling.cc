@@ -173,12 +173,20 @@ threadedEquivalenceGate()
                     threaded.maxQueueDepth == sequential.maxQueueDepth &&
                     threaded.contextSwitches == sequential.contextSwitches &&
                     threaded.preemptions == sequential.preemptions &&
+                    threaded.instancesCreated ==
+                        sequential.instancesCreated &&
+                    threaded.reclaimBatches == sequential.reclaimBatches &&
+                    threaded.hfiStateMismatches ==
+                        sequential.hfiStateMismatches &&
+                    threaded.stolen == sequential.stolen &&
                     threaded.durationNs == sequential.durationNs &&
                     threaded.throughputRps == sequential.throughputRps &&
                     threaded.meanLatencyNs == sequential.meanLatencyNs &&
                     threaded.latency.p50 == sequential.latency.p50 &&
                     threaded.latency.p99 == sequential.latency.p99 &&
                     threaded.latency.p999 == sequential.latency.p999 &&
+                    threaded.robustness == sequential.robustness &&
+                    threaded.perCore == sequential.perCore &&
                     threaded.latencies.values() ==
                         sequential.latencies.values();
         if (!same)

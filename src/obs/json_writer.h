@@ -1,7 +1,7 @@
 /**
  * @file
  * A minimal deterministic JSON writer shared by every BENCH_*.json
- * emitter and the trace/metrics exporters.
+ * emitter and the Chrome trace exporter.
  *
  * Before this existed each bench hand-rolled fprintf JSON with its own
  * top-level layout; serve_faults and sim_throughput disagreed on where
@@ -22,7 +22,7 @@
 namespace hfi::obs
 {
 
-/** Version of the shared BENCH_*.json / trace / metrics layouts. */
+/** Version of the shared BENCH_*.json / trace layouts. */
 constexpr int kJsonSchemaVersion = 2;
 
 class JsonWriter

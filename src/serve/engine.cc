@@ -16,28 +16,6 @@ ServeEngine::ServeEngine(EngineConfig config, Handler handler)
 }
 
 /**
- * Fill the ServeResult scalar fields from the merged registry. Counter
- * sums are order-independent uint64 additions, so these views are
- * bit-identical to the manual per-field merging they replaced.
- */
-static void
-deriveFromMetrics(ServeResult &res)
-{
-    const obs::MetricsRegistry &m = res.metrics;
-    res.served = static_cast<std::size_t>(m.counter("serve.served"));
-    res.shed = static_cast<std::size_t>(m.counter("serve.shed"));
-    res.rejected = static_cast<std::size_t>(m.counter("serve.rejected"));
-    res.stolen = static_cast<std::size_t>(m.counter("serve.stolen"));
-    res.maxQueueDepth =
-        static_cast<std::size_t>(m.gauge("serve.max_queue_depth"));
-    res.contextSwitches = m.counter("serve.context_switches");
-    res.preemptions = m.counter("serve.preemptions");
-    res.instancesCreated = m.counter("serve.instances_created");
-    res.reclaimBatches = m.counter("serve.reclaim_batches");
-    res.hfiStateMismatches = m.counter("serve.hfi_state_mismatches");
-}
-
-/**
  * realThreads only runs configurations whose cores are independent.
  * With one worker every configuration is a single partition already.
  */
@@ -148,6 +126,8 @@ ServeEngine::drive(Partition &part, const EngineConfig &config)
     const unsigned n = static_cast<unsigned>(workers.size());
     ShardedQueues queues(n, config.queueCapacity);
     std::size_t stolen = 0;
+    // This thread tears down one instance batch per core it drives.
+    sfi::SpareStoreScope spares(n);
 
     // Wire the trace: worker w (and its HfiContext/Scheduler) records
     // into the ring of its *global* core index, and so does queue shard
@@ -214,10 +194,9 @@ ServeEngine::drive(Partition &part, const EngineConfig &config)
                                  bestStart, req.id,
                                  workers[bestShard]->index()));
         const auto outcome = workers[bestWorker]->serve(req);
-        // A request that exhausted its retries still produced an error
-        // response, so a closed-loop client unblocks either way.
-        if (outcome.ok || outcome.failed)
-            source.onComplete(req, outcome.doneNs);
+        // Every request gets a response — served, failed after its
+        // retries or rejected — so a closed-loop client always unblocks.
+        source.onComplete(req, outcome.doneNs);
         // A closed-loop source may only now have a next arrival.
         if (!staged)
             staged = source.next();
@@ -235,34 +214,34 @@ ServeEngine::reduce(const std::vector<Partition> &parts)
 {
     ServeResult res;
     res.usedThreads = static_cast<unsigned>(parts.size());
+    WorkerStats total;
     for (const Partition &part : parts) {
         double lastFree = part.startNs;
         for (std::size_t w = 0; w < part.workers.size(); ++w) {
             const Worker &worker = *part.workers[w];
-            // One typed merge per worker: the worker exports its plain
-            // counters into a registry (plus its shard's admission shed)
-            // and the engine folds registries.
-            obs::MetricsRegistry wm;
-            worker.exportMetrics(wm);
-            wm.counterAdd("serve.shed", part.shed[w]);
-            res.metrics.merge(wm);
-
+            // A core's shed comes from its queue shard, the one source
+            // of truth the engine-wide total sums.
+            WorkerStats core = worker.stats();
+            core.robustness.shed = part.shed[w];
+            total.merge(core);
+            res.perCore.push_back(core.robustness);
+            res.contextSwitches += worker.contextSwitches();
             res.latencies.merge(worker.latencies());
             lastFree = std::max(lastFree, worker.freeNs());
-
-            // By-core breakdown; shed comes from the core's queue shard,
-            // the one source of truth the engine-wide total sums.
-            RobustnessStats core = worker.stats().robustness;
-            core.shed = part.shed[w];
-            res.robustness.merge(core);
-            res.perCore.push_back(core);
         }
-        res.metrics.counterAdd("serve.stolen", part.stolen);
-        res.metrics.gaugeSet("serve.max_queue_depth", part.maxQueueDepth);
+        res.stolen += part.stolen;
+        res.maxQueueDepth = std::max(res.maxQueueDepth, part.maxQueueDepth);
         res.durationNs = std::max(res.durationNs, lastFree - part.startNs);
     }
 
-    deriveFromMetrics(res);
+    res.served = total.robustness.served;
+    res.shed = total.robustness.shed;
+    res.rejected = total.rejected;
+    res.preemptions = total.preemptions;
+    res.instancesCreated = total.instancesCreated;
+    res.reclaimBatches = total.reclaimBatches;
+    res.hfiStateMismatches = total.hfiStateMismatches;
+    res.robustness = total.robustness;
     res.throughputRps = res.latencies.throughput(res.durationNs);
     res.meanLatencyNs = res.latencies.mean();
     res.latency = res.latencies.percentiles();

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "faas/latency.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/load_gen.h"
 #include "serve/request.h"
@@ -146,17 +145,11 @@ struct ServeResult
      */
     std::vector<RobustnessStats> perCore{};
 
-    /** Merged per-request latencies (service order), for tests. */
-    faas::LatencyRecorder latencies{};
-
     /**
-     * The engine-wide metrics registry every worker exported into —
-     * the single typed merge both drivers share. The scalar fields
-     * above are views derived from it (counter sums are order-
-     * independent, so they are bit-identical to the historical manual
-     * merging); this carries the full breakdown for exporters.
+     * Merged per-request latencies, for tests: in worker-index order,
+     * each worker's in its service order — the same in both drivers.
      */
-    obs::MetricsRegistry metrics{};
+    faas::LatencyRecorder latencies{};
 };
 
 class ServeEngine

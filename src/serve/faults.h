@@ -114,6 +114,8 @@ struct RobustnessStats
         served += o.served;
         shed += o.shed;
     }
+
+    bool operator==(const RobustnessStats &) const = default;
 };
 
 /**

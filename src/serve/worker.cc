@@ -43,10 +43,9 @@ Worker::Worker(unsigned index, const WorkerConfig &config,
     // Pre-warm the pool; creation is charged to the clock before the
     // first request, like a platform's boot phase.
     for (std::size_t i = 0; i < config_.poolSize; ++i) {
-        auto s = runtime_.createSandbox(config_.sandboxOptions);
+        auto s = createInstance();
         if (!s)
             break;
-        ++stats_.instancesCreated;
         pool_.push_back(std::move(s));
     }
     freeNs_ = clock_.nowNs();
@@ -74,36 +73,6 @@ Worker::attachTrace(obs::Trace *trace)
     trace->setLabeler(obs::EventType::FaultInject, [](const obs::Event &e) {
         return faultKindName(static_cast<FaultKind>(e.b));
     });
-}
-
-void
-Worker::exportMetrics(obs::MetricsRegistry &m) const
-{
-    m.counterAdd("serve.served", stats_.robustness.served);
-    m.counterAdd("serve.rejected", stats_.rejected);
-    m.counterAdd("serve.preemptions", stats_.preemptions);
-    m.counterAdd("serve.instances_created", stats_.instancesCreated);
-    m.counterAdd("serve.reclaim_batches", stats_.reclaimBatches);
-    m.counterAdd("serve.hfi_state_mismatches", stats_.hfiStateMismatches);
-    m.counterAdd("serve.context_switches", contextSwitches());
-
-    const RobustnessStats &r = stats_.robustness;
-    m.counterAdd("robust.faults_injected", r.faultsInjected);
-    m.counterAdd("robust.exits", r.exits);
-    m.counterAdd("robust.retries", r.retries);
-    m.counterAdd("robust.timeouts", r.timeouts);
-    m.counterAdd("robust.quarantines", r.quarantines);
-    m.counterAdd("robust.respawns", r.respawns);
-    m.counterAdd("robust.failed", r.failed);
-    m.counterAdd("robust.pool_waits", r.poolWaits);
-    for (unsigned i = 0; i < core::kNumExitReasons; ++i)
-        m.counterAdd(std::string("robust.exit.") +
-                         core::toString(static_cast<core::ExitReason>(i)),
-                     r.exitsByReason[i]);
-
-    obs::Histogram &h = m.histogram("serve.latency_ns");
-    for (double s : latencies_.values())
-        h.observe(static_cast<std::uint64_t>(s));
 }
 
 void
@@ -167,42 +136,39 @@ Worker::AttemptOutcome
 Worker::runProtected(sfi::Sandbox &sandbox, std::uint32_t seed,
                      double service_start_ns, FaultKind kind)
 {
-    AttemptOutcome out;
-    const bool raises = faultRaisesExit(kind);
-    switch (config_.scheme) {
-      case Scheme::Unsafe:
-      case Scheme::Swivel:
-        // Plain springboard transition around the handler. An injected
-        // bad access becomes a guard-page SIGSEGV; the recorded reason
-        // still comes from the real checker (see FaultInjector::raise).
-        sandbox.enter();
-        runBody(sandbox, seed, kind, out);
-        if (out.completed && raises) {
-            out.exitReason = injector_->raise(kind, ctx_);
-            out.completed = false;
-        }
-        if (out.completed)
-            preemptForQuantum(service_start_ns);
-        sandbox.exit();
-        break;
-      case Scheme::HfiNative: {
-        // "Two state transitions per connection" (§6.5): a serialized
-        // hfi_enter into a native sandbox around the normal springboard
-        // pair, and the matching exit.
+    // Every scheme runs the handler inside the springboard pair. The
+    // HFI schemes wrap it in one hfi_enter per connection: HfiNative a
+    // serialized native sandbox ("two state transitions per
+    // connection", §6.5); HfiSwitchOnExit a runtime that launches the
+    // tenant with switch-on-exit (§4.5). Under Unsafe/Swivel an
+    // injected bad access becomes a guard-page SIGSEGV; the recorded
+    // reason still comes from the real checker (FaultInjector::raise).
+    const bool hfi = config_.scheme == Scheme::HfiNative ||
+                     config_.scheme == Scheme::HfiSwitchOnExit;
+    if (hfi) {
         core::SandboxConfig sc;
         sc.isHybrid = false;
-        sc.isSerialized = true;
-        sc.exitHandler = 0x7000'0000;
-        ctx_.enter(sc);
-        sandbox.enter();
-        runBody(sandbox, seed, kind, out);
-        if (out.completed && raises) {
-            out.exitReason = injector_->raise(kind, ctx_);
-            out.completed = false;
+        if (config_.scheme == Scheme::HfiNative) {
+            sc.isSerialized = true;
+            sc.exitHandler = 0x7000'0000;
+        } else {
+            sc.switchOnExit = true;
         }
-        if (out.completed)
-            preemptForQuantum(service_start_ns);
-        sandbox.exit();
+        ctx_.enter(sc);
+    }
+
+    AttemptOutcome out;
+    sandbox.enter();
+    runBody(sandbox, seed, kind, out);
+    if (out.completed && faultRaisesExit(kind)) {
+        out.exitReason = injector_->raise(kind, ctx_);
+        out.completed = false;
+    }
+    if (out.completed)
+        preemptForQuantum(service_start_ns);
+    sandbox.exit();
+
+    if (hfi) {
         if (out.completed) {
             ctx_.exit();
         } else {
@@ -215,34 +181,6 @@ Worker::runProtected(sfi::Sandbox &sandbox, std::uint32_t seed,
                 ctx_.onFault(core::ExitReason::HardwareFault);
             ctx_.readExitReasonMsr();
         }
-        break;
-      }
-      case Scheme::HfiSwitchOnExit: {
-        // The runtime itself sits in a serialized hybrid sandbox and
-        // launches the tenant with switch-on-exit (§4.5) — entered once
-        // per connection here.
-        core::SandboxConfig sc;
-        sc.isHybrid = false;
-        sc.switchOnExit = true;
-        ctx_.enter(sc);
-        sandbox.enter();
-        runBody(sandbox, seed, kind, out);
-        if (out.completed && raises) {
-            out.exitReason = injector_->raise(kind, ctx_);
-            out.completed = false;
-        }
-        if (out.completed)
-            preemptForQuantum(service_start_ns);
-        sandbox.exit();
-        if (out.completed) {
-            ctx_.exit();
-        } else {
-            if (ctx_.enabled())
-                ctx_.onFault(core::ExitReason::HardwareFault);
-            ctx_.readExitReasonMsr();
-        }
-        break;
-      }
     }
     return out;
 }
@@ -251,8 +189,13 @@ void
 Worker::retire(std::unique_ptr<sfi::Sandbox> instance)
 {
     retired.push_back(std::move(instance));
-    if (retired.size() < config_.teardownBatch)
-        return;
+    if (retired.size() >= config_.teardownBatch)
+        flushRetired();
+}
+
+void
+Worker::flushRetired()
+{
     // One madvise spanning the whole batch of adjacent instances — the
     // §6.3.1 batched teardown; destruction then releases the VA so the
     // pool's arena stays bounded.
@@ -266,6 +209,22 @@ Worker::retire(std::unique_ptr<sfi::Sandbox> instance)
 }
 
 std::unique_ptr<sfi::Sandbox>
+Worker::createInstance()
+{
+    auto s = runtime_.createSandbox(config_.sandboxOptions);
+    if (!s && !retired.empty()) {
+        // The arena is full, partly of retired instances waiting for a
+        // full teardown batch: reclaim the partial batch now to free
+        // their address space, and try once more.
+        flushRetired();
+        s = runtime_.createSandbox(config_.sandboxOptions);
+    }
+    if (s)
+        ++stats_.instancesCreated;
+    return s;
+}
+
+std::unique_ptr<sfi::Sandbox>
 Worker::acquireInstance(double wall_ns, double *wait_ns)
 {
     *wait_ns = 0;
@@ -273,19 +232,15 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
         // FaaS instance-per-request: a cold instance from this core's
         // pool shard. Creation cost (mmap + backend setup) is part of
         // the request's latency, as it is on a real platform.
-        auto fresh = runtime_.createSandbox(config_.sandboxOptions);
-        if (fresh)
-            ++stats_.instancesCreated;
-        return fresh;
+        return createInstance();
     }
     // Background respawns whose delay elapsed: the platform recreated
     // quarantined slots off the critical path; the creation work is
     // charged at the first dispatch that can observe the new instance.
     while (!respawns_.empty() && respawns_.front() <= wall_ns) {
         respawns_.pop_front();
-        auto s = runtime_.createSandbox(config_.sandboxOptions);
+        auto s = createInstance();
         if (s) {
-            ++stats_.instancesCreated;
             ++stats_.robustness.respawns;
             HFI_OBS_RECORD(trace_, obs::EventType::Respawn, wall_ns,
                            stats_.robustness.respawns);
@@ -299,9 +254,8 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
         ++stats_.robustness.poolWaits;
         *wait_ns = respawns_.front() - wall_ns;
         respawns_.pop_front();
-        auto s = runtime_.createSandbox(config_.sandboxOptions);
+        auto s = createInstance();
         if (s) {
-            ++stats_.instancesCreated;
             ++stats_.robustness.respawns;
             HFI_OBS_RECORD(trace_, obs::EventType::Respawn, wall_ns,
                            stats_.robustness.respawns);
@@ -311,10 +265,7 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
     if (pool_.empty()) {
         // Zero warm slots survived construction (VA exhaustion); fall
         // back to a cold synchronous create.
-        auto s = runtime_.createSandbox(config_.sandboxOptions);
-        if (s)
-            ++stats_.instancesCreated;
-        return s;
+        return createInstance();
     }
     auto inst = std::move(pool_.front());
     pool_.pop_front();
@@ -350,10 +301,24 @@ Worker::serve(const Request &req)
         std::unique_ptr<sfi::Sandbox> instance =
             acquireInstance(wall, &poolWait);
         if (!instance) {
+            // Nothing fits in the core's arena: the refusal is an
+            // immediate error response, so a closed-loop client
+            // unblocks as it does for a failed request.
             ++stats_.rejected;
+            const double done =
+                wall + poolWait + (clock_.nowNs() - service_start);
+            HFI_OBS_RECORD(trace_, obs::EventType::SandboxExit, done,
+                           req.id,
+                           static_cast<std::uint64_t>(core::ExitReason::None));
+            const double post_start = clock_.nowNs();
             if (config_.dispatchViaScheduler)
                 sched_.switchTo(serverPid);
-            return {};
+            freeNs_ = done + (clock_.nowNs() - post_start);
+            Outcome out;
+            out.rejected = true;
+            out.doneNs = done;
+            out.latencyNs = done - req.arrivalNs;
+            return out;
         }
         // Warm-pool dispatch: the core's register file was swapped by
         // process switches since this instance last ran, so its

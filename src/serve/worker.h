@@ -30,7 +30,6 @@
 
 #include "core/context.h"
 #include "faas/latency.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "os/scheduler.h"
 #include "serve/faults.h"
@@ -109,6 +108,17 @@ struct WorkerStats
     std::uint64_t hfiStateMismatches = 0;
     /** Fault/timeout/retry/quarantine accounting (see serve/faults.h). */
     RobustnessStats robustness{};
+
+    void
+    merge(const WorkerStats &o)
+    {
+        instancesCreated += o.instancesCreated;
+        reclaimBatches += o.reclaimBatches;
+        preemptions += o.preemptions;
+        rejected += o.rejected;
+        hfiStateMismatches += o.hfiStateMismatches;
+        robustness.merge(o.robustness);
+    }
 };
 
 class Worker
@@ -133,6 +143,9 @@ class Worker
         /** Request gave up (retries exhausted); an error response was
             still produced at doneNs, so closed-loop clients unblock. */
         bool failed = false;
+        /** No instance could be created (address space exhausted); the
+            refusal left at doneNs as an error response. */
+        bool rejected = false;
         double doneNs = 0;    ///< response completion time
         double latencyNs = 0; ///< doneNs - arrival
     };
@@ -155,12 +168,6 @@ class Worker
      */
     void attachTrace(obs::Trace *trace);
 
-    /**
-     * Export this worker's counters into @p m — the typed end-of-run
-     * path the engine merges instead of summing WorkerStats fields by
-     * hand. Hot-path accounting stays plain struct increments.
-     */
-    void exportMetrics(obs::MetricsRegistry &m) const;
     std::uint64_t contextSwitches() const { return sched_.totalSwitches(); }
 
   private:
@@ -182,7 +189,17 @@ class Worker
                  AttemptOutcome &out);
     /** Timer preemptions for a handler that ran past the quantum. */
     void preemptForQuantum(double service_start_ns);
+    /** Queue @p instance for teardown; flush once a batch is full. */
     void retire(std::unique_ptr<sfi::Sandbox> instance);
+    /** Batched teardown of every retired instance (§6.3.1). */
+    void flushRetired();
+    /**
+     * A fresh instance from this core's arena, counted in
+     * instancesCreated. When the arena is full and a partial teardown
+     * batch is pending, the batch is flushed and the create retried
+     * once. nullptr when nothing fits.
+     */
+    std::unique_ptr<sfi::Sandbox> createInstance();
     /**
      * An instance to run the attempt in: a fresh per-request create
      * (poolSize 0, the stock path) or the next warm pool member —

@@ -1,5 +1,6 @@
 #include "sfi/linear_memory.h"
 
+#include <algorithm>
 #include <iterator>
 
 namespace hfi::sfi
@@ -9,7 +10,7 @@ namespace
 {
 
 /**
- * Spare backing stores kept per thread: one teardown batch of the
+ * Spare backing stores kept per thread and per teardown batch of the
  * serving engine (WorkerConfig::teardownBatch), in at most 8 MiB.
  */
 constexpr std::size_t kSpareStores = 32;
@@ -32,9 +33,25 @@ struct SpareStores
 thread_local bool spareGone = false;
 thread_local SpareStores spare;
 
+/** Teardown batches this thread's spares may hold (SpareStoreScope). */
+thread_local std::size_t spareBatches = 1;
+
 SpareStores::~SpareStores()
 {
     spareGone = true;
+}
+
+/** Drop the oldest spares until @p stores more in @p bytes more fit. */
+void
+makeRoom(std::size_t stores, std::uint64_t bytes)
+{
+    auto &kept = spare.stores;
+    while (!kept.empty() &&
+           (kept.size() + stores > kSpareStores * spareBatches ||
+            spare.bytes + bytes > kSpareBytes * spareBatches)) {
+        spare.bytes -= kept.front().capacity();
+        kept.erase(kept.begin());
+    }
 }
 
 } // namespace
@@ -64,14 +81,22 @@ LinearMemory::~LinearMemory()
     const std::uint64_t capacity = bytes.capacity();
     if (spareGone || capacity == 0 || capacity > kSpareBytes)
         return;
-    auto &stores = spare.stores;
-    while (stores.size() == kSpareStores ||
-           spare.bytes + capacity > kSpareBytes) {
-        spare.bytes -= stores.front().capacity();
-        stores.erase(stores.begin());
-    }
+    makeRoom(1, capacity);
     spare.bytes += capacity;
-    stores.push_back(std::move(bytes));
+    spare.stores.push_back(std::move(bytes));
+}
+
+SpareStoreScope::SpareStoreScope(std::size_t batches)
+    : previous_(spareBatches)
+{
+    spareBatches = std::max<std::size_t>(batches, 1);
+}
+
+SpareStoreScope::~SpareStoreScope()
+{
+    spareBatches = previous_;
+    if (!spareGone)
+        makeRoom(0, 0);
 }
 
 std::int64_t

@@ -30,10 +30,12 @@ constexpr std::uint64_t kWasmPageSize = 1ULL << 16;
  * backing on mprotect/touch.
  *
  * A destroyed memory's backing store is kept, per host thread, for the
- * next memory created there (up to 32 stores in 8 MiB, oldest dropped
- * first); the new memory zero-fills it. A serving run that creates and
- * tears down instances by the batch would otherwise hand their pages
- * back to the OS and fault them in again for the next batch.
+ * next memory created there (one teardown batch: up to 32 stores in
+ * 8 MiB, oldest dropped first, or one batch per serving core while a
+ * SpareStoreScope is open); the new memory zero-fills it. A serving run
+ * that creates and tears down instances by the batch would otherwise
+ * hand their pages back to the OS and fault them in again for the next
+ * batch.
  */
 class LinearMemory
 {
@@ -111,6 +113,25 @@ class LinearMemory
     std::uint64_t sizePages;
     std::uint64_t maxPages_;
     std::vector<std::uint8_t> bytes;
+};
+
+/**
+ * While open, this thread keeps @p batches teardown batches of spare
+ * backing stores instead of one. A thread that drives several serving
+ * cores tears down one batch per core, often back to back, and a single
+ * batch's worth of spares would hand the rest back to the allocator.
+ * Closing the scope drops the spares beyond the budget it replaced.
+ */
+class SpareStoreScope
+{
+  public:
+    explicit SpareStoreScope(std::size_t batches);
+    ~SpareStoreScope();
+    SpareStoreScope(const SpareStoreScope &) = delete;
+    SpareStoreScope &operator=(const SpareStoreScope &) = delete;
+
+  private:
+    std::size_t previous_;
 };
 
 } // namespace hfi::sfi

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sfi/linear_memory.h"
 
 namespace
@@ -104,6 +106,48 @@ TEST(LinearMemory, ReusedStoreStartsZeroed)
     ASSERT_EQ(fresh.grow(1), 3);
     for (std::uint64_t i = 0; i < fresh.size(); ++i)
         ASSERT_EQ(fresh.load<std::uint8_t>(i), 0) << "byte " << i;
+}
+
+/** Destroy 64 memories (two teardown batches) with 2-page stores. */
+void
+destroyTwoBatches()
+{
+    std::vector<LinearMemory> batch(64, LinearMemory(1, 2));
+    for (auto &m : batch)
+        m.grow(1);
+}
+
+/**
+ * Of 64 fresh one-page memories, how many got a spare 2-page store: a
+ * grow into its spare capacity leaves the bytes where they are.
+ */
+std::size_t
+reusedStores()
+{
+    std::vector<LinearMemory> next;
+    next.reserve(64);
+    std::size_t reused = 0;
+    for (int i = 0; i < 64; ++i) {
+        LinearMemory &m = next.emplace_back(1, 2);
+        const std::uint8_t *before = m.data();
+        m.grow(1);
+        reused += m.data() == before;
+    }
+    return reused;
+}
+
+TEST(LinearMemory, SpareStoreScopeKeepsOneBatchPerCore)
+{
+    // A thread driving two cores tears down two batches back to back;
+    // inside the scope every store backs a later memory. Outside it the
+    // thread keeps one batch.
+    {
+        SpareStoreScope scope(2);
+        destroyTwoBatches();
+        EXPECT_EQ(reusedStores(), 64u);
+    }
+    destroyTwoBatches();
+    EXPECT_EQ(reusedStores(), 32u);
 }
 
 } // namespace
