@@ -18,9 +18,9 @@
 #include <memory>
 #include <vector>
 
-#include "sfi/guard_page_backend.h"
 #include "sfi/hfi_backend.h"
 #include "sfi/multi_memory.h"
+#include "sfi/software_backend.h"
 
 namespace
 {
@@ -42,7 +42,8 @@ countInstances(bool use_hfi, unsigned va_bits)
         if (use_hfi)
             backend = std::make_unique<sfi::HfiBackend>(mmu, ctx);
         else
-            backend = std::make_unique<sfi::GuardPageBackend>(mmu);
+            backend = std::make_unique<sfi::SoftwareBackend>(
+                mmu, sfi::BackendKind::GuardPages);
         if (!backend->create(1, kGiBPages))
             break;
         live.push_back(std::move(backend));

@@ -15,9 +15,9 @@
  * The RLBox-style setup: a fresh sandbox per decode (created outside
  * the timed region, like the paper's warm-run median), per-row-band
  * transitions, and the decoder's own memory_grow traffic inside the
- * measurement. The wasm2c-in-Firefox cost table (addressingMilli)
- * reflects the denser address arithmetic of that toolchain — see
- * DESIGN.md.
+ * measurement. The wasm2c-in-Firefox cost rows (450 extra milli-cycles
+ * per software access, 100 for hmov) reflect the denser address
+ * arithmetic of that toolchain — see DESIGN.md.
  */
 
 #include <cstdio>
@@ -39,8 +39,10 @@ firefoxConfig(sfi::BackendKind kind)
     config.backend = kind;
     // Dense decode loops saturate the AGU: the base-add / zext chain
     // costs that SPEC-style code hides become visible (DESIGN.md).
-    config.guardCosts.addressingMilli = 450;
-    config.boundsCosts.addressingMilli = 450;
+    if (kind != sfi::BackendKind::Hfi) {
+        config.softwareCosts = sfi::paperCosts(kind);
+        config.softwareCosts->accessMilli += 450;
+    }
     config.hfi.addressingMilli = 100; // hmov's residue
     return config;
 }

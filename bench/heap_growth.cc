@@ -14,9 +14,9 @@
 
 #include <cstdio>
 
-#include "sfi/guard_page_backend.h"
 #include "sfi/hfi_backend.h"
 #include "sfi/linear_memory.h"
+#include "sfi/software_backend.h"
 
 int
 main()
@@ -33,7 +33,7 @@ main()
     {
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
-        sfi::GuardPageBackend backend(mmu);
+        sfi::SoftwareBackend backend(mmu, sfi::BackendKind::GuardPages);
         if (!backend.create(1, total_pages))
             return 1;
         const double t0 = clock.nowNs();

@@ -31,7 +31,8 @@ runWithPressure(std::uint64_t pressure_milli)
     core::HfiContext ctx(clock);
     sfi::RuntimeConfig config;
     config.backend = sfi::BackendKind::GuardPages;
-    config.guardCosts.opPressureMilli = pressure_milli;
+    config.softwareCosts = sfi::paperCosts(config.backend);
+    config.softwareCosts->opPressureMilli = pressure_milli;
     sfi::Runtime runtime(mmu, ctx, config);
     auto sandbox = runtime.createSandbox({4, 256});
     if (!sandbox)

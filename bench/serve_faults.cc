@@ -233,22 +233,6 @@ runSweep()
     return 0;
 }
 
-bool
-identical(const ServeResult &a, const ServeResult &b)
-{
-    return a.served == b.served && a.shed == b.shed &&
-           a.rejected == b.rejected && a.stolen == b.stolen &&
-           a.maxQueueDepth == b.maxQueueDepth &&
-           a.contextSwitches == b.contextSwitches &&
-           a.preemptions == b.preemptions &&
-           a.instancesCreated == b.instancesCreated &&
-           a.reclaimBatches == b.reclaimBatches &&
-           a.hfiStateMismatches == b.hfiStateMismatches &&
-           a.durationNs == b.durationNs && a.robustness == b.robustness &&
-           a.perCore == b.perCore &&
-           a.latencies.values() == b.latencies.values();
-}
-
 int
 runThreadsGate()
 {

@@ -165,30 +165,9 @@ threadedEquivalenceGate()
         const auto sequential =
             ServeEngine(cfg, handlerWithOps(250'000)).run();
 
-        bool same = threaded.usedThreads == workers &&
-                    sequential.usedThreads == 1 &&
-                    threaded.served == sequential.served &&
-                    threaded.shed == sequential.shed &&
-                    threaded.rejected == sequential.rejected &&
-                    threaded.maxQueueDepth == sequential.maxQueueDepth &&
-                    threaded.contextSwitches == sequential.contextSwitches &&
-                    threaded.preemptions == sequential.preemptions &&
-                    threaded.instancesCreated ==
-                        sequential.instancesCreated &&
-                    threaded.reclaimBatches == sequential.reclaimBatches &&
-                    threaded.hfiStateMismatches ==
-                        sequential.hfiStateMismatches &&
-                    threaded.stolen == sequential.stolen &&
-                    threaded.durationNs == sequential.durationNs &&
-                    threaded.throughputRps == sequential.throughputRps &&
-                    threaded.meanLatencyNs == sequential.meanLatencyNs &&
-                    threaded.latency.p50 == sequential.latency.p50 &&
-                    threaded.latency.p99 == sequential.latency.p99 &&
-                    threaded.latency.p999 == sequential.latency.p999 &&
-                    threaded.robustness == sequential.robustness &&
-                    threaded.perCore == sequential.perCore &&
-                    threaded.latencies.values() ==
-                        sequential.latencies.values();
+        const bool same = threaded.usedThreads == workers &&
+                          sequential.usedThreads == 1 &&
+                          identical(threaded, sequential);
         if (!same)
             ++failures;
         std::printf("  %5u %7zu %9.0f %9.1f %7u %10s\n", workers,

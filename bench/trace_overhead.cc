@@ -98,23 +98,6 @@ median(std::vector<double> v)
     return v[v.size() / 2];
 }
 
-bool
-identical(const ServeResult &a, const ServeResult &b)
-{
-    return a.served == b.served && a.shed == b.shed &&
-           a.rejected == b.rejected &&
-           a.maxQueueDepth == b.maxQueueDepth &&
-           a.contextSwitches == b.contextSwitches &&
-           a.preemptions == b.preemptions &&
-           a.instancesCreated == b.instancesCreated &&
-           a.durationNs == b.durationNs &&
-           a.throughputRps == b.throughputRps &&
-           a.meanLatencyNs == b.meanLatencyNs &&
-           a.latency.p50 == b.latency.p50 &&
-           a.latency.p99 == b.latency.p99 &&
-           a.latencies.values() == b.latencies.values();
-}
-
 } // namespace
 
 int

@@ -17,36 +17,11 @@ HfiContext::serialize()
     ++stats_.serializations;
 }
 
-/**
- * True when @p region may legally be stored in register number @p n:
- * the variant alternative must match the register class and the value
- * must obey its well-formedness rules. EmptyRegion is storable anywhere
- * (it is what hfi_clear_region writes).
- */
-static bool
-regionMatchesSlot(unsigned n, const Region &region)
-{
-    if (std::holds_alternative<EmptyRegion>(region))
-        return true;
-    switch (regionClassOf(n)) {
-      case RegionClass::Code:
-        return std::holds_alternative<ImplicitCodeRegion>(region) &&
-               std::get<ImplicitCodeRegion>(region).wellFormed();
-      case RegionClass::ImplicitData:
-        return std::holds_alternative<ImplicitDataRegion>(region) &&
-               std::get<ImplicitDataRegion>(region).wellFormed();
-      case RegionClass::ExplicitData:
-        return std::holds_alternative<ExplicitDataRegion>(region) &&
-               std::get<ExplicitDataRegion>(region).wellFormed();
-    }
-    return false;
-}
-
 HfiResult
 HfiContext::setRegion(unsigned n, const Region &region)
 {
     charge(costs_.setRegionCycles);
-    if (n >= kNumRegions || regionsLocked() || !regionMatchesSlot(n, region)) {
+    if (n >= kNumRegions || regionsLocked() || !regionStorable(n, region)) {
         msrExitReason = ExitReason::IllegalRegionUpdate;
         return HfiResult::Trap;
     }

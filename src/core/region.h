@@ -244,6 +244,32 @@ regionClassOf(unsigned n)
     return RegionClass::ExplicitData;
 }
 
+/**
+ * True when @p region may legally be stored in register number @p n:
+ * the variant alternative must match the register class and the value
+ * must obey its well-formedness rules. EmptyRegion is storable anywhere
+ * (it is what hfi_clear_region writes). The one validity rule for
+ * HfiContext::setRegion and the simulator's hfi_set_region.
+ */
+inline bool
+regionStorable(unsigned n, const Region &region)
+{
+    if (std::holds_alternative<EmptyRegion>(region))
+        return true;
+    switch (regionClassOf(n)) {
+      case RegionClass::Code:
+        return std::holds_alternative<ImplicitCodeRegion>(region) &&
+               std::get<ImplicitCodeRegion>(region).wellFormed();
+      case RegionClass::ImplicitData:
+        return std::holds_alternative<ImplicitDataRegion>(region) &&
+               std::get<ImplicitDataRegion>(region).wellFormed();
+      case RegionClass::ExplicitData:
+        return std::holds_alternative<ExplicitDataRegion>(region) &&
+               std::get<ExplicitDataRegion>(region).wellFormed();
+    }
+    return false;
+}
+
 } // namespace hfi::core
 
 #endif // HFI_CORE_REGION_H

@@ -34,14 +34,12 @@
 #include "vm/virtual_clock.h"
 
 #include "sfi/backend.h"
-#include "sfi/bounds_check_backend.h"
-#include "sfi/guard_page_backend.h"
 #include "sfi/hfi_backend.h"
 #include "sfi/linear_memory.h"
-#include "sfi/mask_backend.h"
 #include "sfi/multi_memory.h"
 #include "sfi/runtime.h"
 #include "sfi/sandbox.h"
+#include "sfi/software_backend.h"
 
 #include "sim/cpu_config.h"
 #include "sim/functional.h"

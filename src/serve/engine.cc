@@ -4,6 +4,7 @@
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "serve/shard_queue.h"
 
@@ -193,10 +194,9 @@ ServeEngine::drive(Partition &part, const EngineConfig &config)
                                      : obs::EventType::QueuePop,
                                  bestStart, req.id,
                                  workers[bestShard]->index()));
-        const auto outcome = workers[bestWorker]->serve(req);
         // Every request gets a response — served, failed after its
         // retries or rejected — so a closed-loop client always unblocks.
-        source.onComplete(req, outcome.doneNs);
+        source.onComplete(req, workers[bestWorker]->serve(req));
         // A closed-loop source may only now have a next arrival.
         if (!staged)
             staged = source.next();
@@ -246,6 +246,21 @@ ServeEngine::reduce(const std::vector<Partition> &parts)
     res.meanLatencyNs = res.latencies.mean();
     res.latency = res.latencies.percentiles();
     return res;
+}
+
+bool
+identical(const ServeResult &a, const ServeResult &b)
+{
+    const auto fields = [](const ServeResult &r) {
+        return std::tie(r.served, r.shed, r.rejected, r.stolen,
+                        r.maxQueueDepth, r.durationNs, r.throughputRps,
+                        r.meanLatencyNs, r.latency.p50, r.latency.p95,
+                        r.latency.p99, r.latency.p999, r.contextSwitches,
+                        r.preemptions, r.instancesCreated, r.reclaimBatches,
+                        r.hfiStateMismatches, r.robustness, r.perCore);
+    };
+    return fields(a) == fields(b) &&
+           a.latencies.values() == b.latencies.values();
 }
 
 } // namespace hfi::serve

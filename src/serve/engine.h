@@ -152,6 +152,14 @@ struct ServeResult
     faas::LatencyRecorder latencies{};
 };
 
+/**
+ * True when @p a and @p b agree on every field except usedThreads,
+ * which differs between the drivers by design (callers assert it
+ * apart). The one equality of the threaded-vs-sequential and
+ * zero-perturbation gates.
+ */
+bool identical(const ServeResult &a, const ServeResult &b);
+
 class ServeEngine
 {
   public:

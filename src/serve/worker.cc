@@ -272,7 +272,7 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
     return inst;
 }
 
-Worker::Outcome
+double
 Worker::serve(const Request &req)
 {
     // Queueing is arithmetic (the clock never idles): service begins at
@@ -314,11 +314,7 @@ Worker::serve(const Request &req)
             if (config_.dispatchViaScheduler)
                 sched_.switchTo(serverPid);
             freeNs_ = done + (clock_.nowNs() - post_start);
-            Outcome out;
-            out.rejected = true;
-            out.doneNs = done;
-            out.latencyNs = done - req.arrivalNs;
-            return out;
+            return done;
         }
         // Warm-pool dispatch: the core's register file was swapped by
         // process switches since this instance last ran, so its
@@ -407,12 +403,7 @@ Worker::serve(const Request &req)
             freeNs_ = done + post;
             ++stats_.robustness.served;
             latencies_.add(done - req.arrivalNs);
-
-            Outcome out;
-            out.ok = true;
-            out.doneNs = done;
-            out.latencyNs = done - req.arrivalNs;
-            return out;
+            return done;
         }
 
         // Failed attempt: account it, then retry or give up.
@@ -427,11 +418,7 @@ Worker::serve(const Request &req)
         if (attempt >= config_.maxRetries) {
             ++stats_.robustness.failed;
             freeNs_ = done + post;
-            Outcome out;
-            out.failed = true;
-            out.doneNs = done; // the error response leaves before cleanup
-            out.latencyNs = done - req.arrivalNs;
-            return out;
+            return done; // the error response leaves before cleanup
         }
         ++stats_.robustness.retries;
         // Exponential backoff before the next attempt; the worker is

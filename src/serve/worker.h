@@ -137,21 +137,13 @@ class Worker
     /** Virtual time at which this worker can next begin service. */
     double freeNs() const { return freeNs_; }
 
-    struct Outcome
-    {
-        bool ok = false;
-        /** Request gave up (retries exhausted); an error response was
-            still produced at doneNs, so closed-loop clients unblock. */
-        bool failed = false;
-        /** No instance could be created (address space exhausted); the
-            refusal left at doneNs as an error response. */
-        bool rejected = false;
-        double doneNs = 0;    ///< response completion time
-        double latencyNs = 0; ///< doneNs - arrival
-    };
-
-    /** Serve @p req to completion (called by the engine event loop). */
-    Outcome serve(const Request &req);
+    /**
+     * Serve @p req to completion (called by the engine event loop).
+     * @return the virtual time its response left. Every request gets
+     *         one: served, failed after its retries (an error response)
+     *         or rejected for want of an instance (a refusal).
+     */
+    double serve(const Request &req);
 
     const WorkerStats &stats() const { return stats_; }
     const faas::LatencyRecorder &latencies() const { return latencies_; }

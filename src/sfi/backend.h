@@ -13,6 +13,9 @@
  *  - HFI: an explicit region accessed through hmov, checked in hardware
  *    in parallel with address translation.
  *
+ * SoftwareBackend implements the first three, which differ only in data
+ * (software_backend.h); HfiBackend the last.
+ *
  * A backend provides two things: *enforcement* (checkAccess decides
  * whether an access traps and where it lands) and *costs* (a small POD of
  * per-access/per-op overheads that the Sandbox charges on the hot path,
@@ -48,7 +51,17 @@ enum class BackendKind
 };
 
 /** Printable backend name (matches the labels used in the figures). */
-const char *backendKindName(BackendKind kind);
+inline const char *
+backendKindName(BackendKind kind)
+{
+    switch (kind) {
+      case BackendKind::GuardPages: return "guard-pages";
+      case BackendKind::BoundsCheck: return "bounds-check";
+      case BackendKind::Mask: return "mask";
+      case BackendKind::Hfi: return "hfi";
+    }
+    return "unknown";
+}
 
 /** What a checked access should do. */
 enum class AccessOutcome

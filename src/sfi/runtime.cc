@@ -13,19 +13,11 @@ Runtime::Runtime(vm::Mmu &mmu, core::HfiContext &ctx, RuntimeConfig config)
 std::unique_ptr<IsolationBackend>
 Runtime::makeBackend()
 {
-    switch (config_.backend) {
-      case BackendKind::GuardPages:
-        return std::make_unique<GuardPageBackend>(mmu_, config_.guardCosts,
-                                                  config_.guardBytes);
-      case BackendKind::BoundsCheck:
-        return std::make_unique<BoundsCheckBackend>(mmu_,
-                                                    config_.boundsCosts);
-      case BackendKind::Mask:
-        return std::make_unique<MaskBackend>(mmu_, config_.maskCosts);
-      case BackendKind::Hfi:
+    const BackendKind kind = config_.backend;
+    if (kind == BackendKind::Hfi)
         return std::make_unique<HfiBackend>(mmu_, ctx, config_.hfi);
-    }
-    return nullptr;
+    return std::make_unique<SoftwareBackend>(
+        mmu_, kind, config_.softwareCosts.value_or(paperCosts(kind)));
 }
 
 std::unique_ptr<Sandbox>
@@ -70,9 +62,7 @@ Runtime::reclaim(const std::vector<Sandbox *> &sandboxes,
 std::uint64_t
 Runtime::addressSpaceCapacity(std::uint64_t heap_bytes) const
 {
-    std::uint64_t footprint = heap_bytes;
-    if (config_.backend == BackendKind::GuardPages)
-        footprint += config_.guardBytes;
+    const std::uint64_t footprint = footprintBytes(config_.backend, heap_bytes);
     const std::uint64_t usable = mmu_.addressSpace().usableBytes() -
                                  mmu_.addressSpace().reservedBytes();
     return usable / footprint;

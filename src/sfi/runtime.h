@@ -19,15 +19,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/context.h"
 #include "sfi/backend.h"
-#include "sfi/bounds_check_backend.h"
-#include "sfi/guard_page_backend.h"
 #include "sfi/hfi_backend.h"
-#include "sfi/mask_backend.h"
 #include "sfi/sandbox.h"
+#include "sfi/software_backend.h"
 #include "vm/mmu.h"
 
 namespace hfi::sfi
@@ -46,12 +45,8 @@ struct RuntimeConfig
     BackendKind backend = BackendKind::GuardPages;
     /** HFI sandbox options (used when backend == Hfi). */
     HfiBackendConfig hfi{};
-    /** Cost tables for the software backends. */
-    GuardPageCosts guardCosts{};
-    BoundsCheckCosts boundsCosts{};
-    MaskCosts maskCosts{};
-    /** Guard-region size for the guard-page backend. */
-    std::uint64_t guardBytes = 4ULL << 30;
+    /** A software backend's cost row; unset means paperCosts(backend). */
+    std::optional<SoftwareCosts> softwareCosts{};
 };
 
 /**

@@ -86,8 +86,7 @@ FunctionalCore::runReference(const Program &program, ArchState &state,
         const core::CheckResult fetch_check =
             core::AccessChecker::checkFetch(state.hfi, state.pc);
         if (!fetch_check.ok) {
-            state.hfi.enabled = false;
-            state.msr = fetch_check.reason;
+            retireTrap(state, fetch_check.reason);
             break;
         }
         const Inst *inst = program.fetch(state.pc, &fetchHint);
@@ -97,9 +96,7 @@ FunctionalCore::runReference(const Program &program, ArchState &state,
             FunctionalCore::executeOn(*inst, state.pc, state, view);
         ++steps;
         if (info.faulted) {
-            // Architectural trap: disable the sandbox, record the MSR.
-            state.hfi.enabled = false;
-            state.msr = info.faultReason;
+            retireTrap(state, info.faultReason);
             break;
         }
         if (info.halted)
@@ -190,8 +187,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
 
 #define HFI_SIM_FAULT(the_reason)                                            \
     do {                                                                     \
-        state.hfi.enabled = false;                                           \
-        state.msr = (the_reason);                                            \
+        retireTrap(state, (the_reason));                                     \
         state.pc = program.addressOf(index);                                 \
         return steps;                                                        \
     } while (0)
@@ -215,8 +211,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
             const core::CheckResult fetch_check =
                 core::AccessChecker::checkFetch(state.hfi, state.pc);
             if (!fetch_check.ok) {
-                state.hfi.enabled = false;
-                state.msr = fetch_check.reason;
+                retireTrap(state, fetch_check.reason);
                 return steps;
             }
             const Inst *ref = program.fetch(state.pc, &fetchHint);
@@ -225,8 +220,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
             const ExecInfo info = executeOn(*ref, state.pc, state, view);
             ++steps;
             if (info.faulted) {
-                state.hfi.enabled = false;
-                state.msr = info.faultReason;
+                retireTrap(state, info.faultReason);
                 return steps;
             }
             if (info.halted)

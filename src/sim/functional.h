@@ -45,6 +45,19 @@ struct ArchState
     core::ExitReason msr = core::ExitReason::None;
 };
 
+/**
+ * A trap's architectural effects at retirement (§3.3.2): HFI disables
+ * the sandbox and records the cause in the exit-reason MSR. The
+ * functional core applies them where it stops; the pipeline when the
+ * faulting instruction commits.
+ */
+inline void
+retireTrap(ArchState &state, core::ExitReason reason)
+{
+    state.hfi.enabled = false;
+    state.msr = reason;
+}
+
 /** Memory interface the executor reads/writes through. */
 class MemView
 {
@@ -144,26 +157,6 @@ regionFromDescriptor(unsigned region_number, std::uint64_t base,
       }
     }
     return core::EmptyRegion{};
-}
-
-/** Region-slot/type/shape validity, mirroring HfiContext::setRegion. */
-inline bool
-regionStorable(unsigned n, const core::Region &region)
-{
-    if (std::holds_alternative<core::EmptyRegion>(region))
-        return true;
-    switch (core::regionClassOf(n)) {
-      case core::RegionClass::Code:
-        return std::holds_alternative<core::ImplicitCodeRegion>(region) &&
-               std::get<core::ImplicitCodeRegion>(region).wellFormed();
-      case core::RegionClass::ImplicitData:
-        return std::holds_alternative<core::ImplicitDataRegion>(region) &&
-               std::get<core::ImplicitDataRegion>(region).wellFormed();
-      case core::RegionClass::ExplicitData:
-        return std::holds_alternative<core::ExplicitDataRegion>(region) &&
-               std::get<core::ExplicitDataRegion>(region).wellFormed();
-    }
-    return false;
 }
 
 } // namespace detail
@@ -385,7 +378,7 @@ class FunctionalCore
             const core::Region region = detail::regionFromDescriptor(
                 inst.region, ra, regs[inst.rb], inst.imm);
             if (inst.region >= core::kNumRegions ||
-                !detail::regionStorable(inst.region, region)) {
+                !core::regionStorable(inst.region, region)) {
                 fault(core::ExitReason::IllegalRegionUpdate);
                 break;
             }

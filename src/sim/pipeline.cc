@@ -341,6 +341,7 @@ Pipeline::dispatchStage()
                 e.info.faultReason = fetch_check.reason;
                 e.info.nextPc = f.pc;
                 e.completeCycle = cycle + 1;
+                snapshots_[slot].state = specState;
                 resolveAt_[slot] = e.completeCycle;
                 appendResolve(e.completeCycle,
                               static_cast<std::uint32_t>(slot), e.seq);
@@ -474,6 +475,8 @@ Pipeline::dispatchStage()
             s.state = specState;
             s.regReady = regReadyAt;
             s.poison = poisonMask_;
+        } else if (info.halted || info.faulted) {
+            snapshots_[slot].state = specState;
         }
 
         resolveAt_[slot] = e.completeCycle;
@@ -571,6 +574,10 @@ Pipeline::commitStage(PipelineResult &result, bool *done)
             break;
 
         if (e.info.faulted) {
+            // Younger entries dispatched past the trap never commit:
+            // install the faulting entry's snapshot, then the trap.
+            archState = snapshots_[robHead_].state;
+            retireTrap(archState, e.info.faultReason);
             result.faulted = true;
             result.faultReason = e.info.faultReason;
             result.faultPc = e.pc;
@@ -592,6 +599,8 @@ Pipeline::commitStage(PipelineResult &result, bool *done)
             serializePending = false;
 
         const bool halted = e.info.halted;
+        if (halted)
+            archState = snapshots_[robHead_].state;
         robHead_ = (robHead_ + 1) & robMask_;
         --robCount_;
         ++stats_.committed;
@@ -729,7 +738,11 @@ Pipeline::runLoop(std::uint64_t max_cycles)
 
     result.cycles = cycle;
     result.instructions = stats_.committed;
-    archState = specState;
+    // A halt or fault installed archState at commit. Otherwise the run
+    // drained the ROB (specState is the committed state) or stopped at
+    // the cycle budget with work still in flight.
+    if (!result.halted && !result.faulted)
+        archState = specState;
     return result;
 }
 

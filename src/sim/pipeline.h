@@ -164,9 +164,11 @@ class Pipeline
     };
 
     /**
-     * Redirect-recovery state, one slot per ROB slot. Only written for
-     * mispredicted entries — the resolve stage restores exclusively at
-     * a mispredict, so other entries' snapshots would never be read.
+     * Redirect-recovery state, one slot per ROB slot. Written in full
+     * only for mispredicted entries — the resolve stage restores
+     * exclusively at a mispredict. A halting or faulting entry keeps
+     * just `state`, the architectural state once it retires (before the
+     * trap's retirement effects), which commit installs as archState.
      */
     struct Snapshot
     {
@@ -311,8 +313,8 @@ class Pipeline
     CpuConfig config_;
 
     SimMemory mem;
-    ArchState archState;  ///< committed architectural state (regs lazily
-                          ///< tracked via specState; used at recovery end)
+    ArchState archState;  ///< committed architectural state (set when a
+                          ///< run ends: by commit at a halt or a fault)
     ArchState specState;  ///< dispatch-time speculative state
 
     Cache icache_;

@@ -47,32 +47,40 @@ threadableConfig(unsigned workers)
     return ec;
 }
 
-void
-expectIdentical(const ServeResult &a, const ServeResult &b)
+TEST(ServeThreads, IdenticalComparesEveryFieldButUsedThreads)
 {
-    EXPECT_EQ(a.served, b.served);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.stolen, b.stolen);
-    EXPECT_EQ(a.maxQueueDepth, b.maxQueueDepth);
-    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.instancesCreated, b.instancesCreated);
-    EXPECT_EQ(a.reclaimBatches, b.reclaimBatches);
-    EXPECT_EQ(a.hfiStateMismatches, b.hfiStateMismatches);
-    EXPECT_EQ(a.durationNs, b.durationNs);
-    EXPECT_EQ(a.throughputRps, b.throughputRps);
-    EXPECT_EQ(a.meanLatencyNs, b.meanLatencyNs);
-    EXPECT_EQ(a.latency.p50, b.latency.p50);
-    EXPECT_EQ(a.latency.p95, b.latency.p95);
-    EXPECT_EQ(a.latency.p99, b.latency.p99);
-    EXPECT_EQ(a.latency.p999, b.latency.p999);
-    ASSERT_EQ(a.latencies.values(), b.latencies.values());
-    EXPECT_TRUE(a.robustness == b.robustness);
-    // Shed has one source of truth (the per-shard queue counters), so
-    // the by-core shed, not just the total, must agree between the
-    // drivers.
-    EXPECT_TRUE(a.perCore == b.perCore);
+    auto cfg = threadableConfig(2);
+    const ServeResult base = ServeEngine(cfg, testHandler()).run();
+    ASSERT_FALSE(base.perCore.empty());
+    ServeResult other = base;
+    other.usedThreads = 2;
+    EXPECT_TRUE(identical(base, other));
+
+    // Fields the hand-written gates used to skip.
+    other = base;
+    ++other.stolen;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    ++other.reclaimBatches;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    ++other.hfiStateMismatches;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    other.latency.p95 += 1.0;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    other.latency.p999 += 1.0;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    ++other.robustness.retries;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    ++other.perCore[0].served;
+    EXPECT_FALSE(identical(base, other));
+    other = base;
+    other.latencies.add(1.0);
+    EXPECT_FALSE(identical(base, other));
 }
 
 TEST(ServeThreads, ThreadedRunIsBitIdenticalToSequential)
@@ -88,7 +96,7 @@ TEST(ServeThreads, ThreadedRunIsBitIdenticalToSequential)
         const auto sequential = ServeEngine(cfg, testHandler()).run();
         EXPECT_EQ(sequential.usedThreads, 1u);
 
-        expectIdentical(threaded, sequential);
+        EXPECT_TRUE(identical(threaded, sequential));
     }
 }
 
@@ -107,7 +115,7 @@ TEST(ServeThreads, BoundedQueuesShedIdenticallyUnderThreads)
 
     cfg.realThreads = false;
     const auto sequential = ServeEngine(cfg, testHandler()).run();
-    expectIdentical(threaded, sequential);
+    EXPECT_TRUE(identical(threaded, sequential));
 }
 
 TEST(ServeThreads, ThreadedRunsAreRepeatable)
@@ -116,7 +124,7 @@ TEST(ServeThreads, ThreadedRunsAreRepeatable)
     cfg.realThreads = true;
     const auto a = ServeEngine(cfg, testHandler()).run();
     const auto b = ServeEngine(cfg, testHandler()).run();
-    expectIdentical(a, b);
+    EXPECT_TRUE(identical(a, b));
 }
 
 TEST(ServeThreads, FaultCampaignIsBitIdenticalUnderThreads)
@@ -145,7 +153,7 @@ TEST(ServeThreads, FaultCampaignIsBitIdenticalUnderThreads)
     cfg.realThreads = false;
     const auto sequential = ServeEngine(cfg, testHandler()).run();
     EXPECT_EQ(sequential.usedThreads, 1u);
-    expectIdentical(threaded, sequential);
+    EXPECT_TRUE(identical(threaded, sequential));
 }
 
 TEST(ServeThreads, VaExhaustionFlushesThePartialTeardownBatch)
@@ -168,7 +176,7 @@ TEST(ServeThreads, VaExhaustionFlushesThePartialTeardownBatch)
 
         cfg.realThreads = false;
         const auto sequential = ServeEngine(cfg, testHandler()).run();
-        expectIdentical(threaded, sequential);
+        EXPECT_TRUE(identical(threaded, sequential));
     }
 }
 
@@ -205,7 +213,7 @@ TEST(ServeThreads, OpenLoopRejectionsMatchAcrossDrivers)
 
     cfg.realThreads = false;
     const auto sequential = ServeEngine(cfg, testHandler()).run();
-    expectIdentical(threaded, sequential);
+    EXPECT_TRUE(identical(threaded, sequential));
 }
 
 TEST(ServeThreads, HandlerExceptionReachesTheCaller)

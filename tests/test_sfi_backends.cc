@@ -1,19 +1,19 @@
 /**
  * @file
- * Tests for the four isolation backends: enforcement semantics (precise
- * traps vs silent wrapping), address-space footprints, growth costs,
- * and steady-state cost tables — the behavioural contrasts of §2/Fig 3.
+ * Tests for the two isolation backends (four schemes): enforcement
+ * semantics (precise traps vs silent wrapping), address-space
+ * footprints, growth costs, and steady-state cost tables — the
+ * behavioural contrasts of §2/Fig 3.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
-#include "sfi/bounds_check_backend.h"
-#include "sfi/guard_page_backend.h"
 #include "sfi/hfi_backend.h"
 #include "sfi/linear_memory.h"
-#include "sfi/mask_backend.h"
+#include "sfi/software_backend.h"
 #include "vm/mmu.h"
 
 namespace
@@ -28,17 +28,9 @@ class BackendTest : public ::testing::Test
     std::unique_ptr<IsolationBackend>
     make(BackendKind kind)
     {
-        switch (kind) {
-          case BackendKind::GuardPages:
-            return std::make_unique<GuardPageBackend>(mmu);
-          case BackendKind::BoundsCheck:
-            return std::make_unique<BoundsCheckBackend>(mmu);
-          case BackendKind::Mask:
-            return std::make_unique<MaskBackend>(mmu);
-          case BackendKind::Hfi:
+        if (kind == BackendKind::Hfi)
             return std::make_unique<HfiBackend>(mmu, ctx);
-        }
-        return nullptr;
+        return std::make_unique<SoftwareBackend>(mmu, kind);
     }
 
     vm::VirtualClock clock;
@@ -106,7 +98,7 @@ TEST_F(BackendTest, GuardPagesReserve8GiB)
 {
     // §2: 4 GiB linear memory + 4 GiB guard, reserved even for a tiny
     // heap.
-    GuardPageBackend backend(mmu);
+    SoftwareBackend backend(mmu, BackendKind::GuardPages);
     ASSERT_TRUE(backend.create(1, 65536));
     EXPECT_EQ(backend.reservedVaBytes(), 8ULL << 30);
     EXPECT_EQ(mmu.addressSpace().reservedBytes(), 8ULL << 30);
@@ -114,7 +106,7 @@ TEST_F(BackendTest, GuardPagesReserve8GiB)
 
 TEST_F(BackendTest, BoundsAndHfiReserveOnlyTheHeap)
 {
-    BoundsCheckBackend bounds(mmu);
+    SoftwareBackend bounds(mmu, BackendKind::BoundsCheck);
     ASSERT_TRUE(bounds.create(1, 65536));
     EXPECT_EQ(bounds.reservedVaBytes(), 4ULL << 30);
 
@@ -125,7 +117,7 @@ TEST_F(BackendTest, BoundsAndHfiReserveOnlyTheHeap)
 
 TEST_F(BackendTest, GuardPageGrowPaysMprotect)
 {
-    GuardPageBackend backend(mmu);
+    SoftwareBackend backend(mmu, BackendKind::GuardPages);
     ASSERT_TRUE(backend.create(1, 65536));
     const auto calls = mmu.stats().mprotectCalls;
     const double t0 = clock.nowNs();
@@ -173,7 +165,7 @@ TEST_F(BackendTest, MaskWrapsInsteadOfTrapping)
 {
     // §2: masking converts out-of-bounds accesses into silent
     // corruption — the precise-trap defect the paper rules it out for.
-    MaskBackend backend(mmu);
+    SoftwareBackend backend(mmu, BackendKind::Mask);
     ASSERT_TRUE(backend.create(4, 16));
     LinearMemory mem(4, 16);
 
@@ -189,8 +181,8 @@ TEST_F(BackendTest, MaskWrapsInsteadOfTrapping)
 
 TEST_F(BackendTest, SteadyStateCostTables)
 {
-    GuardPageBackend guard(mmu);
-    BoundsCheckBackend bounds(mmu);
+    SoftwareBackend guard(mmu, BackendKind::GuardPages);
+    SoftwareBackend bounds(mmu, BackendKind::BoundsCheck);
     HfiBackend hfi_backend(mmu, ctx);
 
     // Guard pages: no per-access check, one pinned register (§6.1's
@@ -239,18 +231,90 @@ TEST_F(BackendTest, HfiSwitchOnExitConfig)
     EXPECT_TRUE(ctx.lastExitSwitched());
 }
 
+TEST_F(BackendTest, FootprintRuleIsWhatCreateReserves)
+{
+    // Heap + 4 GiB guard, the heap alone, or the heap rounded up to a
+    // power of two (mask); HFI reserves the heap alone.
+    const std::uint64_t heap = 3 * kWasmPageSize;
+    EXPECT_EQ(footprintBytes(BackendKind::GuardPages, heap),
+              heap + kGuardBytes);
+    EXPECT_EQ(footprintBytes(BackendKind::BoundsCheck, heap), heap);
+    EXPECT_EQ(footprintBytes(BackendKind::Mask, heap), 4 * kWasmPageSize);
+    EXPECT_EQ(footprintBytes(BackendKind::Hfi, heap), heap);
+    for (BackendKind kind :
+         {BackendKind::GuardPages, BackendKind::BoundsCheck,
+          BackendKind::Mask, BackendKind::Hfi}) {
+        SCOPED_TRACE(backendKindName(kind));
+        auto backend = make(kind);
+        ASSERT_TRUE(backend->create(1, 3));
+        EXPECT_EQ(backend->reservedVaBytes(), footprintBytes(kind, heap));
+    }
+}
+
+TEST_F(BackendTest, MaskRegionIsAlignedToItsSize)
+{
+    // A page-sized reservation first, so the mask's region cannot be
+    // aligned by accident.
+    SoftwareBackend bounds(mmu, BackendKind::BoundsCheck);
+    ASSERT_TRUE(bounds.create(1, 1));
+    SoftwareBackend mask(mmu, BackendKind::Mask);
+    ASSERT_TRUE(mask.create(1, 5));
+    EXPECT_EQ(mask.reservedVaBytes(), 8 * kWasmPageSize);
+    EXPECT_EQ(mask.baseAddress() % mask.reservedVaBytes(), 0u);
+}
+
+TEST_F(BackendTest, CostRowDrivesTransitionsAndSteadyState)
+{
+    SoftwareCosts row{30, 700, 5};
+    SoftwareBackend backend(mmu, BackendKind::BoundsCheck, row);
+    ASSERT_TRUE(backend.create(1, 16));
+    const auto c0 = clock.now();
+    backend.enterSandbox();
+    backend.exitSandbox();
+    EXPECT_EQ(clock.now() - c0, 60u);
+    EXPECT_EQ(backend.steadyStateCosts().loadExtraMilli, 700u);
+    EXPECT_EQ(backend.steadyStateCosts().storeExtraMilli, 700u);
+    EXPECT_EQ(backend.steadyStateCosts().opPressureMilli, 5u);
+    EXPECT_EQ(backend.steadyStateCosts().icacheMilliPerAccess, 0u);
+}
+
+TEST_F(BackendTest, PaperCostRows)
+{
+    // {transition cycles, per-access milli-cycles, op pressure}: Fig 3's
+    // bounds-check spread and §6.1's 2.25%/2.40% register reservations.
+    const SoftwareCosts guard = paperCosts(BackendKind::GuardPages);
+    const SoftwareCosts bounds = paperCosts(BackendKind::BoundsCheck);
+    const SoftwareCosts mask = paperCosts(BackendKind::Mask);
+    EXPECT_EQ(guard.transitionCycles, 12u);
+    EXPECT_EQ(guard.accessMilli, 0u);
+    EXPECT_EQ(guard.opPressureMilli, 23u);
+    EXPECT_EQ(bounds.transitionCycles, 12u);
+    EXPECT_EQ(bounds.accessMilli, 1200u);
+    EXPECT_EQ(bounds.opPressureMilli, 24u);
+    EXPECT_EQ(mask.transitionCycles, 12u);
+    EXPECT_EQ(mask.accessMilli, 600u);
+    EXPECT_EQ(mask.opPressureMilli, 23u);
+}
+
+TEST_F(BackendTest, HfiIsNotASoftwareScheme)
+{
+    EXPECT_THROW(paperCosts(BackendKind::Hfi), std::invalid_argument);
+    EXPECT_THROW(SoftwareBackend(mmu, BackendKind::Hfi, SoftwareCosts{}),
+                 std::invalid_argument);
+}
+
 TEST_F(BackendTest, CreateFailsWhenAddressSpaceExhausted)
 {
     vm::VirtualClock small_clock;
     vm::Mmu small_mmu(small_clock, 32); // 4 GiB space
-    GuardPageBackend backend(small_mmu);
+    SoftwareBackend backend(small_mmu, BackendKind::GuardPages);
     EXPECT_FALSE(backend.create(1, 65536)); // needs 8 GiB
 }
 
 TEST_F(BackendTest, DestroyReleasesAddressSpace)
 {
     {
-        GuardPageBackend backend(mmu);
+        SoftwareBackend backend(mmu, BackendKind::GuardPages);
         ASSERT_TRUE(backend.create(1, 65536));
         EXPECT_GT(mmu.addressSpace().reservedBytes(), 0u);
         backend.destroy();

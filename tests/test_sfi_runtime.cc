@@ -154,6 +154,25 @@ TEST_F(RuntimeTest, CapacityMathMatchesSection632)
     EXPECT_GE(hfi_runtime.addressSpaceCapacity(1ULL << 30), 130000u);
 }
 
+TEST_F(RuntimeTest, CapacityUsesTheBackendFootprintRule)
+{
+    // A 3-page heap reserves 4 pages under masking (a power of two), so
+    // the capacity is that of a 4-page heap, not a 3-page one.
+    const std::uint64_t heap = 3 * kWasmPageSize;
+    EXPECT_EQ(makeRuntime(BackendKind::Mask).addressSpaceCapacity(heap),
+              makeRuntime(BackendKind::BoundsCheck)
+                  .addressSpaceCapacity(4 * kWasmPageSize));
+    for (BackendKind kind :
+         {BackendKind::GuardPages, BackendKind::BoundsCheck,
+          BackendKind::Mask, BackendKind::Hfi}) {
+        const std::uint64_t usable = mmu.addressSpace().usableBytes() -
+                                     mmu.addressSpace().reservedBytes();
+        EXPECT_EQ(makeRuntime(kind).addressSpaceCapacity(heap),
+                  usable / footprintBytes(kind, heap))
+            << backendKindName(kind);
+    }
+}
+
 TEST_F(RuntimeTest, CreateSandboxNullWhenFull)
 {
     vm::VirtualClock small_clock;

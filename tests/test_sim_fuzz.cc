@@ -49,7 +49,10 @@ constexpr std::uint64_t kDataBytes = 1 << 16;
  *    window-constrained loads/stores;
  *  - random *forward* conditional branches (cannot loop);
  *  - a few bounded counted loops (fixed trip counts);
- *  - random call/ret pairs into tail helper functions.
+ *  - random call/ret pairs into tail helper functions;
+ *  - under HFI, sometimes a trapping load in place of the exit;
+ *  - a dead tail after the final halt, which the pipeline fetches and
+ *    dispatches but must never commit.
  */
 Program
 generate(std::uint64_t seed, bool with_hfi)
@@ -178,9 +181,18 @@ generate(std::uint64_t seed, bool with_hfi)
     // Spill the final register state so memory comparison covers it.
     for (unsigned r = 0; r < 10; ++r)
         b.store(r, 12, static_cast<std::int64_t>(0x8000 + r * 8), 8);
+    if (with_hfi && rng.below(3) == 0) {
+        // Just past the data region: an HFI trap ends the run.
+        b.movi(10, static_cast<std::int64_t>(kDataBase + kDataBytes));
+        b.load(10, 10, 0, 8);
+    }
     if (with_hfi)
         b.hfiExit();
     b.halt();
+    for (std::uint64_t i = 0, n = 1 + rng.below(3); i < n; ++i) {
+        b.movi(static_cast<unsigned>(rng.below(10)),
+               static_cast<std::int64_t>(rng.next() >> 8));
+    }
     return b.build();
 }
 
@@ -201,6 +213,13 @@ compareRuns(std::uint64_t seed, bool with_hfi)
     const auto res = pipe.run(50'000'000);
     ASSERT_TRUE(res.halted || res.faulted) << "seed " << seed;
 
+    // Committed architectural state, not just memory: a halt or fault
+    // must leave nothing of the instructions dispatched behind it.
+    const ArchState &state = pipe.state();
+    EXPECT_EQ(state.regs, ref_state.regs) << "seed " << seed;
+    EXPECT_EQ(state.pc, ref_state.pc) << "seed " << seed;
+    EXPECT_EQ(state.hfi.enabled, ref_state.hfi.enabled) << "seed " << seed;
+    EXPECT_EQ(state.msr, ref_state.msr) << "seed " << seed;
     for (unsigned r = 0; r < 10; ++r) {
         EXPECT_EQ(pipe.memory().read(kDataBase + 0x8000 + r * 8, 8),
                   ref_mem.read(kDataBase + 0x8000 + r * 8, 8))

@@ -238,6 +238,68 @@ TEST(Pipeline, HfiFaultCommitsWithReasonAndPc)
     EXPECT_EQ(res.faultPc, prog.addressOf(6));
 }
 
+/**
+ * Run @p prog on both cores and expect the same final architectural
+ * state: registers, pc, HFI enable bit and exit-reason MSR.
+ */
+void
+expectSameFinalState(const Program &prog, const ArchState &pipe_state)
+{
+    ArchState ref;
+    ref.pc = prog.base();
+    SimMemory ref_mem;
+    FunctionalCore::run(prog, ref, ref_mem);
+    EXPECT_EQ(pipe_state.regs, ref.regs);
+    EXPECT_EQ(pipe_state.pc, ref.pc);
+    EXPECT_EQ(pipe_state.hfi.enabled, ref.hfi.enabled);
+    EXPECT_EQ(pipe_state.msr, ref.msr);
+}
+
+TEST(Pipeline, FaultLeavesOnlyCommittedState)
+{
+    // The movis dispatch (and execute) behind the faulting load, but
+    // never commit; the fault's retirement disables HFI and sets the MSR.
+    ProgramBuilder b;
+    b.movi(11, 0x400000).movi(12, 0xffff);
+    b.hfiSetRegion(0, 11, 12, 4);
+    b.movi(kExitHandlerReg, 0);
+    b.hfiEnter(true, false);
+    b.movi(1, 0x5000);
+    b.load(2, 1, 0, 8); // no data region: faults
+    b.movi(5, 77);
+    b.movi(6, 88);
+    b.halt();
+    const Program prog = b.build();
+    Pipeline pipe(prog);
+    ASSERT_TRUE(pipe.run().faulted);
+    const ArchState &state = pipe.state();
+    EXPECT_EQ(state.regs[5], 0u);
+    EXPECT_EQ(state.regs[6], 0u);
+    EXPECT_FALSE(state.hfi.enabled);
+    EXPECT_EQ(state.msr, core::ExitReason::DataBoundsViolation);
+    EXPECT_EQ(state.pc, prog.addressOf(6));
+    expectSameFinalState(prog, state);
+}
+
+TEST(Pipeline, HaltLeavesOnlyCommittedState)
+{
+    ProgramBuilder b;
+    b.movi(1, 5);
+    b.halt();
+    b.movi(5, 77); // fetched and dispatched past the halt
+    b.movi(6, 88);
+    b.halt();
+    const Program prog = b.build();
+    Pipeline pipe(prog);
+    ASSERT_TRUE(pipe.run().halted);
+    const ArchState &state = pipe.state();
+    EXPECT_EQ(state.regs[1], 5u);
+    EXPECT_EQ(state.regs[5], 0u);
+    EXPECT_EQ(state.regs[6], 0u);
+    EXPECT_EQ(state.pc, prog.addressOf(2)); // just past the first halt
+    expectSameFinalState(prog, state);
+}
+
 TEST(Pipeline, FaultingLoadDoesNotFillDcache)
 {
     // §4.1's invariant, microscopically: the line touched by an HFI-
