@@ -102,7 +102,8 @@ SpareStoreScope::~SpareStoreScope()
 std::int64_t
 LinearMemory::grow(std::uint64_t delta_pages)
 {
-    if (sizePages + delta_pages > maxPages_)
+    // Compared without the sum, which a huge delta would wrap.
+    if (sizePages > maxPages_ || delta_pages > maxPages_ - sizePages)
         return -1;
     const std::int64_t prev = static_cast<std::int64_t>(sizePages);
     sizePages += delta_pages;

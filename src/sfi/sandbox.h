@@ -16,7 +16,13 @@
  * map of touched 4 KiB pages, charges the cached cost and moves bytes.
  * Everything it does not accept goes to the backend's checkAccess, the
  * one slow path, which raises every trap and performs every mask wrap.
- * loadN/storeN check a whole span once and charge it as n accesses.
+ *
+ * Checking and charging are separate: checkedSpan() checks a whole span
+ * once and pages it in, chargeAccesses() charges n accesses, and
+ * load/store, loadN/storeN and the kernels that walk rows of a span are
+ * built on those two. The modeled cost is the same whichever way a
+ * kernel splits them, because the clock after exit() depends only on
+ * the total milli-cycles charged.
  */
 
 #ifndef HFI_SFI_SANDBOX_H
@@ -25,6 +31,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -166,8 +173,7 @@ class Sandbox
     load(std::uint64_t offset)
     {
         const std::uint64_t at = access(offset, sizeof(T), false);
-        ++stats_.loads;
-        chargeMilli(1000 + loadMilli);
+        chargeAccesses(1, false);
         return memory_.load<T>(at);
     }
 
@@ -177,8 +183,7 @@ class Sandbox
     store(std::uint64_t offset, T value)
     {
         const std::uint64_t at = access(offset, sizeof(T), true);
-        ++stats_.stores;
-        chargeMilli(1000 + storeMilli);
+        chargeAccesses(1, true);
         memory_.store<T>(at, value);
     }
 
@@ -193,15 +198,14 @@ class Sandbox
     void
     loadN(std::uint64_t offset, T *dst, std::size_t n)
     {
-        if (!acceptsSpan(offset, sizeof(T), n, false)) {
+        const std::uint8_t *bytes = checkedSpan(offset, sizeof(T), n, false);
+        if (!bytes) {
             for (std::size_t i = 0; i < n; ++i)
                 dst[i] = load<T>(offset + i * sizeof(T));
             return;
         }
-        touchSpan(offset, sizeof(T), n, false);
-        stats_.loads += n;
-        chargeMilli(n * (1000 + loadMilli));
-        memory_.readBytes(offset, dst, n * sizeof(T));
+        chargeAccesses(n, false);
+        std::memcpy(dst, bytes, n * sizeof(T));
     }
 
     /** Store @p n consecutive T from @p src at @p offset; see loadN. */
@@ -209,15 +213,63 @@ class Sandbox
     void
     storeN(std::uint64_t offset, const T *src, std::size_t n)
     {
-        if (!acceptsSpan(offset, sizeof(T), n, true)) {
+        std::uint8_t *bytes = checkedSpan(offset, sizeof(T), n, true);
+        if (!bytes) {
             for (std::size_t i = 0; i < n; ++i)
                 store<T>(offset + i * sizeof(T), src[i]);
             return;
         }
-        touchSpan(offset, sizeof(T), n, true);
-        stats_.stores += n;
-        chargeMilli(n * (1000 + storeMilli));
-        memory_.writeBytes(offset, src, n * sizeof(T));
+        chargeAccesses(n, true);
+        std::memcpy(bytes, src, n * sizeof(T));
+    }
+
+    /**
+     * True when the sandbox accepts all @p n elements of @p width at
+     * @p offset inline, so none of them can trap or wrap; n == 0 is
+     * never accepted. A kernel that works on several spans at once asks
+     * this for each before checkedSpan() pages any of them in.
+     */
+    bool
+    acceptsSpan(std::uint64_t offset, std::uint64_t width, std::size_t n,
+                bool write) const
+    {
+        const std::uint64_t bytes = n * width;
+        return n != 0 && bytes / width == n && accepts(offset, bytes, write);
+    }
+
+    /**
+     * Check a span of @p n elements of @p width once: when the sandbox
+     * accepts it, page it in as the element loop would and return its
+     * bytes in linear memory (valid until the next memoryGrow). Charges
+     * and counts nothing: the caller charges each access it makes with
+     * chargeAccesses(). Returns nullptr, touching nothing, for a span it
+     * does not accept; the caller then takes load<T>/store<T> per
+     * element, which traps or wraps on the element that does.
+     */
+    std::uint8_t *
+    checkedSpan(std::uint64_t offset, std::uint32_t width, std::size_t n,
+                bool write)
+    {
+        if (!acceptsSpan(offset, width, n, write))
+            return nullptr;
+        touchSpan(offset, width, n, write);
+        return memory_.data() + offset;
+    }
+
+    /**
+     * Count and charge @p n loads (or stores, when @p write): the same
+     * counters and milli-cycles as n load<T> (store<T>) calls.
+     */
+    void
+    chargeAccesses(std::uint64_t n, bool write)
+    {
+        if (write) {
+            stats_.stores += n;
+            chargeMilli(n * (1000 + storeMilli));
+        } else {
+            stats_.loads += n;
+            chargeMilli(n * (1000 + loadMilli));
+        }
     }
 
     /**
@@ -253,15 +305,6 @@ class Sandbox
         if (kind_ == BackendKind::Hfi)
             return HfiBackend::accepts(*hfiHeap_, offset, bytes, write);
         return memory_.inBounds(offset, bytes);
-    }
-
-    /** accepts() for n elements of @p width; n == 0 is never accepted. */
-    bool
-    acceptsSpan(std::uint64_t offset, std::uint64_t width, std::size_t n,
-                bool write) const
-    {
-        const std::uint64_t bytes = n * width;
-        return n != 0 && bytes / width == n && accepts(offset, bytes, write);
     }
 
     /** Check one access and page it in; returns the offset accessed. */

@@ -126,63 +126,119 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
                                   256);
     }
 
+    // Convolution and pool run one output row at a time. A row whose
+    // spans the sandbox accepts is checked once and charged as the
+    // element loop charges it, pixel for pixel; any other row takes the
+    // element loop, so a trap or a mask wrap lands on the same pixel with
+    // the same counters, clock and page faults. Each pixel's arithmetic
+    // is one lambda, shared by both.
+    const auto conv_pixel = [](const std::uint8_t *r0, const std::uint8_t *r1,
+                               const std::uint8_t *r2,
+                               const std::int32_t *w) {
+        std::int32_t acc = 0; // |acc| <= 9 * 255 * 256
+        for (int k = 0; k < 3; ++k)
+            acc += r0[k] * w[k] + r1[k] * w[3 + k] + r2[k] * w[6 + k];
+        return std::max(acc >> 4, 0);
+    };
+    // Host-side rows: the convolution's output row, the pool's two
+    // input rows.
+    std::vector<std::int32_t> rows(2 * static_cast<std::size_t>(side));
+
     // Convolution: per output pixel, the three 3-pixel input rows and
-    // the filter's nine weights, each one span.
+    // the filter's nine weights (18 loads), one store and 31 ops.
     for (std::uint32_t f = 0; f < filters; ++f) {
+        const std::uint64_t w_off = conv_w + f * 9 * 4;
         for (std::uint32_t y = 1; y + 1 < side; ++y) {
-            for (std::uint32_t x = 1; x + 1 < side; ++x) {
+            const std::uint64_t in_off =
+                img_off + static_cast<std::uint64_t>(y - 1) * side;
+            const std::uint64_t out_off =
+                fmap + (static_cast<std::uint64_t>(f) * side * side +
+                        static_cast<std::uint64_t>(y) * side + 1) *
+                           4;
+            const std::uint32_t n = side - 2;
+            if (s.acceptsSpan(in_off, 1, 3 * std::size_t{side}, false) &&
+                s.acceptsSpan(w_off, 4, 9, false) &&
+                s.acceptsSpan(out_off, 4, n, true)) {
+                const std::uint8_t *in =
+                    s.checkedSpan(in_off, 1, 3 * std::size_t{side}, false);
+                std::int32_t w[9];
+                std::memcpy(w, s.checkedSpan(w_off, 4, 9, false), sizeof(w));
+                std::uint8_t *out = s.checkedSpan(out_off, 4, n, true);
+                for (std::uint32_t x = 0; x < n; ++x)
+                    rows[x] = conv_pixel(in + x, in + side + x,
+                                         in + 2 * side + x, w);
+                std::memcpy(out, rows.data(), n * std::size_t{4});
+                s.chargeAccesses(18 * std::uint64_t{n}, false);
+                s.chargeAccesses(n, true);
+                s.chargeOps(31 * std::uint64_t{n});
+                continue;
+            }
+            for (std::uint32_t x = 0; x < n; ++x) {
                 std::uint8_t px[9];
                 for (std::uint32_t ky = 0; ky < 3; ++ky)
-                    s.loadN(img_off +
-                                static_cast<std::uint64_t>(y + ky - 1) *
-                                    side +
-                                (x - 1),
+                    s.loadN(in_off + std::uint64_t{ky} * side + x,
                             px + ky * 3, 3);
                 std::int32_t w[9];
-                s.loadN(conv_w + f * 9 * 4, w, 9);
-                std::int64_t acc = 0;
-                for (int k = 0; k < 9; ++k)
-                    acc += static_cast<std::int64_t>(px[k]) * w[k];
-                const std::int32_t relu = static_cast<std::int32_t>(
-                    std::max<std::int64_t>(acc >> 4, 0));
-                s.store<std::int32_t>(
-                    fmap + (static_cast<std::uint64_t>(f) * side * side +
-                            static_cast<std::uint64_t>(y) * side + x) *
-                               4,
-                    relu);
+                s.loadN(w_off, w, 9);
+                s.store<std::int32_t>(out_off + std::uint64_t{x} * 4,
+                                      conv_pixel(px, px + 3, px + 6, w));
                 s.chargeOps(9 * 3 + 4);
             }
         }
     }
 
-    // 2x2 max pool.
+    // 2x2 max pool: per pooled pixel, a pair from each of two feature-map
+    // rows (4 loads), one store and 8 ops.
+    const auto pool_pixel = [](const std::int32_t *top,
+                               const std::int32_t *bottom) {
+        return std::max({0, top[0], top[1], bottom[0], bottom[1]});
+    };
     for (std::uint32_t f = 0; f < filters; ++f) {
         for (std::uint32_t y = 0; y < pooled_side; ++y) {
-            for (std::uint32_t x = 0; x < pooled_side; ++x) {
-                std::int32_t best = 0;
-                for (std::uint32_t dy = 0; dy < 2; ++dy) {
-                    std::int32_t pair[2];
-                    s.loadN(fmap + (static_cast<std::uint64_t>(f) * side *
-                                        side +
-                                    (2 * y + dy) * side + 2 * x) *
-                                       4,
-                            pair, 2);
-                    best = std::max({best, pair[0], pair[1]});
+            const std::uint64_t top =
+                fmap + (static_cast<std::uint64_t>(f) * side * side +
+                        static_cast<std::uint64_t>(2 * y) * side) *
+                           4;
+            const std::uint64_t bottom = top + std::uint64_t{side} * 4;
+            const std::uint64_t out_off =
+                pooled + (static_cast<std::uint64_t>(f) * pooled_side *
+                              pooled_side +
+                          static_cast<std::uint64_t>(y) * pooled_side) *
+                             4;
+            const std::uint32_t n = pooled_side;
+            if (s.acceptsSpan(top, 4, 2 * n, false) &&
+                s.acceptsSpan(bottom, 4, 2 * n, false) &&
+                s.acceptsSpan(out_off, 4, n, true)) {
+                std::memcpy(rows.data(), s.checkedSpan(top, 4, 2 * n, false),
+                            n * std::size_t{8});
+                std::memcpy(rows.data() + 2 * n,
+                            s.checkedSpan(bottom, 4, 2 * n, false),
+                            n * std::size_t{8});
+                std::uint8_t *out = s.checkedSpan(out_off, 4, n, true);
+                for (std::uint32_t x = 0; x < n; ++x) {
+                    const std::int32_t best =
+                        pool_pixel(&rows[2 * x], &rows[2 * n + 2 * x]);
+                    std::memcpy(out + std::size_t{x} * 4, &best, 4);
                 }
-                s.store<std::int32_t>(
-                    pooled + (static_cast<std::uint64_t>(f) * pooled_side *
-                                  pooled_side +
-                              static_cast<std::uint64_t>(y) * pooled_side +
-                              x) *
-                                 4,
-                    best);
+                s.chargeAccesses(4 * std::uint64_t{n}, false);
+                s.chargeAccesses(n, true);
+                s.chargeOps(8 * std::uint64_t{n});
+                continue;
+            }
+            for (std::uint32_t x = 0; x < n; ++x) {
+                std::int32_t pair[2][2];
+                s.loadN(top + std::uint64_t{x} * 8, pair[0], 2);
+                s.loadN(bottom + std::uint64_t{x} * 8, pair[1], 2);
+                s.store<std::int32_t>(out_off + std::uint64_t{x} * 4,
+                                      pool_pixel(pair[0], pair[1]));
                 s.chargeOps(8);
             }
         }
     }
 
     // Dense layer to 10 logits; weights derived on the fly from the rng
-    // stream (kept in registers — a weight *matrix* would dwarf memory).
+    // stream (kept in registers — a weight *matrix* would dwarf memory),
+    // 22 ops per feature.
     Rng dense_rng(seed ^ 0xd15ea5e);
     std::int64_t logits[10] = {};
     const std::uint64_t feat_count =
@@ -196,8 +252,8 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
             logits[k] += static_cast<std::int64_t>(v) *
                          (static_cast<std::int32_t>((w >> (6 * k)) & 63) - 32);
         }
-        s.chargeOps(22);
     }
+    s.chargeOps(22 * feat_count);
 
     int winner = 0;
     Checksum sum;

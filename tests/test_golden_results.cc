@@ -170,36 +170,44 @@ table1TailNs(const workloads::Table1Workload &workload, serve::Scheme scheme)
         .latency.p99;
 }
 
-TEST(GoldenResults, Table1TailLatencyAndBinaryBloat)
+/**
+ * Table 1's row for handler @p i: tail-latency deltas and binary sizes.
+ * One test case per handler, so ctest runs the four rows in parallel.
+ */
+void
+expectTable1Row(std::size_t i)
 {
     using serve::Scheme;
     const auto list = workloads::table1Workloads();
     ASSERT_EQ(list.size(), std::size(kTable1Pins));
-    for (std::size_t i = 0; i < list.size(); ++i) {
-        const auto &workload = list[i];
-        const Table1Pins &pins = kTable1Pins[i];
-        SCOPED_TRACE(workload.name);
-        const double unsafe_tail = table1TailNs(workload, Scheme::Unsafe);
-        const double hfi_tail = table1TailNs(workload, Scheme::HfiNative);
-        const double swivel_tail = table1TailNs(workload, Scheme::Swivel);
+    const auto &workload = list[i];
+    const Table1Pins &pins = kTable1Pins[i];
+    SCOPED_TRACE(workload.name);
+    const double unsafe_tail = table1TailNs(workload, Scheme::Unsafe);
+    const double hfi_tail = table1TailNs(workload, Scheme::HfiNative);
+    const double swivel_tail = table1TailNs(workload, Scheme::Swivel);
 
-        EXPECT_NEAR(100.0 * (hfi_tail / unsafe_tail - 1.0),
-                    pins.hfiTailDeltaPct, 0.005);
-        EXPECT_NEAR(100.0 * (swivel_tail / unsafe_tail - 1.0),
-                    pins.swivelTailDeltaPct, 0.05);
+    EXPECT_NEAR(100.0 * (hfi_tail / unsafe_tail - 1.0), pins.hfiTailDeltaPct,
+                0.005);
+    EXPECT_NEAR(100.0 * (swivel_tail / unsafe_tail - 1.0),
+                pins.swivelTailDeltaPct, 0.05);
 
-        // The paper's bloat story: HFI adds nothing, Swivel ~0.6 MiB.
-        const auto mib = [&](Scheme scheme) {
-            return static_cast<double>(
-                       workloads::table1BinaryBytes(workload, scheme)) /
-                   (1 << 20);
-        };
-        EXPECT_EQ(workloads::table1BinaryBytes(workload, Scheme::HfiNative),
-                  workloads::table1BinaryBytes(workload, Scheme::Unsafe));
-        EXPECT_NEAR(mib(Scheme::Unsafe), pins.stockBinMib, 0.05);
-        EXPECT_NEAR(mib(Scheme::Swivel), pins.swivelBinMib, 0.05);
-    }
+    // The paper's bloat story: HFI adds nothing, Swivel ~0.6 MiB.
+    const auto mib = [&](Scheme scheme) {
+        return static_cast<double>(
+                   workloads::table1BinaryBytes(workload, scheme)) /
+               (1 << 20);
+    };
+    EXPECT_EQ(workloads::table1BinaryBytes(workload, Scheme::HfiNative),
+              workloads::table1BinaryBytes(workload, Scheme::Unsafe));
+    EXPECT_NEAR(mib(Scheme::Unsafe), pins.stockBinMib, 0.05);
+    EXPECT_NEAR(mib(Scheme::Swivel), pins.swivelBinMib, 0.05);
 }
+
+TEST(GoldenResults, Table1XmlToJson) { expectTable1Row(0); }
+TEST(GoldenResults, Table1ImageClassification) { expectTable1Row(1); }
+TEST(GoldenResults, Table1CheckSha256) { expectTable1Row(2); }
+TEST(GoldenResults, Table1TemplatedHtml) { expectTable1Row(3); }
 
 // ---------------------------------------------------------------------
 // Fig 7 / §5.3: Spectre PoC probe latencies.

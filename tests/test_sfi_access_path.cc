@@ -459,6 +459,56 @@ TEST(AccessPathSpans, AcceptedSpanChargesAsManyAccesses)
     EXPECT_EQ(span->stats().loads, 3000u);
 }
 
+TEST(AccessPathSpans, RefusedCheckedSpanTouchesAndChargesNothing)
+{
+    for (BackendKind kind : {BackendKind::GuardPages, BackendKind::BoundsCheck,
+                             BackendKind::Mask, BackendKind::Hfi}) {
+        SCOPED_TRACE(backendKindName(kind));
+        vm::VirtualClock clock;
+        vm::Mmu mmu{clock};
+        core::HfiContext ctx{clock};
+        RuntimeConfig config;
+        config.backend = kind;
+        Runtime runtime(mmu, ctx, config);
+        auto s = runtime.createSandbox({1, 4});
+        ASSERT_TRUE(s);
+
+        // Three pages in bounds and one element past the end: refused
+        // whole, as are a store straddling the end and an empty span.
+        const std::uint64_t at = kWasmPageSize - 3 * vm::kPageSize;
+        const std::size_t n = 3 * vm::kPageSize / 4;
+        const std::uint64_t faults = mmu.stats().pageFaults;
+        const vm::Cycles c0 = clock.now();
+        EXPECT_EQ(s->checkedSpan(at, 4, n + 1, false), nullptr);
+        EXPECT_EQ(s->checkedSpan(kWasmPageSize - 4, 8, 1, true), nullptr);
+        EXPECT_EQ(s->checkedSpan(at, 4, 0, false), nullptr);
+        s->flushCharge();
+        EXPECT_EQ(mmu.stats().pageFaults, faults);
+        EXPECT_EQ(clock.now(), c0);
+        EXPECT_EQ(s->stats().loads + s->stats().stores, 0u);
+        EXPECT_EQ(s->stats().wrappedAccesses, 0u);
+
+        // Accepted, the same span is paged in and still uncharged; charged
+        // as n stores it costs what n store<uint32_t> calls cost.
+        const vm::Cycles c1 = clock.now();
+        EXPECT_EQ(s->checkedSpan(at, 4, n, true), s->memory().data() + at);
+        EXPECT_EQ(mmu.stats().pageFaults, faults + 3);
+        EXPECT_EQ(s->stats().stores, 0u);
+        s->chargeAccesses(n, true);
+        s->flushCharge();
+        EXPECT_EQ(s->stats().stores, n);
+        const vm::Cycles spanCycles = clock.now() - c1;
+
+        auto loop = runtime.createSandbox({1, 4});
+        ASSERT_TRUE(loop);
+        const vm::Cycles c2 = clock.now();
+        for (std::size_t i = 0; i < n; ++i)
+            loop->store<std::uint32_t>(at + i * 4, 0);
+        loop->flushCharge();
+        EXPECT_EQ(spanCycles, clock.now() - c2);
+    }
+}
+
 // ------------------------------------------------------------ HFI accept
 
 class HfiLiveRegister : public ::testing::Test

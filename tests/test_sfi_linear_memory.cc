@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sfi/linear_memory.h"
+#include "sfi/runtime.h"
 
 namespace
 {
@@ -39,6 +42,45 @@ TEST(LinearMemory, GrowBeyondMaxFails)
     EXPECT_EQ(mem.pages(), 1u);
     EXPECT_EQ(mem.grow(3), 1);
     EXPECT_EQ(mem.grow(1), -1);
+}
+
+TEST(LinearMemory, GrowByAWrappingDeltaFails)
+{
+    // pages + delta wraps 64 bits: memory.grow fails, it never shrinks.
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    LinearMemory mem(64, 4096);
+    EXPECT_EQ(mem.grow(kMax - 10), -1);
+    EXPECT_EQ(mem.grow(kMax), -1);
+    EXPECT_EQ(mem.grow(4096 - 63), -1);
+    EXPECT_EQ(mem.pages(), 64u);
+    EXPECT_EQ(mem.size(), 64 * kWasmPageSize);
+
+    LinearMemory small(2, 4);
+    EXPECT_EQ(small.grow(kMax - 1), -1); // 2 + delta wraps to exactly 0
+    EXPECT_EQ(small.grow(2), 2);
+    EXPECT_EQ(small.grow(kMax), -1);
+    EXPECT_EQ(small.pages(), 4u);
+}
+
+TEST(LinearMemory, SandboxGrowByAWrappingDeltaFails)
+{
+    for (BackendKind kind : {BackendKind::GuardPages, BackendKind::BoundsCheck,
+                             BackendKind::Mask, BackendKind::Hfi}) {
+        SCOPED_TRACE(backendKindName(kind));
+        hfi::vm::VirtualClock clock;
+        hfi::vm::Mmu mmu(clock);
+        hfi::core::HfiContext ctx(clock);
+        RuntimeConfig config;
+        config.backend = kind;
+        auto s = Runtime(mmu, ctx, config).createSandbox({4, 64});
+        ASSERT_TRUE(s);
+        // 4 + delta wraps to 1.
+        EXPECT_EQ(s->memoryGrow(std::numeric_limits<std::uint64_t>::max() - 2),
+                  -1);
+        EXPECT_EQ(s->memory().pages(), 4u);
+        s->store<std::uint8_t>(4 * kWasmPageSize - 1, 1);
+        EXPECT_EQ(s->load<std::uint8_t>(4 * kWasmPageSize - 1), 1u);
+    }
 }
 
 TEST(LinearMemory, NewPagesAreZero)

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "sfi/runtime.h"
 #include "workloads/crypto.h"
@@ -17,6 +19,7 @@
 #include "workloads/image.h"
 #include "workloads/sightglass.h"
 #include "workloads/spec_like.h"
+#include "workloads/support.h"
 
 namespace
 {
@@ -429,6 +432,257 @@ TEST_F(FaasWorkloads, ClassifyImageIsDeterministic)
         b = faas::classifyImage(s, 64, 28, 99);
     });
     EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------- classifyImage row oracle
+
+/**
+ * The image classifier as a plain per-element kernel, the spec the row
+ * kernel in faas_workloads.cc must match on every observable: per output
+ * pixel it loads three 3-pixel input rows and the filter's nine weights,
+ * stores one value and charges 31 ops; per pooled pixel it loads two
+ * pairs, stores one value and charges 8 ops; the dense layer charges 22
+ * ops per feature.
+ */
+std::uint64_t
+classifyImagePerElement(sfi::Sandbox &s, std::uint64_t img_off,
+                        std::uint32_t side, std::uint32_t seed)
+{
+    Arena arena(s, img_off + static_cast<std::uint64_t>(side) * side + 8);
+    const std::uint32_t filters = 8;
+    const std::uint64_t conv_w = arena.alloc(filters * 9 * 4);
+    const std::uint64_t fmap =
+        arena.alloc(static_cast<std::uint64_t>(filters) * side * side * 4);
+    const std::uint32_t pooled_side = side / 2;
+    const std::uint64_t pooled = arena.alloc(
+        static_cast<std::uint64_t>(filters) * pooled_side * pooled_side * 4);
+
+    Rng rng(seed);
+    for (std::uint64_t i = 0; i < filters * 9; ++i) {
+        s.store<std::int32_t>(conv_w + i * 4,
+                              static_cast<std::int32_t>(rng.nextBelow(512)) -
+                                  256);
+    }
+
+    for (std::uint32_t f = 0; f < filters; ++f) {
+        for (std::uint32_t y = 1; y + 1 < side; ++y) {
+            for (std::uint32_t x = 1; x + 1 < side; ++x) {
+                std::uint8_t px[9];
+                for (std::uint32_t ky = 0; ky < 3; ++ky)
+                    s.loadN(img_off +
+                                static_cast<std::uint64_t>(y + ky - 1) *
+                                    side +
+                                (x - 1),
+                            px + ky * 3, 3);
+                std::int32_t w[9];
+                s.loadN(conv_w + f * 9 * 4, w, 9);
+                std::int64_t acc = 0;
+                for (int k = 0; k < 9; ++k)
+                    acc += static_cast<std::int64_t>(px[k]) * w[k];
+                const std::int32_t relu = static_cast<std::int32_t>(
+                    std::max<std::int64_t>(acc >> 4, 0));
+                s.store<std::int32_t>(
+                    fmap + (static_cast<std::uint64_t>(f) * side * side +
+                            static_cast<std::uint64_t>(y) * side + x) *
+                               4,
+                    relu);
+                s.chargeOps(9 * 3 + 4);
+            }
+        }
+    }
+
+    for (std::uint32_t f = 0; f < filters; ++f) {
+        for (std::uint32_t y = 0; y < pooled_side; ++y) {
+            for (std::uint32_t x = 0; x < pooled_side; ++x) {
+                std::int32_t best = 0;
+                for (std::uint32_t dy = 0; dy < 2; ++dy) {
+                    std::int32_t pair[2];
+                    s.loadN(fmap + (static_cast<std::uint64_t>(f) * side *
+                                        side +
+                                    (2 * y + dy) * side + 2 * x) *
+                                       4,
+                            pair, 2);
+                    best = std::max({best, pair[0], pair[1]});
+                }
+                s.store<std::int32_t>(
+                    pooled + (static_cast<std::uint64_t>(f) * pooled_side *
+                                  pooled_side +
+                              static_cast<std::uint64_t>(y) * pooled_side +
+                              x) *
+                                 4,
+                    best);
+                s.chargeOps(8);
+            }
+        }
+    }
+
+    Rng dense_rng(seed ^ 0xd15ea5e);
+    std::int64_t logits[10] = {};
+    const std::uint64_t feat_count =
+        static_cast<std::uint64_t>(filters) * pooled_side * pooled_side;
+    std::vector<std::int32_t> features(feat_count);
+    s.loadN(pooled, features.data(), feat_count);
+    for (std::uint64_t i = 0; i < feat_count; ++i) {
+        const std::int32_t v = features[i];
+        const std::uint64_t w = dense_rng.next();
+        for (int k = 0; k < 10; ++k) {
+            logits[k] += static_cast<std::int64_t>(v) *
+                         (static_cast<std::int32_t>((w >> (6 * k)) & 63) - 32);
+        }
+        s.chargeOps(22);
+    }
+
+    int winner = 0;
+    Checksum sum;
+    for (int k = 0; k < 10; ++k) {
+        if (logits[k] > logits[winner])
+            winner = k;
+        sum.mix(static_cast<std::uint64_t>(logits[k]));
+    }
+    sum.mix(static_cast<std::uint64_t>(winner));
+    return sum.value();
+}
+
+/** Everything a classifier run leaves behind that a caller can see. */
+struct ClassifyObserved
+{
+    std::uint64_t value = 0;
+    bool trapped = false;
+    std::uint64_t trapOffset = 0;
+    std::uint32_t trapWidth = 0;
+    bool trapWrite = false;
+    sfi::SandboxStats stats;
+    std::uint64_t memoryPages = 0;
+    vm::Cycles clock = 0;
+    std::uint64_t pageFaults = 0;
+};
+
+using Classifier = std::uint64_t (*)(sfi::Sandbox &, std::uint64_t,
+                                     std::uint32_t, std::uint32_t);
+
+/**
+ * Classify a @p side x @p side image on a fresh {4, 64}-page sandbox, or,
+ * when @p stale_pages is nonzero, on an HFI {8, 64}-page sandbox that
+ * runs while a {stale_pages}-page instance's heap region is installed:
+ * created after it, not rebound. Such a run is not entered (hfi_enter
+ * would reload the region); it traps past the smaller bound.
+ */
+ClassifyObserved
+classifyObserved(Classifier classify, sfi::BackendKind kind,
+                 std::uint32_t side, std::uint64_t stale_pages = 0)
+{
+    vm::VirtualClock clock;
+    vm::Mmu mmu(clock);
+    core::HfiContext ctx(clock);
+    sfi::RuntimeConfig config;
+    config.backend = kind;
+    sfi::Runtime runtime(mmu, ctx, config);
+    sfi::SandboxOptions opts;
+    opts.initialPages = stale_pages ? 8 : 4;
+    opts.maxPages = 64;
+    auto sandbox = runtime.createSandbox(opts);
+    EXPECT_TRUE(sandbox);
+    const auto img = image::makeTestImage(side, side, 7);
+    sandbox->memory().writeBytes(64, img.data(), img.size());
+
+    ClassifyObserved obs;
+    const auto body = [&](sfi::Sandbox &s) {
+        try {
+            obs.value = classify(s, 64, side, 99);
+        } catch (const sfi::SandboxTrap &trap) {
+            obs.trapped = true;
+            obs.trapOffset = trap.offset();
+            obs.trapWidth = trap.width();
+            obs.trapWrite = trap.isWrite();
+        }
+    };
+    std::unique_ptr<sfi::Sandbox> smaller;
+    if (stale_pages) {
+        smaller = runtime.createSandbox({stale_pages, stale_pages});
+        EXPECT_TRUE(smaller);
+        body(*sandbox);
+        sandbox->exit();
+    } else {
+        EXPECT_TRUE(sandbox->invoke(body));
+    }
+    obs.stats = sandbox->stats();
+    obs.memoryPages = sandbox->memory().pages();
+    obs.clock = clock.now();
+    obs.pageFaults = mmu.stats().pageFaults;
+    return obs;
+}
+
+void
+expectSameObservables(const ClassifyObserved &got,
+                      const ClassifyObserved &want)
+{
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.trapped, want.trapped);
+    EXPECT_EQ(got.trapOffset, want.trapOffset);
+    EXPECT_EQ(got.trapWidth, want.trapWidth);
+    EXPECT_EQ(got.trapWrite, want.trapWrite);
+    EXPECT_EQ(got.stats.loads, want.stats.loads);
+    EXPECT_EQ(got.stats.stores, want.stats.stores);
+    EXPECT_EQ(got.stats.ops, want.stats.ops);
+    EXPECT_EQ(got.stats.growCalls, want.stats.growCalls);
+    EXPECT_EQ(got.stats.traps, want.stats.traps);
+    EXPECT_EQ(got.stats.wrappedAccesses, want.stats.wrappedAccesses);
+    EXPECT_EQ(got.stats.invocations, want.stats.invocations);
+    EXPECT_EQ(got.memoryPages, want.memoryPages);
+    EXPECT_EQ(got.clock, want.clock);
+    EXPECT_EQ(got.pageFaults, want.pageFaults);
+}
+
+class ClassifyImageOracle : public ::testing::TestWithParam<sfi::BackendKind>
+{
+};
+
+TEST_P(ClassifyImageOracle, RowKernelMatchesPerElementKernel)
+{
+    for (std::uint32_t side : {28u, 96u}) {
+        SCOPED_TRACE(side);
+        const auto want =
+            classifyObserved(classifyImagePerElement, GetParam(), side);
+        const auto got =
+            classifyObserved(faas::classifyImage, GetParam(), side);
+        EXPECT_FALSE(want.trapped);
+        EXPECT_NE(want.value, 0u);
+        expectSameObservables(got, want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ClassifyImageOracle,
+    ::testing::Values(sfi::BackendKind::GuardPages,
+                      sfi::BackendKind::BoundsCheck, sfi::BackendKind::Mask,
+                      sfi::BackendKind::Hfi),
+    [](const ::testing::TestParamInfo<sfi::BackendKind> &info) {
+        std::string name = sfi::backendKindName(info.param);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+TEST(ClassifyImageStaleHfiRegion, TrapsOnTheSameElementAsPerElement)
+{
+    // A 64 KiB bound cuts the convolution's feature map (at 96x96), a
+    // 320 KiB bound the pooled map; at 28x28 every span fits in 64 KiB.
+    const struct
+    {
+        std::uint32_t side;
+        std::uint64_t stalePages;
+        bool traps;
+    } cases[] = {{28, 1, false}, {96, 1, true}, {96, 5, true}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(testing::Message() << c.side << "x" << c.side << " under "
+                                        << c.stalePages << " pages");
+        const auto want =
+            classifyObserved(classifyImagePerElement, sfi::BackendKind::Hfi,
+                             c.side, c.stalePages);
+        const auto got = classifyObserved(
+            faas::classifyImage, sfi::BackendKind::Hfi, c.side, c.stalePages);
+        EXPECT_EQ(want.trapped, c.traps);
+        expectSameObservables(got, want);
+    }
 }
 
 TEST_F(FaasWorkloads, TemplateRenderingExpandsLoops)
