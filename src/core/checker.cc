@@ -67,24 +67,11 @@ AccessChecker::checkData(const HfiContext &ctx, VAddr addr,
     return checkData(ctx.registerFile(), addr, width, write);
 }
 
-CheckResult
-AccessChecker::checkFetch(const HfiContext &ctx, VAddr addr)
-{
-    return checkFetch(ctx.registerFile(), addr);
-}
-
 HmovResult
 AccessChecker::checkHmov(const HfiContext &ctx, unsigned explicit_index,
                          const HmovOperands &ops, bool write)
 {
     return checkHmov(ctx.registerFile(), explicit_index, ops, write);
-}
-
-HmovResult
-AccessChecker::checkHmovNaive(const HfiContext &ctx, unsigned explicit_index,
-                              const HmovOperands &ops, bool write)
-{
-    return checkHmovNaive(ctx.registerFile(), explicit_index, ops, write);
 }
 
 } // namespace hfi::core

@@ -294,13 +294,9 @@ class AccessChecker
     /** Convenience overloads over a live context's active bank. @{ */
     static CheckResult checkData(const HfiContext &ctx, VAddr addr,
                                  std::uint32_t width, bool write);
-    static CheckResult checkFetch(const HfiContext &ctx, VAddr addr);
     static HmovResult checkHmov(const HfiContext &ctx,
                                 unsigned explicit_index,
                                 const HmovOperands &ops, bool write);
-    static HmovResult checkHmovNaive(const HfiContext &ctx,
-                                     unsigned explicit_index,
-                                     const HmovOperands &ops, bool write);
     /** @} */
 };
 

@@ -1,77 +1,26 @@
 /**
  * @file
- * The per-core HFI register state and instruction semantics (§3, §4.4).
- *
- * HfiContext models one CPU core's HFI extension: the ten region
- * registers, the exit-handler register, the configuration register, the
- * exit-reason MSR, and — when the switch-on-exit extension is in use — a
- * shadow bank holding the trusted runtime's registers (§4.5).
- *
- * Every architectural rule from the paper is enforced here:
- *  - region registers are locked between hfi_enter and exit for *native*
- *    sandboxes, writable from inside *hybrid* sandboxes (§3.3.1);
- *  - syscalls in native sandboxes are converted into a jump to the exit
- *    handler (§4.4); in hybrid sandboxes they pass through;
- *  - hfi_exit under switch-on-exit atomically restores the runtime's
- *    register bank instead of disabling HFI (§3.4, §4.5);
- *  - xrstor with save-hfi-regs traps inside a native sandbox (§3.3.3).
- *
- * All instruction costs are charged to the VirtualClock through
- * HfiCostParams so experiments see the paper's transition-cost structure.
+ * HfiContext: one core's HFI extension as the trusted runtime drives it
+ * (§3, §4.4). The state and rules are an HfiState, the model the
+ * simulator executes too; HfiContext adds the instruction costs charged
+ * to the VirtualClock (HfiCostParams, so experiments see the paper's
+ * transition-cost structure), counters, trace events, hfi_reenter's
+ * saved configuration, and xsave/xrstor (§3.3.3).
  */
 
 #ifndef HFI_CORE_CONTEXT_H
 #define HFI_CORE_CONTEXT_H
 
-#include <array>
 #include <cstdint>
 #include <optional>
 
 #include "core/cost_model.h"
-#include "core/region.h"
+#include "core/hfi_state.h"
 #include "obs/trace.h"
 #include "vm/virtual_clock.h"
 
 namespace hfi::core
 {
-
-/**
- * Why the core last left HFI mode (or why an HFI operation trapped).
- * Recorded in the exit-reason MSR (§3.3.2) and readable by the trusted
- * runtime's exit handler or SIGSEGV handler.
- */
-enum class ExitReason : std::uint8_t
-{
-    None = 0,
-    HfiExit,            ///< sandbox executed hfi_exit
-    Syscall,            ///< native sandbox attempted a system call
-    DataBoundsViolation,///< load/store missed all implicit data regions
-    CodeBoundsViolation,///< instruction fetch missed all code regions
-    PermissionViolation,///< first-match region lacked the permission
-    HmovBoundsViolation,///< hmov effective address out of region bounds
-    HmovNegativeOperand,///< hmov used a negative index/displacement
-    HmovOverflow,       ///< hmov effective-address computation overflowed
-    HmovEmptyRegion,    ///< hmov through a cleared/ill-typed region
-    HardwareFault,      ///< non-HFI trap (e.g. page fault) in sandbox
-    IllegalRegionUpdate,///< region write attempted in a native sandbox
-    IllegalXrstor,      ///< xrstor(save-hfi-regs) inside a native sandbox
-};
-
-/** Number of ExitReason values (for per-reason accounting arrays). */
-constexpr unsigned kNumExitReasons =
-    static_cast<unsigned>(ExitReason::IllegalXrstor) + 1;
-
-/**
- * Parameters of hfi_enter — the paper's sandbox_t (appendix A.1).
- */
-struct SandboxConfig
-{
-    bool isHybrid = false;     ///< hybrid (trusted-compiler) sandbox
-    bool isSerialized = false; ///< serialize enter/exit (§3.4)
-    bool switchOnExit = false; ///< use the switch-on-exit extension
-    /** Exit-handler address; 0 means no handler installed. */
-    VAddr exitHandler = 0;
-};
 
 /** Outcome of an HFI instruction that can trap. */
 enum class HfiResult
@@ -81,97 +30,33 @@ enum class HfiResult
 };
 
 /**
- * A snapshot of the HFI register file, as saved/restored by the OS with
- * xsave/xrstor (§3.3.3) or swapped by switch-on-exit (§4.5).
- *
- * Region registers are written through setRegion(), which also keeps a
- * flattened (discriminant + packed fields) shadow of every slot. The
- * per-access checks (AccessChecker::checkData/checkFetch/checkHmov) read
- * only the flattened bank, so the hot path is a compare-and-branch over
- * PODs rather than std::variant probing; the variant view stays
- * authoritative for everything cold (validation, tests, logs).
- */
-struct HfiRegisterFile
-{
-    SandboxConfig config{};
-    bool enabled = false;
-
-    /** Region register @p n (variant view). */
-    const Region &region(unsigned n) const { return regions_[n]; }
-
-    /** All region registers (variant view). */
-    const std::array<Region, kNumRegions> &regions() const
-    {
-        return regions_;
-    }
-
-    /** Write region register @p n, reflattening its slot. */
-    void
-    setRegion(unsigned n, const Region &region)
-    {
-        regions_[n] = region;
-        flat_[n] = flattenRegion(region);
-    }
-
-    /** Flattened slot @p n — what the per-access checks read. */
-    const FlatRegionSlot &flat(unsigned n) const { return flat_[n]; }
-
-  private:
-    std::array<Region, kNumRegions> regions_{};
-    std::array<FlatRegionSlot, kNumRegions> flat_{};
-};
-
-/**
- * One core's HFI extension state and instruction implementations.
- *
- * The trusted runtime drives this object exactly like software drives the
- * real instructions: configure regions, hfi_enter, let sandboxed code's
- * accesses be checked (see AccessChecker), and handle exits.
+ * One core's HFI extension as the trusted runtime drives it: configure
+ * regions, hfi_enter, let sandboxed code's accesses be checked (see
+ * AccessChecker), and handle exits. Each instruction applies the
+ * HfiState transition of the same name (whose documentation states the
+ * rule) and charges its cost.
  */
 class HfiContext
 {
   public:
     explicit HfiContext(vm::VirtualClock &clock, HfiCostParams costs = {});
 
-    /**
-     * hfi_set_region: write @p region into register @p n.
-     *
-     * Traps (IllegalRegionUpdate) when executed inside a native sandbox,
-     * when the region value is ill-formed, or when the region type does
-     * not match the register class (0-1 code, 2-5 implicit data, 6-9
-     * explicit). Serializes when executed inside a hybrid sandbox (§4.3).
-     */
+    /** hfi_set_region. A trap is reported, not delivered. */
     HfiResult setRegion(unsigned n, const Region &region);
 
     /** hfi_get_region: read register @p n. Traps in a native sandbox. */
     std::optional<Region> getRegion(unsigned n);
 
-    /** hfi_clear_region. Traps inside a native sandbox. */
+    /** hfi_clear_region. A trap is reported, not delivered. */
     HfiResult clearRegion(unsigned n);
 
-    /** hfi_clear_all_regions. Traps inside a native sandbox. */
+    /** hfi_clear_all_regions. A trap is reported, not delivered. */
     HfiResult clearAllRegions();
 
-    /**
-     * hfi_enter: enable HFI mode with @p config.
-     *
-     * With switch-on-exit set, the current register file (the trusted
-     * runtime's own hybrid-sandbox state) is preserved in the shadow bank
-     * and restored by the matching hfi_exit (§4.5). Charges
-     * serialization when config.isSerialized.
-     */
+    /** hfi_enter. */
     HfiResult enter(const SandboxConfig &config);
 
-    /**
-     * hfi_exit: leave the current sandbox.
-     *
-     * For a switch-on-exit sandbox this atomically restores the shadow
-     * bank and *stays in HFI mode* (inside the runtime's sandbox); for
-     * all others it disables HFI, records ExitReason::HfiExit, and
-     * returns the exit-handler address to jump to (0 = fall through).
-     *
-     * @return the handler address control is transferred to, or 0.
-     */
+    /** hfi_exit. @return the handler control transfers to, or 0. */
     VAddr exit();
 
     /**
@@ -181,20 +66,17 @@ class HfiContext
     HfiResult reenter();
 
     /**
-     * A syscall instruction was decoded while this core runs sandboxed
-     * code (§4.4).
+     * A syscall instruction was decoded (HfiState::syscall).
      *
      * @retval std::nullopt the syscall may proceed (HFI off, or hybrid).
-     * @retval handler address the syscall was converted into a jump to
-     *         the exit handler; HFI is disabled and the MSR records
-     *         ExitReason::Syscall.
+     * @retval handler the exit handler the syscall was redirected to; 0
+     *         when none was installed and the trap was delivered.
      */
     std::optional<VAddr> onSyscall();
 
     /**
-     * A hardware trap or HFI bounds violation occurred while sandboxed
-     * (§3.3.2): disable HFI and record the reason. The OS then delivers
-     * a signal to the trusted runtime.
+     * Deliver a hardware trap or HFI bounds violation (HfiState::trap).
+     * The OS then signals the trusted runtime (§3.3.2).
      */
     void onFault(ExitReason reason);
 
@@ -202,7 +84,7 @@ class HfiContext
     ExitReason readExitReasonMsr();
 
     /** Exit-reason MSR value without charging a read (for tests/stats). */
-    ExitReason exitReason() const { return msrExitReason; }
+    ExitReason exitReason() const { return state_.msr; }
 
     /**
      * xsave with save-hfi-regs: snapshot the register file (§3.3.3).
@@ -230,22 +112,19 @@ class HfiContext
     void kernelXrstor(const HfiRegisterFile &file);
 
     /** True while HFI mode is enabled. */
-    bool enabled() const { return bank.enabled; }
+    bool enabled() const { return state_.bank.enabled; }
 
     /** Active sandbox configuration (meaningful while enabled). */
-    const SandboxConfig &config() const { return bank.config; }
+    const SandboxConfig &config() const { return state_.bank.config; }
 
     /** Current value of region register @p n (no cost; for the checker). */
-    const Region &region(unsigned n) const { return bank.region(n); }
-
-    /** All region registers (no cost; for the checker). */
-    const std::array<Region, kNumRegions> &regions() const
-    {
-        return bank.regions();
-    }
+    Region region(unsigned n) const { return state_.bank.region(n); }
 
     /** The full active register bank (no cost; for the checker). */
-    const HfiRegisterFile &registerFile() const { return bank; }
+    const HfiRegisterFile &registerFile() const { return state_.bank; }
+
+    /** The architectural state: banks, shadow-valid bit, MSR (no cost). */
+    const HfiState &state() const { return state_; }
 
     /** True if the last exit used the switch-on-exit path (for tests). */
     bool lastExitSwitched() const { return lastExitSwitched_; }
@@ -277,26 +156,24 @@ class HfiContext
     obs::TraceBuffer *trace() const { return trace_; }
 
   private:
-    /** True when region registers are locked (native sandbox active). */
-    bool regionsLocked() const { return bank.enabled && !bank.config.isHybrid; }
-
     void charge(std::uint64_t cycles) { clock_.tick(cycles); }
     void serialize();
+    /**
+     * Finish a region update of register @p n (kNumRegions: all):
+     * report a trap, or charge a serialization (§4.3), count and trace.
+     */
+    HfiResult regionUpdated(const HfiOutcome &out, unsigned n,
+                            obs::EventType event);
 
     vm::VirtualClock &clock_;
     HfiCostParams costs_;
 
-    /** The active register bank. */
-    HfiRegisterFile bank;
-    /** Shadow bank for the switch-on-exit extension (§4.5). */
-    HfiRegisterFile shadow;
-    bool shadowValid = false;
+    HfiState state_;
 
     /** Saved configuration for hfi_reenter. */
     SandboxConfig lastConfig{};
     bool lastConfigValid = false;
 
-    ExitReason msrExitReason = ExitReason::None;
     bool lastExitSwitched_ = false;
 
     obs::TraceBuffer *trace_ = nullptr;

@@ -86,6 +86,8 @@ struct ImplicitCodeRegion
     {
         return ((lsbMask + 1) & lsbMask) == 0 && (basePrefix & lsbMask) == 0;
     }
+
+    bool operator==(const ImplicitCodeRegion &) const = default;
 };
 
 /**
@@ -110,6 +112,8 @@ struct ImplicitDataRegion
     {
         return ((lsbMask + 1) & lsbMask) == 0 && (basePrefix & lsbMask) == 0;
     }
+
+    bool operator==(const ImplicitDataRegion &) const = default;
 };
 
 /**
@@ -149,11 +153,15 @@ struct ExplicitDataRegion
         return (baseAddress >> 32) == (last >> 32) ||
                (baseAddress + bound) % kSmallRegionMaxBound == 0;
     }
+
+    bool operator==(const ExplicitDataRegion &) const = default;
 };
 
 /** A cleared (inaccessible) region register. */
 struct EmptyRegion
 {
+    bool wellFormed() const { return true; }
+    bool operator==(const EmptyRegion &) const = default;
 };
 
 /** Any region register value. */
@@ -161,8 +169,8 @@ using Region = std::variant<EmptyRegion, ImplicitCodeRegion,
                             ImplicitDataRegion, ExplicitDataRegion>;
 
 /**
- * Discriminant of a flattened region-register slot (see FlatRegionSlot).
- * Mirrors the Region variant's alternatives one-for-one.
+ * Discriminant of a region value and class of a region register
+ * number. Mirrors the Region variant's alternatives one-for-one.
  */
 enum class RegionKind : std::uint8_t
 {
@@ -172,12 +180,23 @@ enum class RegionKind : std::uint8_t
     ExplicitData,
 };
 
+/** The kind register number @p n holds (0-1 code, 2-5 implicit, 6-9 explicit). */
+constexpr RegionKind
+regionKindOf(unsigned n)
+{
+    if (n < kFirstImplicitDataRegion)
+        return RegionKind::Code;
+    if (n < kFirstExplicitRegion)
+        return RegionKind::ImplicitData;
+    return RegionKind::ExplicitData;
+}
+
 /**
  * The flattened (hardware-register-shaped) rendering of one region
- * register, precomputed when the register is written so the per-access
+ * register — the only form a register bank stores. The per-access
  * checks read a discriminant byte plus packed fields instead of probing
  * a std::variant (§4.1's point that the check must be a handful of
- * gates, not a dispatch).
+ * gates, not a dispatch); the Region value is decoded on read.
  *
  * For implicit regions the prefix compare `(addr & ~lsbMask) ==
  * basePrefix` is precomputed as `(addr & prefixMask) == base`, so the
@@ -196,6 +215,8 @@ struct FlatRegionSlot
     std::uint64_t base = 0;
     /** Explicit regions: bound in bytes. */
     std::uint64_t bound = 0;
+
+    bool operator==(const FlatRegionSlot &) const = default;
 };
 
 /** Flatten a region-register value (done once, at register write). */
@@ -225,49 +246,38 @@ flattenRegion(const Region &region)
     return slot;
 }
 
-/** Classification of a region number. */
-enum class RegionClass
+/** The region value a slot holds: the exact inverse of flattenRegion. */
+inline Region
+decodeRegion(const FlatRegionSlot &slot)
 {
-    Code,
-    ImplicitData,
-    ExplicitData,
-};
-
-/** Classify region number @p n (0-1 code, 2-5 implicit, 6-9 explicit). */
-constexpr RegionClass
-regionClassOf(unsigned n)
-{
-    if (n < kFirstImplicitDataRegion)
-        return RegionClass::Code;
-    if (n < kFirstExplicitRegion)
-        return RegionClass::ImplicitData;
-    return RegionClass::ExplicitData;
+    switch (slot.kind) {
+      case RegionKind::Code:
+        return ImplicitCodeRegion{slot.base, ~slot.prefixMask, slot.permExec};
+      case RegionKind::ImplicitData:
+        return ImplicitDataRegion{slot.base, ~slot.prefixMask, slot.permRead,
+                                  slot.permWrite};
+      case RegionKind::ExplicitData:
+        return ExplicitDataRegion{slot.base, slot.bound, slot.permRead,
+                                  slot.permWrite, slot.isLarge};
+      case RegionKind::Empty:
+        break;
+    }
+    return EmptyRegion{};
 }
 
 /**
  * True when @p region may legally be stored in register number @p n:
- * the variant alternative must match the register class and the value
- * must obey its well-formedness rules. EmptyRegion is storable anywhere
- * (it is what hfi_clear_region writes). The one validity rule for
- * HfiContext::setRegion and the simulator's hfi_set_region.
+ * its kind must match the register's and the value must obey its
+ * well-formedness rules. EmptyRegion is storable anywhere (it is what
+ * hfi_clear_region writes).
  */
 inline bool
 regionStorable(unsigned n, const Region &region)
 {
-    if (std::holds_alternative<EmptyRegion>(region))
-        return true;
-    switch (regionClassOf(n)) {
-      case RegionClass::Code:
-        return std::holds_alternative<ImplicitCodeRegion>(region) &&
-               std::get<ImplicitCodeRegion>(region).wellFormed();
-      case RegionClass::ImplicitData:
-        return std::holds_alternative<ImplicitDataRegion>(region) &&
-               std::get<ImplicitDataRegion>(region).wellFormed();
-      case RegionClass::ExplicitData:
-        return std::holds_alternative<ExplicitDataRegion>(region) &&
-               std::get<ExplicitDataRegion>(region).wellFormed();
-    }
-    return false;
+    const auto kind = static_cast<RegionKind>(region.index());
+    return kind == RegionKind::Empty ||
+           (kind == regionKindOf(n) &&
+            std::visit([](const auto &r) { return r.wellFormed(); }, region));
 }
 
 } // namespace hfi::core

@@ -92,12 +92,12 @@ ServeEngine::partition() const
         return parts;
     }
 
-    auto arrivals = std::make_unique<OpenLoopPoissonSource>(
+    std::vector<Request> arrivals = poissonArrivals(
         config_.requests, config_.meanInterarrivalNs, config_.seed, 0.0);
     if (!config_.realThreads || n == 1) {
         Partition &part = parts.emplace_back();
         part.workers = std::move(workers);
-        part.source = std::move(arrivals);
+        part.source = std::make_unique<VectorSource>(std::move(arrivals));
         return parts;
     }
 
@@ -109,7 +109,7 @@ ServeEngine::partition() const
     // (including the admit-vs-serve tie break and bounded-queue
     // shedding) of the sequential loop, so the result is bit-identical.
     std::vector<std::vector<Request>> split(n);
-    for (const Request &req : arrivals->arrivals())
+    for (const Request &req : arrivals)
         split[static_cast<std::size_t>(req.id % n)].push_back(req);
     parts.resize(n);
     for (unsigned w = 0; w < n; ++w) {

@@ -21,12 +21,12 @@ mixSeed(std::uint64_t seed, std::uint64_t id)
     return static_cast<std::uint32_t>(splitmix64(state));
 }
 
-OpenLoopPoissonSource::OpenLoopPoissonSource(unsigned requests,
-                                             double mean_interarrival_ns,
-                                             std::uint64_t seed,
-                                             double start_ns)
+std::vector<Request>
+poissonArrivals(unsigned requests, double mean_interarrival_ns,
+                std::uint64_t seed, double start_ns)
 {
-    arrivals_.reserve(requests);
+    std::vector<Request> arrivals;
+    arrivals.reserve(requests);
     std::uint64_t state = seed ^ 0x7e57ab1e5eedULL;
     double t = start_ns;
     for (unsigned i = 0; i < requests; ++i) {
@@ -39,16 +39,9 @@ OpenLoopPoissonSource::OpenLoopPoissonSource(unsigned requests,
         req.id = i;
         req.arrivalNs = t;
         req.seed = mixSeed(seed, i);
-        arrivals_.push_back(req);
+        arrivals.push_back(req);
     }
-}
-
-std::optional<Request>
-OpenLoopPoissonSource::next()
-{
-    if (nextIndex >= arrivals_.size())
-        return std::nullopt;
-    return arrivals_[nextIndex++];
+    return arrivals;
 }
 
 ClosedLoopSource::ClosedLoopSource(unsigned clients, unsigned requests,

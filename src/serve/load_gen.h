@@ -54,30 +54,20 @@ class ArrivalSource
 
 /**
  * Open loop: @p requests arrivals with exponential(mean) interarrival
- * gaps — a Poisson process — generated up front from @p seed.
+ * gaps — a Poisson process — generated up front from @p seed, in time
+ * order. Request i carries id i and seed mixSeed(@p seed, i).
  */
-class OpenLoopPoissonSource : public ArrivalSource
-{
-  public:
-    OpenLoopPoissonSource(unsigned requests, double mean_interarrival_ns,
-                          std::uint64_t seed, double start_ns = 0);
-
-    std::optional<Request> next() override;
-
-    const std::vector<Request> &arrivals() const { return arrivals_; }
-
-  private:
-    std::vector<Request> arrivals_;
-    std::size_t nextIndex = 0;
-};
+std::vector<Request> poissonArrivals(unsigned requests,
+                                     double mean_interarrival_ns,
+                                     std::uint64_t seed, double start_ns = 0);
 
 /**
  * A source over a pre-built arrival list (already in time order).
  *
- * This is how the threaded engine drives one shard: the open-loop
- * arrival sequence is generated once up front, partitioned by shard,
- * and each host thread replays its partition through the ordinary
- * event loop.
+ * This is how the engine replays open-loop load: the arrival sequence
+ * is generated once up front (poissonArrivals); the sequential driver
+ * replays all of it, the threaded driver one shard's partition per
+ * host thread, through the same event loop.
  */
 class VectorSource : public ArrivalSource
 {

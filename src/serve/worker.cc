@@ -33,7 +33,7 @@ Worker::Worker(unsigned index, const WorkerConfig &config,
     : index_(index), config_(config), handler_(handler),
       mmu_(clock_, config_.vaBits), ctx_(clock_),
       runtime_(mmu_, ctx_, runtimeConfig(config_)),
-      sched_(ctx_, config_.schedulerCosts)
+      sched_(ctx_)
 {
     serverPid = sched_.createProcess("server-core" + std::to_string(index));
     tenantPid = sched_.createProcess("tenant-core" + std::to_string(index));
@@ -203,7 +203,7 @@ Worker::flushRetired()
     raw.reserve(retired.size());
     for (const auto &s : retired)
         raw.push_back(s.get());
-    runtime_.reclaim(raw, config_.reclaimPolicy, retired.size());
+    runtime_.reclaim(raw, sfi::ReclaimPolicy::Batched, retired.size());
     ++stats_.reclaimBatches;
     retired.clear();
 }

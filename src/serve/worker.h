@@ -63,11 +63,9 @@ struct WorkerConfig
     sfi::SandboxOptions sandboxOptions{1, 64};
     /** Retired instances per batched-madvise teardown (§6.3.1). */
     std::size_t teardownBatch = 32;
-    sfi::ReclaimPolicy reclaimPolicy = sfi::ReclaimPolicy::Batched;
 
     /** Address-space width of each core's arena. */
     unsigned vaBits = 48;
-    os::SchedulerCosts schedulerCosts{};
 
     /** Fault injection (rate 0 = stock happy path, zero overhead). */
     FaultConfig faults{};

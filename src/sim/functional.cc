@@ -84,9 +84,9 @@ FunctionalCore::runReference(const Program &program, ArchState &state,
     while (steps < max_steps) {
         // Code-region check on the fetch address (§4.1).
         const core::CheckResult fetch_check =
-            core::AccessChecker::checkFetch(state.hfi, state.pc);
+            core::AccessChecker::checkFetch(state.hfi.bank, state.pc);
         if (!fetch_check.ok) {
-            retireTrap(state, fetch_check.reason);
+            state.hfi.trap(fetch_check.reason);
             break;
         }
         const Inst *inst = program.fetch(state.pc, &fetchHint);
@@ -96,7 +96,7 @@ FunctionalCore::runReference(const Program &program, ArchState &state,
             FunctionalCore::executeOn(*inst, state.pc, state, view);
         ++steps;
         if (info.faulted) {
-            retireTrap(state, info.faultReason);
+            state.hfi.trap(info.faultReason);
             break;
         }
         if (info.halted)
@@ -187,14 +187,14 @@ FunctionalCore::run(const Program &program, ArchState &state,
 
 #define HFI_SIM_FAULT(the_reason)                                            \
     do {                                                                     \
-        retireTrap(state, (the_reason));                                     \
+        state.hfi.trap(the_reason);                                          \
         state.pc = program.addressOf(index);                                 \
         return steps;                                                        \
     } while (0)
 
     for (;;) {
         // Try to (re-)enter the fast loop at the current pc.
-        if (count != 0 && fetchCoversProgram(state.hfi, program)) {
+        if (count != 0 && fetchCoversProgram(state.hfi.bank, program)) {
             index = program.indexAt(state.pc);
             if (index != Program::kNoInst)
                 HFI_SIM_DISPATCH;
@@ -209,9 +209,9 @@ FunctionalCore::run(const Program &program, ArchState &state,
             if (steps >= max_steps)
                 return steps;
             const core::CheckResult fetch_check =
-                core::AccessChecker::checkFetch(state.hfi, state.pc);
+                core::AccessChecker::checkFetch(state.hfi.bank, state.pc);
             if (!fetch_check.ok) {
-                retireTrap(state, fetch_check.reason);
+                state.hfi.trap(fetch_check.reason);
                 return steps;
             }
             const Inst *ref = program.fetch(state.pc, &fetchHint);
@@ -220,7 +220,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
             const ExecInfo info = executeOn(*ref, state.pc, state, view);
             ++steps;
             if (info.faulted) {
-                retireTrap(state, info.faultReason);
+                state.hfi.trap(info.faultReason);
                 return steps;
             }
             if (info.halted)
@@ -293,7 +293,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
         if (inst->useIndex)
             addr += regs[inst->rb] * inst->scale;
         const core::CheckResult check = core::AccessChecker::checkData(
-            state.hfi, addr, inst->width, false);
+            state.hfi.bank, addr, inst->width, false);
         if (!check.ok)
             HFI_SIM_FAULT(check.reason);
         regs[inst->rd] = view.load(addr, inst->width);
@@ -305,14 +305,14 @@ FunctionalCore::run(const Program &program, ArchState &state,
         if (inst->useIndex)
             addr += regs[inst->rb] * inst->scale;
         const core::CheckResult check = core::AccessChecker::checkData(
-            state.hfi, addr, inst->width, true);
+            state.hfi.bank, addr, inst->width, true);
         if (!check.ok)
             HFI_SIM_FAULT(check.reason);
         view.store(addr, regs[inst->rd], inst->width);
         HFI_SIM_NEXT;
     }
     op_HmovLoad: {
-        if (!state.hfi.enabled)
+        if (!state.hfi.bank.enabled)
             goto op_slow; // invalid opcode outside HFI mode
         core::HmovOperands ops;
         ops.index = inst->useIndex
@@ -322,14 +322,14 @@ FunctionalCore::run(const Program &program, ArchState &state,
         ops.displacement = inst->imm;
         ops.width = inst->width;
         const core::HmovResult res = core::AccessChecker::checkHmov(
-            state.hfi, inst->region, ops, false);
+            state.hfi.bank, inst->region, ops, false);
         if (!res.ok)
             HFI_SIM_FAULT(res.reason);
         regs[inst->rd] = view.load(res.address, inst->width);
         HFI_SIM_NEXT;
     }
     op_HmovStore: {
-        if (!state.hfi.enabled)
+        if (!state.hfi.bank.enabled)
             goto op_slow;
         core::HmovOperands ops;
         ops.index = inst->useIndex
@@ -339,7 +339,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
         ops.displacement = inst->imm;
         ops.width = inst->width;
         const core::HmovResult res = core::AccessChecker::checkHmov(
-            state.hfi, inst->region, ops, true);
+            state.hfi.bank, inst->region, ops, true);
         if (!res.ok)
             HFI_SIM_FAULT(res.reason);
         view.store(res.address, regs[inst->rd], inst->width);

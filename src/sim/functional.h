@@ -28,35 +28,20 @@
 namespace hfi::sim
 {
 
-/** Architectural (or speculative) machine state. Cheap to copy. */
+/**
+ * Architectural (or speculative) machine state. Cheap to copy.
+ *
+ * A trap's architectural effects (HfiState::trap) apply at retirement:
+ * the functional core applies them where it stops, the pipeline when
+ * the faulting instruction commits.
+ */
 struct ArchState
 {
     std::array<std::uint64_t, kNumRegs> regs{};
     std::uint64_t pc = 0;
-    /** The HFI register bank (regions, config, enabled). */
-    core::HfiRegisterFile hfi{};
-    /**
-     * The shadow bank of the switch-on-exit extension (§4.5): holds the
-     * trusted runtime's registers while a child sandbox runs.
-     */
-    core::HfiRegisterFile hfiShadow{};
-    bool shadowValid = false;
-    /** Exit-reason MSR (§3.3.2). */
-    core::ExitReason msr = core::ExitReason::None;
+    /** HFI banks, shadow-valid bit and exit-reason MSR. */
+    core::HfiState hfi{};
 };
-
-/**
- * A trap's architectural effects at retirement (§3.3.2): HFI disables
- * the sandbox and records the cause in the exit-reason MSR. The
- * functional core applies them where it stops; the pipeline when the
- * faulting instruction commits.
- */
-inline void
-retireTrap(ArchState &state, core::ExitReason reason)
-{
-    state.hfi.enabled = false;
-    state.msr = reason;
-}
 
 /** Memory interface the executor reads/writes through. */
 class MemView
@@ -130,40 +115,53 @@ regionFromDescriptor(unsigned region_number, std::uint64_t base,
     const bool write = perms & 2;
     const bool exec = perms & 4;
     const bool large = perms & 8;
-    switch (core::regionClassOf(region_number)) {
-      case core::RegionClass::Code: {
-        core::ImplicitCodeRegion r;
-        r.basePrefix = base;
-        r.lsbMask = bound;
-        r.permExec = exec;
-        return r;
-      }
-      case core::RegionClass::ImplicitData: {
-        core::ImplicitDataRegion r;
-        r.basePrefix = base;
-        r.lsbMask = bound;
-        r.permRead = read;
-        r.permWrite = write;
-        return r;
-      }
-      case core::RegionClass::ExplicitData: {
-        core::ExplicitDataRegion r;
-        r.baseAddress = base;
-        r.bound = bound;
-        r.permRead = read;
-        r.permWrite = write;
-        r.isLargeRegion = large;
-        return r;
-      }
+    switch (core::regionKindOf(region_number)) {
+      case core::RegionKind::Code:
+        return core::ImplicitCodeRegion{base, bound, exec};
+      case core::RegionKind::ImplicitData:
+        return core::ImplicitDataRegion{base, bound, read, write};
+      default:
+        return core::ExplicitDataRegion{base, bound, read, write, large};
     }
-    return core::EmptyRegion{};
+}
+
+/**
+ * Run @p inst's HfiState transition on @p hfi, reading its operands
+ * from @p regs. The one decoding of the hfi_* instructions: executeOn
+ * applies the outcome, Pipeline::willSerialize reads its verdict.
+ */
+inline core::HfiOutcome
+hfiTransition(const Inst &inst,
+              const std::array<std::uint64_t, kNumRegs> &regs,
+              core::HfiState &hfi)
+{
+    switch (inst.op) {
+      case Opcode::HfiEnter: {
+        core::SandboxConfig config;
+        config.isHybrid = inst.imm & 1;
+        config.isSerialized = inst.imm & 2;
+        config.switchOnExit = inst.imm & 4;
+        config.exitHandler = regs[kExitHandlerReg];
+        return hfi.enter(config);
+      }
+      case Opcode::HfiExit:
+        return hfi.exit();
+      case Opcode::HfiSetRegion:
+        return hfi.setRegion(inst.region,
+                             regionFromDescriptor(inst.region, regs[inst.ra],
+                                                  regs[inst.rb], inst.imm));
+      case Opcode::HfiClearRegion:
+        return hfi.clearRegion(inst.region);
+      default:
+        return hfi.syscall();
+    }
 }
 
 } // namespace detail
 
 /**
- * Executes one instruction: updates @p state (registers, pc, HFI bank,
- * MSR) through @p mem, enforcing HFI semantics with the bit-level
+ * Executes one instruction: updates @p state (registers, pc, HFI state)
+ * through @p mem, enforcing HFI semantics with the bit-level
  * AccessChecker. Faulting instructions write no data (the faulting-NOP
  * micro-op of §4.1) and leave state.pc at the trap target.
  */
@@ -234,7 +232,7 @@ class FunctionalCore
             info.memWidth = inst.width;
             // Implicit data-region check, in parallel with the dtb (§4.1).
             const core::CheckResult check = core::AccessChecker::checkData(
-                state.hfi, addr, inst.width, info.isWrite);
+                state.hfi.bank, addr, inst.width, info.isWrite);
             if (!check.ok) {
                 fault(check.reason);
                 break;
@@ -258,13 +256,13 @@ class FunctionalCore
             ops.scale = inst.scale;
             ops.displacement = inst.imm;
             ops.width = inst.width;
-            if (!state.hfi.enabled) {
+            if (!state.hfi.bank.enabled) {
                 // hmov outside HFI mode is an invalid opcode.
                 fault(core::ExitReason::HardwareFault);
                 break;
             }
             const core::HmovResult res = core::AccessChecker::checkHmov(
-                state.hfi, inst.region, ops, info.isWrite);
+                state.hfi.bank, inst.region, ops, info.isWrite);
             if (!res.ok) {
                 fault(res.reason);
                 break;
@@ -312,94 +310,31 @@ class FunctionalCore
             break;
     
           case Opcode::Syscall:
-            info.isSyscall = true;
-            if (state.hfi.enabled && !state.hfi.config.isHybrid) {
-                // §4.4: redirect to the exit handler; HFI mode is disabled
-                // atomically and the MSR records the cause.
-                state.hfi.enabled = false;
-                state.msr = core::ExitReason::Syscall;
-                info.nextPc = state.hfi.config.exitHandler;
-                if (state.hfi.config.isSerialized)
-                    info.serializes = true;
-                if (info.nextPc == 0)
-                    fault(core::ExitReason::Syscall);
-            } else if (inst.imm == 231) { // exit_group
+          case Opcode::HfiEnter:
+          case Opcode::HfiExit:
+          case Opcode::HfiSetRegion:
+          case Opcode::HfiClearRegion: {
+            // Every rule lives in core::HfiState; only the outcome is
+            // turned into timing information and control flow here.
+            const core::HfiOutcome out =
+                detail::hfiTransition(inst, regs, state.hfi);
+            info.isSyscall = inst.op == Opcode::Syscall;
+            info.serializes = out.serializes;
+            if (out.trap != core::ExitReason::None)
+                fault(out.trap);
+            else if (out.handler != 0)
+                info.nextPc = out.handler;
+            else if (info.isSyscall && inst.imm == 231) // exit_group
                 info.halted = true;
-            }
             break;
-    
+          }
+
           case Opcode::Cpuid:
             info.serializes = true;
             // Clobbers its output registers (r12/r13 by our convention —
             // compilers never keep live values in cpuid outputs).
             regs[12] = 0x16;
             regs[13] = 0x756e6547;
-            break;
-    
-          case Opcode::HfiEnter: {
-            const bool switch_on_exit = inst.imm & 4;
-            if (switch_on_exit) {
-                // §4.5: preserve the trusted runtime's bank in the shadow
-                // registers before loading the child's configuration.
-                state.hfiShadow = state.hfi;
-                state.shadowValid = true;
-            }
-            state.hfi.config.isHybrid = inst.imm & 1;
-            state.hfi.config.isSerialized = inst.imm & 2;
-            state.hfi.config.switchOnExit = switch_on_exit;
-            state.hfi.config.exitHandler = regs[kExitHandlerReg];
-            state.hfi.enabled = true;
-            if (state.hfi.config.isSerialized)
-                info.serializes = true;
-            break;
-          }
-          case Opcode::HfiExit:
-            if (state.hfi.enabled && state.hfi.config.switchOnExit &&
-                state.shadowValid) {
-                // §4.5: atomically switch back to the runtime's bank; HFI
-                // stays enabled, so even a *speculative* hfi_exit leaves
-                // execution checked — no serialization needed.
-                state.hfi = state.hfiShadow;
-                state.shadowValid = false;
-                state.msr = core::ExitReason::HfiExit;
-                break;
-            }
-            if (state.hfi.config.isSerialized)
-                info.serializes = true;
-            state.hfi.enabled = false;
-            state.msr = core::ExitReason::HfiExit;
-            break;
-    
-          case Opcode::HfiSetRegion: {
-            if (state.hfi.enabled && !state.hfi.config.isHybrid) {
-                fault(core::ExitReason::IllegalRegionUpdate);
-                break;
-            }
-            const core::Region region = detail::regionFromDescriptor(
-                inst.region, ra, regs[inst.rb], inst.imm);
-            if (inst.region >= core::kNumRegions ||
-                !core::regionStorable(inst.region, region)) {
-                fault(core::ExitReason::IllegalRegionUpdate);
-                break;
-            }
-            state.hfi.setRegion(inst.region, region);
-            // §4.3: serializes inside a hybrid sandbox.
-            if (state.hfi.enabled)
-                info.serializes = true;
-            break;
-          }
-          case Opcode::HfiClearRegion:
-            if (state.hfi.enabled && !state.hfi.config.isHybrid) {
-                fault(core::ExitReason::IllegalRegionUpdate);
-                break;
-            }
-            if (inst.region >= core::kNumRegions) {
-                fault(core::ExitReason::IllegalRegionUpdate);
-                break;
-            }
-            state.hfi.setRegion(inst.region, core::EmptyRegion{});
-            if (state.hfi.enabled)
-                info.serializes = true;
             break;
     
           case Opcode::Flush:

@@ -83,21 +83,17 @@ Pipeline::willSerialize(const Inst &inst) const
     switch (inst.op) {
       case Opcode::Cpuid:
         return true;
-      case Opcode::HfiEnter:
-        return (inst.imm & 2) != 0;
-      case Opcode::HfiExit:
-        // A switch-on-exit exit is a register-bank swap, not a
-        // serialization point (§4.5).
-        return specState.hfi.enabled &&
-               !specState.hfi.config.switchOnExit &&
-               specState.hfi.config.isSerialized;
-      case Opcode::HfiSetRegion:
-      case Opcode::HfiClearRegion:
-        // §4.3: region updates serialize inside a hybrid sandbox.
-        return specState.hfi.enabled;
       case Opcode::Syscall:
-        return specState.hfi.enabled && !specState.hfi.config.isHybrid &&
-               specState.hfi.config.isSerialized;
+      case Opcode::HfiEnter:
+      case Opcode::HfiExit:
+      case Opcode::HfiSetRegion:
+      case Opcode::HfiClearRegion: {
+        // specState is the state this instruction will execute on, so
+        // the verdict is its own transition's, run on a scratch copy.
+        core::HfiState scratch = specState.hfi;
+        return detail::hfiTransition(inst, specState.regs, scratch)
+            .serializes;
+      }
       default:
         return false;
     }
@@ -238,7 +234,7 @@ bool
 Pipeline::fetchCheckElidable()
 {
     if (fetchCheckDirty_) {
-        fetchCheckUniform_ = fetchCoversProgram(specState.hfi, program);
+        fetchCheckUniform_ = fetchCoversProgram(specState.hfi.bank, program);
         fetchCheckDirty_ = false;
     }
     return fetchCheckUniform_;
@@ -328,7 +324,7 @@ Pipeline::dispatchStage()
         // core's interpreter uses).
         if (!fetchCheckElidable()) {
             const core::CheckResult fetch_check =
-                core::AccessChecker::checkFetch(specState.hfi, f.pc);
+                core::AccessChecker::checkFetch(specState.hfi.bank, f.pc);
             if (!fetch_check.ok) {
                 const std::size_t slot = robSlot(robCount_);
                 RobEntry &e = rob_[slot];
@@ -411,7 +407,7 @@ Pipeline::dispatchStage()
             } else {
                 latency = std::max(1u, t.latency);
             }
-            if (specState.hfi.enabled)
+            if (specState.hfi.bank.enabled)
                 ++stats_.hfiDataChecks;
         } else if (info.isMem && inputs_poisoned && !info.faulted) {
             // The address descends from faulted data: the access never
@@ -577,7 +573,7 @@ Pipeline::commitStage(PipelineResult &result, bool *done)
             // Younger entries dispatched past the trap never commit:
             // install the faulting entry's snapshot, then the trap.
             archState = snapshots_[robHead_].state;
-            retireTrap(archState, e.info.faultReason);
+            archState.hfi.trap(e.info.faultReason);
             result.faulted = true;
             result.faultReason = e.info.faultReason;
             result.faultPc = e.pc;

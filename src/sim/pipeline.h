@@ -249,7 +249,8 @@ class Pipeline
      *  stall expiry, 3 none (frozen machine). */
     std::uint64_t nextEventCycle(unsigned *source_out = nullptr) const;
 
-    /** Would dispatching @p inst under @p state serialize? */
+    /** Would dispatching @p inst on specState serialize? Its own
+     *  HfiState transition's verdict, as executeOn will see it. */
     bool willSerialize(const Inst &inst) const;
 
     /** Earliest issue cycle respecting slots + a unit of @p uop's kind. */

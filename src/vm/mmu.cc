@@ -19,18 +19,6 @@ Mmu::mmapReserve(std::uint64_t size, std::uint64_t align)
     return base;
 }
 
-bool
-Mmu::mmapFixed(VAddr addr, std::uint64_t size, PageProt prot)
-{
-    ++stats_.mmapCalls;
-    charge(params_.syscallFixedNs + params_.mmapReserveNs);
-    size = alignUp(size, kPageSize);
-    if (!space.reserveFixed(addr, size))
-        return false;
-    table.map(addr, size, prot);
-    return true;
-}
-
 std::optional<VAddr>
 Mmu::mmap(std::uint64_t size, PageProt prot, std::uint64_t align)
 {

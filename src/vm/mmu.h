@@ -103,9 +103,6 @@ class Mmu
     std::optional<VAddr> mmapReserve(std::uint64_t size,
                                      std::uint64_t align = kPageSize);
 
-    /** Reserve and map [addr, addr+size) at a fixed address. */
-    bool mmapFixed(VAddr addr, std::uint64_t size, PageProt prot);
-
     /** Map @p size bytes anywhere with protection @p prot. */
     std::optional<VAddr> mmap(std::uint64_t size, PageProt prot,
                               std::uint64_t align = kPageSize);

@@ -22,20 +22,12 @@ using Cycles = std::uint64_t;
 /**
  * A monotonically advancing virtual cycle counter.
  *
- * The clock models a fixed-frequency core (default 3.3 GHz, matching the
- * paper's Table 2 baseline). Conversions to nanoseconds use that
- * frequency.
+ * The clock models a fixed-frequency 3.3 GHz core, matching the paper's
+ * Table 2 baseline. Conversions to nanoseconds use that frequency.
  */
 class VirtualClock
 {
   public:
-    /** Construct a clock at cycle zero with the given frequency in MHz. */
-    explicit VirtualClock(std::uint64_t freq_mhz = 3300)
-        : freqMhz(freq_mhz),
-          nsPerCycle_(1000.0 / static_cast<double>(freq_mhz))
-    {
-    }
-
     /** Advance the clock by @p cycles. */
     void tick(Cycles cycles) { now_ += cycles; }
 
@@ -56,43 +48,28 @@ class VirtualClock
     double
     nowNsFast() const
     {
-        return static_cast<double>(now_) * nsPerCycle_;
+        return static_cast<double>(now_) * kNsPerCycle;
     }
-
-    /** Current virtual time in microseconds. */
-    double nowUs() const { return nowNs() / 1e3; }
-
-    /** Current virtual time in milliseconds. */
-    double nowMs() const { return nowNs() / 1e6; }
-
-    /** Current virtual time in seconds. */
-    double nowSec() const { return nowNs() / 1e9; }
 
     /** Convert a cycle count to nanoseconds at this clock's frequency. */
     double
     cyclesToNs(Cycles cycles) const
     {
-        return static_cast<double>(cycles) * 1000.0 /
-               static_cast<double>(freqMhz);
+        return static_cast<double>(cycles) * 1000.0 / kFreqMhz;
     }
 
     /** Convert nanoseconds to cycles at this clock's frequency. */
     Cycles
     nsToCycles(double ns) const
     {
-        return static_cast<Cycles>(ns * static_cast<double>(freqMhz) /
-                                   1000.0);
+        return static_cast<Cycles>(ns * kFreqMhz / 1000.0);
     }
 
-    /** Core frequency in MHz. */
-    std::uint64_t frequencyMhz() const { return freqMhz; }
-
-    /** Reset the clock to cycle zero. */
-    void reset() { now_ = 0; }
-
   private:
-    std::uint64_t freqMhz;
-    double nsPerCycle_;
+    /** Core frequency in MHz. */
+    static constexpr double kFreqMhz = 3300;
+    static constexpr double kNsPerCycle = 1000.0 / kFreqMhz;
+
     Cycles now_ = 0;
 };
 

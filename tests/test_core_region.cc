@@ -19,12 +19,12 @@ TEST(RegionLayout, RegisterMapMatchesAppendix)
 {
     // Appendix A.1: (0-1) code, (2-5) implicit data, (6-9) explicit.
     EXPECT_EQ(kNumRegions, 10u);
-    EXPECT_EQ(regionClassOf(0), RegionClass::Code);
-    EXPECT_EQ(regionClassOf(1), RegionClass::Code);
-    EXPECT_EQ(regionClassOf(2), RegionClass::ImplicitData);
-    EXPECT_EQ(regionClassOf(5), RegionClass::ImplicitData);
-    EXPECT_EQ(regionClassOf(6), RegionClass::ExplicitData);
-    EXPECT_EQ(regionClassOf(9), RegionClass::ExplicitData);
+    EXPECT_EQ(regionKindOf(0), RegionKind::Code);
+    EXPECT_EQ(regionKindOf(1), RegionKind::Code);
+    EXPECT_EQ(regionKindOf(2), RegionKind::ImplicitData);
+    EXPECT_EQ(regionKindOf(5), RegionKind::ImplicitData);
+    EXPECT_EQ(regionKindOf(6), RegionKind::ExplicitData);
+    EXPECT_EQ(regionKindOf(9), RegionKind::ExplicitData);
 }
 
 TEST(ImplicitRegion, WellFormedRequiresPow2Mask)

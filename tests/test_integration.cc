@@ -98,7 +98,7 @@ TEST(Integration, FaasTenantsAreIsolatedAndReclaimed)
     });
     EXPECT_EQ(seen, 0u);
     // B cannot reach A's heap at all: its region covers only its base.
-    const auto &region = std::get<core::ExplicitDataRegion>(
+    const auto region = std::get<core::ExplicitDataRegion>(
         ctx.region(core::kFirstExplicitRegion));
     EXPECT_EQ(region.baseAddress, tenant_b->backend().baseAddress());
 
@@ -159,7 +159,7 @@ TEST(Integration, ScheduledProcessesKeepDistinctSandboxWorlds)
     // Back to the browser: still sandboxed, its region intact.
     scheduler.switchTo(0);
     EXPECT_TRUE(ctx.enabled());
-    const auto &region = std::get<core::ExplicitDataRegion>(
+    const auto region = std::get<core::ExplicitDataRegion>(
         ctx.region(core::kFirstExplicitRegion));
     EXPECT_EQ(region.baseAddress, font_sandbox->backend().baseAddress());
     font_sandbox->exit();

@@ -80,13 +80,13 @@ TEST(LoadGen, SplitmixIsDeterministic)
 
 TEST(LoadGen, PoissonArrivalsReproducibleAndOrdered)
 {
-    OpenLoopPoissonSource s1(1000, 10'000.0, 99);
-    OpenLoopPoissonSource s2(1000, 10'000.0, 99);
-    ASSERT_EQ(s1.arrivals().size(), 1000u);
+    const auto s1 = poissonArrivals(1000, 10'000.0, 99);
+    const auto s2 = poissonArrivals(1000, 10'000.0, 99);
+    ASSERT_EQ(s1.size(), 1000u);
     double prev = -1;
     for (std::size_t i = 0; i < 1000; ++i) {
-        const auto &a = s1.arrivals()[i];
-        const auto &b = s2.arrivals()[i];
+        const auto &a = s1[i];
+        const auto &b = s2[i];
         EXPECT_EQ(a.arrivalNs, b.arrivalNs);
         EXPECT_EQ(a.seed, b.seed);
         EXPECT_GE(a.arrivalNs, prev); // non-decreasing
@@ -96,17 +96,17 @@ TEST(LoadGen, PoissonArrivalsReproducibleAndOrdered)
 
 TEST(LoadGen, PoissonMeanNearConfigured)
 {
-    OpenLoopPoissonSource src(20'000, 10'000.0, 3);
-    const double span = src.arrivals().back().arrivalNs;
+    const auto arrivals = poissonArrivals(20'000, 10'000.0, 3);
+    const double span = arrivals.back().arrivalNs;
     const double mean = span / (20'000 - 1);
     EXPECT_NEAR(mean, 10'000.0, 500.0); // ~sigma/sqrt(n) tolerance
 }
 
 TEST(LoadGen, DifferentSeedsDifferentArrivals)
 {
-    OpenLoopPoissonSource a(10, 10'000.0, 1);
-    OpenLoopPoissonSource b(10, 10'000.0, 2);
-    EXPECT_NE(a.arrivals()[1].arrivalNs, b.arrivals()[1].arrivalNs);
+    const auto a = poissonArrivals(10, 10'000.0, 1);
+    const auto b = poissonArrivals(10, 10'000.0, 2);
+    EXPECT_NE(a[1].arrivalNs, b[1].arrivalNs);
 }
 
 TEST(LoadGen, ClosedLoopKeepsPopulationBounded)

@@ -407,7 +407,7 @@ TEST(ClosedLoopSeeds, MixedModeMatchesOpenLoopConvention)
     // Open-loop request seeds are mixSeed(engine_seed, id); closed loop
     // must use the identical convention so a handler sees the same work
     // distribution under either source.
-    OpenLoopPoissonSource open(8, 1'000.0, /*seed=*/77, 0.0);
+    VectorSource open(poissonArrivals(8, 1'000.0, /*seed=*/77, 0.0));
     ClosedLoopSource closed(8, 8, 0.0, /*seed=*/77);
     for (unsigned i = 0; i < 8; ++i) {
         auto ro = open.next();

@@ -154,7 +154,7 @@ TEST_F(BackendTest, HfiEnforcementMatchesRegionRegister)
 {
     HfiBackend backend(mmu, ctx);
     ASSERT_TRUE(backend.create(2, 16));
-    const auto &region = std::get<core::ExplicitDataRegion>(
+    const auto region = std::get<core::ExplicitDataRegion>(
         ctx.region(core::kFirstExplicitRegion));
     EXPECT_EQ(region.baseAddress, backend.baseAddress());
     EXPECT_EQ(region.bound, 2 * kWasmPageSize);

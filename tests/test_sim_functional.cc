@@ -165,8 +165,8 @@ TEST(Functional, HfiEnterEnablesChecking)
     b.load(2, 1, 0, 8);
     b.halt();
     auto out = runProgram(b);
-    EXPECT_EQ(out.state.msr, core::ExitReason::DataBoundsViolation);
-    EXPECT_FALSE(out.state.hfi.enabled); // disabled at the trap
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::DataBoundsViolation);
+    EXPECT_FALSE(out.state.hfi.bank.enabled); // disabled at the trap
     EXPECT_EQ(out.state.regs[2], 0u);    // no data propagated
 }
 
@@ -180,7 +180,7 @@ TEST(Functional, CodeRegionGatesFetch)
     b.nop(); // fetching this faults: it is outside the 4-byte region
     b.halt();
     auto out = runProgram(b);
-    EXPECT_EQ(out.state.msr, core::ExitReason::CodeBoundsViolation);
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::CodeBoundsViolation);
 }
 
 TEST(Functional, HmovChecksBounds)
@@ -200,7 +200,7 @@ TEST(Functional, HmovChecksBounds)
     b.halt();
     auto out = runProgram(b);
     EXPECT_EQ(out.mem.readByte(0x100000 + 64), 0x77u);
-    EXPECT_EQ(out.state.msr, core::ExitReason::HmovBoundsViolation);
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::HmovBoundsViolation);
 }
 
 TEST(Functional, HmovOutsideHfiModeFaults)
@@ -210,7 +210,7 @@ TEST(Functional, HmovOutsideHfiModeFaults)
     b.hmovLoad(0, 2, 1, 1, 0, 8);
     b.halt();
     auto out = runProgram(b);
-    EXPECT_EQ(out.state.msr, core::ExitReason::HardwareFault);
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::HardwareFault);
 }
 
 TEST(Functional, SyscallRedirectsInNativeSandbox)
@@ -245,8 +245,8 @@ TEST(Functional, SyscallRedirectsInNativeSandbox)
     real.halt();
     auto out = runProgram(real);
     EXPECT_EQ(out.state.regs[1], 222u);
-    EXPECT_EQ(out.state.msr, core::ExitReason::Syscall);
-    EXPECT_FALSE(out.state.hfi.enabled);
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::Syscall);
+    EXPECT_FALSE(out.state.hfi.bank.enabled);
 }
 
 TEST(Functional, SyscallExitGroupHalts)
@@ -271,7 +271,7 @@ TEST(Functional, RegionUpdateLockedInNativeSandbox)
     b.hfiSetRegion(core::kFirstExplicitRegion, 11, 12, 3);
     b.halt();
     auto out = runProgram(b);
-    EXPECT_EQ(out.state.msr, core::ExitReason::IllegalRegionUpdate);
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::IllegalRegionUpdate);
 }
 
 TEST(Functional, HfiExitDisables)
@@ -287,8 +287,8 @@ TEST(Functional, HfiExitDisables)
     b.load(2, 1, 0, 8);
     b.halt();
     auto out = runProgram(b);
-    EXPECT_EQ(out.state.msr, core::ExitReason::HfiExit);
-    EXPECT_FALSE(out.state.hfi.enabled);
+    EXPECT_EQ(out.state.hfi.msr, core::ExitReason::HfiExit);
+    EXPECT_FALSE(out.state.hfi.bank.enabled);
     EXPECT_EQ(out.steps, 9u);
 }
 

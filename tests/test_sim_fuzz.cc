@@ -218,8 +218,8 @@ compareRuns(std::uint64_t seed, bool with_hfi)
     const ArchState &state = pipe.state();
     EXPECT_EQ(state.regs, ref_state.regs) << "seed " << seed;
     EXPECT_EQ(state.pc, ref_state.pc) << "seed " << seed;
-    EXPECT_EQ(state.hfi.enabled, ref_state.hfi.enabled) << "seed " << seed;
-    EXPECT_EQ(state.msr, ref_state.msr) << "seed " << seed;
+    EXPECT_EQ(state.hfi.bank.enabled, ref_state.hfi.bank.enabled) << "seed " << seed;
+    EXPECT_EQ(state.hfi.msr, ref_state.hfi.msr) << "seed " << seed;
     for (unsigned r = 0; r < 10; ++r) {
         EXPECT_EQ(pipe.memory().read(kDataBase + 0x8000 + r * 8, 8),
                   ref_mem.read(kDataBase + 0x8000 + r * 8, 8))

@@ -251,8 +251,8 @@ expectSameFinalState(const Program &prog, const ArchState &pipe_state)
     FunctionalCore::run(prog, ref, ref_mem);
     EXPECT_EQ(pipe_state.regs, ref.regs);
     EXPECT_EQ(pipe_state.pc, ref.pc);
-    EXPECT_EQ(pipe_state.hfi.enabled, ref.hfi.enabled);
-    EXPECT_EQ(pipe_state.msr, ref.msr);
+    EXPECT_EQ(pipe_state.hfi.bank.enabled, ref.hfi.bank.enabled);
+    EXPECT_EQ(pipe_state.hfi.msr, ref.hfi.msr);
 }
 
 TEST(Pipeline, FaultLeavesOnlyCommittedState)
@@ -275,8 +275,8 @@ TEST(Pipeline, FaultLeavesOnlyCommittedState)
     const ArchState &state = pipe.state();
     EXPECT_EQ(state.regs[5], 0u);
     EXPECT_EQ(state.regs[6], 0u);
-    EXPECT_FALSE(state.hfi.enabled);
-    EXPECT_EQ(state.msr, core::ExitReason::DataBoundsViolation);
+    EXPECT_FALSE(state.hfi.bank.enabled);
+    EXPECT_EQ(state.hfi.msr, core::ExitReason::DataBoundsViolation);
     EXPECT_EQ(state.pc, prog.addressOf(6));
     expectSameFinalState(prog, state);
 }

@@ -49,9 +49,9 @@ expectParity(const Program &prog,
 
     ASSERT_EQ(fast_steps, ref_steps);
     ASSERT_EQ(fast_state.pc, ref_state.pc);
-    ASSERT_EQ(static_cast<int>(fast_state.msr),
-              static_cast<int>(ref_state.msr));
-    ASSERT_EQ(fast_state.hfi.enabled, ref_state.hfi.enabled);
+    ASSERT_EQ(static_cast<int>(fast_state.hfi.msr),
+              static_cast<int>(ref_state.hfi.msr));
+    ASSERT_EQ(fast_state.hfi.bank.enabled, ref_state.hfi.bank.enabled);
     for (unsigned r = 0; r < kNumRegs; ++r)
         ASSERT_EQ(fast_state.regs[r], ref_state.regs[r]) << "reg " << r;
     // Compare the heap both kernels write through (word stride covers

@@ -17,7 +17,7 @@ using namespace hfi::vm;
 class MmuTest : public ::testing::Test
 {
   protected:
-    VirtualClock clock{3300};
+    VirtualClock clock;
     Mmu mmu{clock};
 };
 
