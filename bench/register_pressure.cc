@@ -40,10 +40,9 @@ runWithPressure(std::uint64_t pressure_milli)
 
     // The interpreter-flavoured kernel (opcode dispatch over a big
     // switch) — the closest Sightglass shape to Spidermonkey.
-    const auto &interpreter = workloads::sightglass::suite()[13];
     const double t0 = clock.nowNs();
     sandbox->invoke(
-        [&](sfi::Sandbox &s) { interpreter.run(s, 4, 99); });
+        [](sfi::Sandbox &s) { workloads::sightglass::runSwitch(s, 4, 99); });
     return clock.nowNs() - t0;
 }
 

@@ -26,7 +26,7 @@ HfiBackend::programRegion(std::uint64_t accessible_bytes)
     region.permRead = true;
     region.permWrite = true;
     region.isLargeRegion = true;
-    ctx.setRegion(core::kFirstExplicitRegion + config_.explicitSlot, region);
+    ctx.setRegion(core::kFirstExplicitRegion, region);
     accessibleBytes = accessible_bytes;
 }
 
@@ -51,7 +51,7 @@ HfiBackend::destroy()
 {
     if (!live)
         return;
-    ctx.clearRegion(core::kFirstExplicitRegion + config_.explicitSlot);
+    ctx.clearRegion(core::kFirstExplicitRegion);
     mmu.munmap(base);
     live = false;
     base = 0;
@@ -69,11 +69,7 @@ HfiBackend::grow(std::uint64_t old_pages, std::uint64_t new_pages)
 const core::FlatRegionSlot &
 HfiBackend::heapSlot() const
 {
-    static const core::FlatRegionSlot kNoRegion{};
-    if (config_.explicitSlot >= core::kNumExplicitRegions)
-        return kNoRegion;
-    return ctx.registerFile().flat(core::kFirstExplicitRegion +
-                                   config_.explicitSlot);
+    return ctx.registerFile().flat(core::kFirstExplicitRegion);
 }
 
 AccessCheck
@@ -87,7 +83,7 @@ HfiBackend::checkAccess(std::uint64_t offset, std::uint32_t width,
     ops.displacement = 0;
     ops.width = width;
     const core::HmovResult res =
-        core::AccessChecker::checkHmov(ctx, config_.explicitSlot, ops, write);
+        core::AccessChecker::checkHmov(ctx, 0, ops, write);
     if (res.ok)
         return {AccessOutcome::Ok, offset};
     lastTrap = res.reason;
@@ -132,7 +128,7 @@ HfiBackend::steadyStateCosts() const
     // Region checks run in parallel with the dtb lookup: zero extra
     // cycles per access, no pinned registers. Only the icache tax from
     // hmov's longer encodings remains, scaled by workload sensitivity.
-    costs.icacheMilliPerAccess = config_.icacheMilliPerAccess;
+    costs.icacheMilliPerAccess = kIcacheMilliPerAccess;
     costs.loadExtraMilli = config_.addressingMilli;
     costs.storeExtraMilli = config_.addressingMilli;
     return costs;

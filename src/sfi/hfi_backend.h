@@ -35,23 +35,26 @@ struct HfiBackendConfig
     bool serialized = true;
     /** Use the switch-on-exit extension instead of serializing (§4.5). */
     bool switchOnExit = false;
-    /** Which explicit region / hmov index carries the heap (0..3). */
-    unsigned explicitSlot = 0;
-    /**
-     * Per-access icache tax in milli-cycles at sensitivity 100: hmov's
-     * longer instruction encodings pressure the icache on big-code
-     * workloads (§6.1, 445.gobmk).
-     */
-    std::uint64_t icacheMilliPerAccess = 4;
     /** Residual hmov addressing milli-cycles per access (the hmov µop
      *  replaces the base add; a small residue remains when the access
      *  stream saturates the AGU — used by the Firefox benches). */
     std::uint64_t addressingMilli = 0;
 };
 
+/**
+ * The heap is explicit region 0: hmov index 0, region register
+ * kFirstExplicitRegion.
+ */
 class HfiBackend : public IsolationBackend
 {
   public:
+    /**
+     * Per-access icache tax in milli-cycles at sensitivity 100: hmov's
+     * longer instruction encodings pressure the icache on big-code
+     * workloads (§6.1, 445.gobmk).
+     */
+    static constexpr std::uint64_t kIcacheMilliPerAccess = 4;
+
     HfiBackend(vm::Mmu &mmu, core::HfiContext &ctx,
                HfiBackendConfig config = {});
     ~HfiBackend() override;
@@ -75,10 +78,9 @@ class HfiBackend : public IsolationBackend
 
     /**
      * The live explicit-region register holding the heap, in the
-     * context's register file (a static empty slot when the configured
-     * slot is not 0..3, so every access falls through to checkAccess).
-     * The Sandbox keeps this reference, not a copy of its bound: a
-     * cleared or swapped register must trap on the next access.
+     * context's register file. The Sandbox keeps this reference, not a
+     * copy of its bound: a cleared or swapped register must trap on the
+     * next access.
      */
     const core::FlatRegionSlot &heapSlot() const;
 

@@ -88,12 +88,6 @@ struct SandboxOptions
      * from hmov's longer encodings (§6.1); small kernels do not.
      */
     unsigned icacheSensitivity = 0;
-    /**
-     * Runtime bookkeeping charged per memory_grow call in nanoseconds
-     * (instance table updates, libcall trampoline). Calibrated so the
-     * §6.1 grow microbenchmark lands on the paper's 370 ms HFI total.
-     */
-    double growRuntimeNs = 5640.0;
 };
 
 /** Execution counters for one sandbox. */
@@ -374,7 +368,6 @@ class Sandbox
     std::unique_ptr<IsolationBackend> backend_;
     vm::Mmu &mmu_;
     LinearMemory memory_;
-    SandboxOptions opts;
     bool valid_ = false;
     /** backend_->kind(), cached at construction. */
     BackendKind kind_;

@@ -3,33 +3,6 @@
 namespace hfi::sim
 {
 
-namespace
-{
-
-/**
- * Non-virtual memory adapter: lets executeOn inline SimMemory's word
- * fast path straight into the dispatch loop (the virtual MemView
- * indirection is only needed by the pipeline's store queue).
- */
-struct DirectMem
-{
-    SimMemory &m;
-
-    std::uint64_t
-    load(std::uint64_t addr, unsigned width)
-    {
-        return m.read(addr, width);
-    }
-
-    void
-    store(std::uint64_t addr, std::uint64_t value, unsigned width)
-    {
-        m.write(addr, value, width);
-    }
-};
-
-} // namespace
-
 /**
  * With HFI off the check passes trivially. With HFI on, each code slot
  * matches an aligned power-of-two block; walking the slots in
@@ -63,13 +36,6 @@ fetchCoversProgram(const core::HfiRegisterFile &bank, const Program &prog)
         return false; // partial overlap: mixed verdicts
     }
     return false; // nothing matches: every fetch faults (generic loop)
-}
-
-ExecInfo
-FunctionalCore::execute(const Inst &inst, std::uint64_t pc, ArchState &state,
-                        MemView &mem)
-{
-    return executeOn(inst, pc, state, mem);
 }
 
 std::uint64_t

@@ -7,10 +7,11 @@
  * a speculative copy of this state (values are always dataflow-correct;
  * timing is modeled separately), which is what lets wrong-path
  * instructions compute with real values — the property the Spectre
- * experiments require. Memory is abstracted behind MemView so the
- * pipeline can interpose its store queue; the FunctionalCore can also
- * run standalone (in-order, no timing) as the reference executor that
- * tests compare the pipeline against.
+ * experiments require. The executor is generic over its memory
+ * adapter so the pipeline can interpose its store queue; the
+ * FunctionalCore's run loops use DirectMem to run standalone (in-order,
+ * no timing) as the reference executor that tests compare the pipeline
+ * against.
  */
 
 #ifndef HFI_SIM_FUNCTIONAL_H
@@ -43,36 +44,26 @@ struct ArchState
     core::HfiState hfi{};
 };
 
-/** Memory interface the executor reads/writes through. */
-class MemView
+/**
+ * The run loops' memory adapter: executeOn reads and writes @p m
+ * directly. Non-virtual, so the whole instruction dispatch inlines,
+ * SimMemory's word fast path included.
+ */
+struct DirectMem
 {
-  public:
-    virtual ~MemView() = default;
-    virtual std::uint64_t load(std::uint64_t addr, unsigned width) = 0;
-    virtual void store(std::uint64_t addr, std::uint64_t value,
-                       unsigned width) = 0;
-};
-
-/** Direct view over a SimMemory (the standalone / commit path). */
-class DirectMemView : public MemView
-{
-  public:
-    explicit DirectMemView(SimMemory &mem) : mem(mem) {}
+    SimMemory &m;
 
     std::uint64_t
-    load(std::uint64_t addr, unsigned width) override
+    load(std::uint64_t addr, unsigned width)
     {
-        return mem.read(addr, width);
+        return m.read(addr, width);
     }
 
     void
-    store(std::uint64_t addr, std::uint64_t value, unsigned width) override
+    store(std::uint64_t addr, std::uint64_t value, unsigned width)
     {
-        mem.write(addr, value, width);
+        m.write(addr, value, width);
     }
-
-  private:
-    SimMemory &mem;
 };
 
 /** Everything the timing model needs to know about one execution. */
@@ -168,16 +159,11 @@ hfiTransition(const Inst &inst,
 class FunctionalCore
 {
   public:
-    static ExecInfo execute(const Inst &inst, std::uint64_t pc,
-                            ArchState &state, MemView &mem);
-
     /**
-     * The executor itself, generic over the memory interface so the
-     * standalone run loop can use a non-virtual adapter (the whole
-     * instruction dispatch then inlines, including SimMemory's word
-     * fast path), while the pipeline keeps the virtual MemView for its
-     * store-queue interposition. `execute` above is exactly
-     * `executeOn<MemView>`.
+     * The executor itself, generic over the memory adapter: the run
+     * loops pass DirectMem, the pipeline its store-queue view
+     * (Pipeline::SpecMemView). Both are non-virtual, so the whole
+     * instruction dispatch inlines.
      */
     template <typename Mem>
     static ExecInfo

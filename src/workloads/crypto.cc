@@ -207,32 +207,4 @@ chacha20Block(const std::array<std::uint8_t, 32> &key,
     return bytes;
 }
 
-std::uint64_t
-chacha20Sandboxed(sfi::Sandbox &sandbox, std::uint64_t data_off,
-                  std::uint64_t len, std::uint32_t seed)
-{
-    std::array<std::uint8_t, 32> key;
-    std::array<std::uint8_t, 12> nonce;
-    Rng rng(seed);
-    for (auto &b : key)
-        b = static_cast<std::uint8_t>(rng.next());
-    for (auto &b : nonce)
-        b = static_cast<std::uint8_t>(rng.next());
-
-    Checksum sum;
-    std::uint32_t counter = 1;
-    for (std::uint64_t off = 0; off < len; off += 64, ++counter) {
-        const auto stream = chacha20Block(key, nonce, counter);
-        sandbox.chargeOps(20 * 4 * 4 + 16); // 10 double-rounds + feed-forward
-        const std::uint64_t n = std::min<std::uint64_t>(64, len - off);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint8_t b =
-                sandbox.load<std::uint8_t>(data_off + off + i) ^ stream[i];
-            sandbox.store<std::uint8_t>(data_off + off + i, b);
-            sum.mix(b);
-        }
-    }
-    return sum.value();
-}
-
 } // namespace hfi::workloads::crypto

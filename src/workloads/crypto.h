@@ -4,10 +4,10 @@
  *
  * These do genuine work — the host-side variants are bit-exact
  * implementations tested against published vectors, and the sandboxed
- * variants stream their data through Sandbox::load/store so every byte
- * is isolation-checked and cost-metered. They power the Sightglass
- * xchacha20 kernel (Fig 2), the Check-SHA-256 FaaS workload (Table 1),
- * and the NGINX "OpenSSL" session layer (Fig 5).
+ * SHA-256 streams its data through Sandbox::load/store so every byte
+ * is isolation-checked and cost-metered. They power the Check-SHA-256
+ * FaaS workload (Table 1) and the NGINX "OpenSSL" session layer
+ * (Fig 5).
  */
 
 #ifndef HFI_WORKLOADS_CRYPTO_H
@@ -38,15 +38,6 @@ std::uint64_t sha256Sandboxed(sfi::Sandbox &sandbox, std::uint64_t in_off,
 std::array<std::uint8_t, 64> chacha20Block(
     const std::array<std::uint8_t, 32> &key,
     const std::array<std::uint8_t, 12> &nonce, std::uint32_t counter);
-
-/**
- * XOR the ChaCha20 keystream over @p len bytes at @p data_off in the
- * sandbox (encrypt in place). Key/nonce are synthesized from @p seed.
- * @return FNV checksum of the ciphertext.
- */
-std::uint64_t chacha20Sandboxed(sfi::Sandbox &sandbox,
-                                std::uint64_t data_off, std::uint64_t len,
-                                std::uint32_t seed);
 
 } // namespace hfi::workloads::crypto
 

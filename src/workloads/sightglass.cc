@@ -2,520 +2,8 @@
 
 #include <bit>
 
-#include "workloads/crypto.h"
-
 namespace hfi::workloads::sightglass
 {
-
-namespace
-{
-
-/** Fill [off, off+len) with seeded pseudo-random bytes. */
-void
-fillRandom(sfi::Sandbox &s, std::uint64_t off, std::uint64_t len,
-           std::uint32_t seed)
-{
-    Rng rng(seed);
-    std::uint64_t i = 0;
-    for (; i + 8 <= len; i += 8)
-        s.store<std::uint64_t>(off + i, rng.next());
-    for (; i < len; ++i)
-        s.store<std::uint8_t>(off + i, static_cast<std::uint8_t>(rng.next()));
-}
-
-} // namespace
-
-std::uint64_t
-runBlake3Scalar(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Scalar BLAKE3-style compression: 7 rounds of G-mixing over a
-    // 16-word state, chaining across `scale` KiB of input.
-    Arena arena(s);
-    const std::uint64_t len = scale * 1024;
-    const std::uint64_t buf = arena.alloc(len);
-    fillRandom(s, buf, len, seed);
-
-    std::uint32_t v[16];
-    for (int i = 0; i < 16; ++i)
-        v[i] = 0x6a09e667u + static_cast<std::uint32_t>(i) * 0x9e3779b9u;
-
-    auto g = [&](int a, int b, int c, int d, std::uint32_t x,
-                 std::uint32_t y) {
-        v[a] = v[a] + v[b] + x;
-        v[d] = std::rotr(v[d] ^ v[a], 16);
-        v[c] = v[c] + v[d];
-        v[b] = std::rotr(v[b] ^ v[c], 12);
-        v[a] = v[a] + v[b] + y;
-        v[d] = std::rotr(v[d] ^ v[a], 8);
-        v[c] = v[c] + v[d];
-        v[b] = std::rotr(v[b] ^ v[c], 7);
-    };
-
-    for (std::uint64_t off = 0; off + 64 <= len; off += 64) {
-        std::uint32_t m[16];
-        for (int i = 0; i < 16; ++i)
-            m[i] = s.load<std::uint32_t>(buf + off + 4 * i);
-        for (int round = 0; round < 7; ++round) {
-            g(0, 4, 8, 12, m[0], m[1]);
-            g(1, 5, 9, 13, m[2], m[3]);
-            g(2, 6, 10, 14, m[4], m[5]);
-            g(3, 7, 11, 15, m[6], m[7]);
-            g(0, 5, 10, 15, m[8], m[9]);
-            g(1, 6, 11, 12, m[10], m[11]);
-            g(2, 7, 8, 13, m[12], m[13]);
-            g(3, 4, 9, 14, m[14], m[15]);
-        }
-        s.chargeOps(7 * 8 * 14);
-    }
-
-    Checksum sum;
-    for (int i = 0; i < 16; ++i)
-        sum.mix(v[i]);
-    return sum.value();
-}
-
-std::uint64_t
-runAckermann(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Ackermann(2, n) evaluated with an explicit stack in linear memory
-    // (deep recursion is what the original benchmark stresses).
-    (void)seed;
-    Arena arena(s);
-    const std::uint64_t stack = arena.alloc(1 << 20);
-    const std::uint32_t n = static_cast<std::uint32_t>(4 + scale % 8);
-
-    std::uint64_t sp = 0;
-    auto push = [&](std::uint32_t m_v, std::uint32_t n_v) {
-        s.store<std::uint32_t>(stack + sp, m_v);
-        s.store<std::uint32_t>(stack + sp + 4, n_v);
-        sp += 8;
-    };
-
-    push(2, n);
-    std::uint64_t result = 0;
-    while (sp > 0) {
-        sp -= 8;
-        std::uint32_t m = s.load<std::uint32_t>(stack + sp);
-        std::uint32_t nn = s.load<std::uint32_t>(stack + sp + 4);
-        s.chargeOps(6);
-        // Iteratively resolve: result currently holds the value of the
-        // "inner" call when m's continuation pops.
-        while (true) {
-            if (m == 0) {
-                result = nn + 1;
-                break;
-            }
-            if (nn == 0) {
-                m -= 1;
-                nn = 1;
-                s.chargeOps(2);
-                continue;
-            }
-            // ack(m, n) = ack(m-1, ack(m, n-1)): push continuation.
-            push(m - 1, 0xffffffffu); // marker: fill n from result
-            nn = nn - 1;
-            s.chargeOps(4);
-        }
-        // Resolve any pending continuations whose argument is ready.
-        while (sp > 0) {
-            const std::uint32_t cm = s.load<std::uint32_t>(stack + sp - 8);
-            const std::uint32_t cn = s.load<std::uint32_t>(stack + sp - 4);
-            s.chargeOps(4);
-            if (cn != 0xffffffffu)
-                break;
-            sp -= 8;
-            push(cm, static_cast<std::uint32_t>(result));
-            break;
-        }
-    }
-    return result;
-}
-
-std::uint64_t
-runBase64(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    static const char kAlphabet[] =
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-    Arena arena(s);
-    const std::uint64_t len = scale * 1024;
-    const std::uint64_t src = arena.alloc(len);
-    const std::uint64_t dst = arena.alloc((len / 3 + 1) * 4 + 4);
-    const std::uint64_t back = arena.alloc(len + 4);
-    fillRandom(s, src, len, seed);
-
-    // Encode.
-    std::uint64_t out = 0;
-    for (std::uint64_t i = 0; i + 3 <= len; i += 3) {
-        const std::uint32_t b0 = s.load<std::uint8_t>(src + i);
-        const std::uint32_t b1 = s.load<std::uint8_t>(src + i + 1);
-        const std::uint32_t b2 = s.load<std::uint8_t>(src + i + 2);
-        const std::uint32_t triple = b0 << 16 | b1 << 8 | b2;
-        s.store<std::uint8_t>(dst + out++, kAlphabet[triple >> 18 & 63]);
-        s.store<std::uint8_t>(dst + out++, kAlphabet[triple >> 12 & 63]);
-        s.store<std::uint8_t>(dst + out++, kAlphabet[triple >> 6 & 63]);
-        s.store<std::uint8_t>(dst + out++, kAlphabet[triple & 63]);
-        s.chargeOps(12);
-    }
-
-    // Decode and checksum the round trip.
-    std::uint8_t inverse[256] = {};
-    for (int i = 0; i < 64; ++i)
-        inverse[static_cast<std::uint8_t>(kAlphabet[i])] =
-            static_cast<std::uint8_t>(i);
-
-    Checksum sum;
-    std::uint64_t back_at = 0;
-    for (std::uint64_t i = 0; i + 4 <= out; i += 4) {
-        std::uint32_t triple = 0;
-        for (int j = 0; j < 4; ++j)
-            triple = triple << 6 | inverse[s.load<std::uint8_t>(dst + i + j)];
-        s.store<std::uint8_t>(back + back_at++,
-                              static_cast<std::uint8_t>(triple >> 16));
-        s.store<std::uint8_t>(back + back_at++,
-                              static_cast<std::uint8_t>(triple >> 8));
-        s.store<std::uint8_t>(back + back_at++,
-                              static_cast<std::uint8_t>(triple));
-        s.chargeOps(14);
-        sum.mix(triple);
-    }
-    return sum.value();
-}
-
-std::uint64_t
-runCtype(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Character-classification table lookups over a text buffer.
-    Arena arena(s);
-    const std::uint64_t len = scale * 1024;
-    const std::uint64_t buf = arena.alloc(len);
-    const std::uint64_t table = arena.alloc(256);
-    fillRandom(s, buf, len, seed);
-    for (int c = 0; c < 256; ++c) {
-        std::uint8_t cls = 0;
-        if (c >= 'a' && c <= 'z') cls |= 1;
-        if (c >= 'A' && c <= 'Z') cls |= 2;
-        if (c >= '0' && c <= '9') cls |= 4;
-        if (c == ' ' || c == '\t' || c == '\n') cls |= 8;
-        s.store<std::uint8_t>(table + c, cls);
-    }
-
-    std::uint64_t counts[4] = {};
-    for (std::uint64_t i = 0; i < len; ++i) {
-        const std::uint8_t c = s.load<std::uint8_t>(buf + i);
-        const std::uint8_t cls = s.load<std::uint8_t>(table + c);
-        for (int bit = 0; bit < 4; ++bit)
-            counts[bit] += cls >> bit & 1;
-        s.chargeOps(8);
-    }
-    Checksum sum;
-    for (std::uint64_t c : counts)
-        sum.mix(c);
-    return sum.value();
-}
-
-std::uint64_t
-runFib2(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Iterative Fibonacci with the working pair kept in memory — the
-    // Sightglass kernel stresses tight load/op/store dependences.
-    (void)seed;
-    Arena arena(s);
-    const std::uint64_t cell = arena.alloc(16);
-    s.store<std::uint64_t>(cell, 0);
-    s.store<std::uint64_t>(cell + 8, 1);
-    const std::uint64_t n = 1000 * scale;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t a = s.load<std::uint64_t>(cell);
-        const std::uint64_t b = s.load<std::uint64_t>(cell + 8);
-        s.store<std::uint64_t>(cell, b);
-        s.store<std::uint64_t>(cell + 8, a + b);
-        s.chargeOps(4);
-    }
-    return s.load<std::uint64_t>(cell);
-}
-
-std::uint64_t
-runGimli(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // The Gimli permutation (real), applied repeatedly to a 384-bit
-    // state held in linear memory.
-    Arena arena(s);
-    const std::uint64_t st = arena.alloc(48);
-    fillRandom(s, st, 48, seed);
-
-    const std::uint64_t rounds_total = 24 * scale;
-    for (std::uint64_t iter = 0; iter < rounds_total; iter += 24) {
-        std::uint32_t x[12];
-        for (int i = 0; i < 12; ++i)
-            x[i] = s.load<std::uint32_t>(st + 4 * i);
-        for (int round = 24; round > 0; --round) {
-            for (int col = 0; col < 4; ++col) {
-                const std::uint32_t a = std::rotl(x[col], 24);
-                const std::uint32_t b = std::rotl(x[col + 4], 9);
-                const std::uint32_t c = x[col + 8];
-                x[col + 8] = a ^ (c << 1) ^ ((b & c) << 2);
-                x[col + 4] = b ^ a ^ ((a | c) << 1);
-                x[col] = c ^ b ^ ((a & b) << 3);
-            }
-            if ((round & 3) == 0) {
-                std::swap(x[0], x[1]);
-                std::swap(x[2], x[3]);
-            }
-            if ((round & 3) == 2) {
-                std::swap(x[0], x[2]);
-                std::swap(x[1], x[3]);
-            }
-            if ((round & 3) == 0)
-                x[0] ^= 0x9e377900u | static_cast<std::uint32_t>(round);
-            s.chargeOps(4 * 12 + 4);
-        }
-        for (int i = 0; i < 12; ++i)
-            s.store<std::uint32_t>(st + 4 * i, x[i]);
-    }
-
-    Checksum sum;
-    for (int i = 0; i < 12; ++i)
-        sum.mix(s.load<std::uint32_t>(st + 4 * i));
-    return sum.value();
-}
-
-std::uint64_t
-runKeccak(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Keccak-f[1600] permutation (theta/rho/pi/chi/iota), state in
-    // linear memory between permutations.
-    static const std::uint64_t kRc[24] = {
-        0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL,
-        0x8000000080008000ULL, 0x000000000000808bULL, 0x0000000080000001ULL,
-        0x8000000080008081ULL, 0x8000000000008009ULL, 0x000000000000008aULL,
-        0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
-        0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL,
-        0x8000000000008003ULL, 0x8000000000008002ULL, 0x8000000000000080ULL,
-        0x000000000000800aULL, 0x800000008000000aULL, 0x8000000080008081ULL,
-        0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL};
-    static const int kRot[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55,
-                                 20, 3,  10, 43, 25, 39, 41, 45, 15,
-                                 21, 8,  18, 2,  61, 56, 14};
-    static const int kPi[25] = {0,  6,  12, 18, 24, 3,  9,  10, 16,
-                                22, 1,  7,  13, 19, 20, 4,  5,  11,
-                                17, 23, 2,  8,  14, 15, 21};
-
-    Arena arena(s);
-    const std::uint64_t st = arena.alloc(200);
-    fillRandom(s, st, 200, seed);
-
-    for (std::uint64_t perm = 0; perm < scale; ++perm) {
-        std::uint64_t a[25];
-        for (int i = 0; i < 25; ++i)
-            a[i] = s.load<std::uint64_t>(st + 8 * i);
-        for (int round = 0; round < 24; ++round) {
-            std::uint64_t c[5], d[5];
-            for (int x = 0; x < 5; ++x)
-                c[x] = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
-            for (int x = 0; x < 5; ++x)
-                d[x] = c[(x + 4) % 5] ^ std::rotl(c[(x + 1) % 5], 1);
-            for (int i = 0; i < 25; ++i)
-                a[i] ^= d[i % 5];
-            std::uint64_t b[25];
-            for (int i = 0; i < 25; ++i)
-                b[kPi[i]] = std::rotl(a[i], kRot[i]);
-            for (int y = 0; y < 5; ++y) {
-                for (int x = 0; x < 5; ++x) {
-                    a[y * 5 + x] = b[y * 5 + x] ^
-                                   (~b[y * 5 + (x + 1) % 5] &
-                                    b[y * 5 + (x + 2) % 5]);
-                }
-            }
-            a[0] ^= kRc[round];
-            s.chargeOps(25 * 8);
-        }
-        for (int i = 0; i < 25; ++i)
-            s.store<std::uint64_t>(st + 8 * i, a[i]);
-    }
-
-    Checksum sum;
-    for (int i = 0; i < 25; ++i)
-        sum.mix(s.load<std::uint64_t>(st + 8 * i));
-    return sum.value();
-}
-
-std::uint64_t
-runMemmove(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Overlapping word-wise moves — the most access-dense kernel.
-    Arena arena(s);
-    const std::uint64_t len = scale * 4096;
-    const std::uint64_t buf = arena.alloc(len + 64);
-    fillRandom(s, buf, len, seed);
-
-    for (int pass = 0; pass < 8; ++pass) {
-        // Shift right by 8 bytes (reverse copy for overlap safety)...
-        for (std::uint64_t i = len; i >= 8; i -= 8) {
-            s.store<std::uint64_t>(buf + i,
-                                   s.load<std::uint64_t>(buf + i - 8));
-            s.chargeOps(2);
-        }
-        // ...then back left.
-        for (std::uint64_t i = 0; i + 8 <= len; i += 8) {
-            s.store<std::uint64_t>(buf + i,
-                                   s.load<std::uint64_t>(buf + i + 8));
-            s.chargeOps(2);
-        }
-    }
-    Checksum sum;
-    for (std::uint64_t i = 0; i + 8 <= len; i += 512)
-        sum.mix(s.load<std::uint64_t>(buf + i));
-    return sum.value();
-}
-
-std::uint64_t
-runMinicsv(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Generate a CSV of integers in memory, then parse it: field
-    // splitting, integer parsing, per-column sums.
-    Arena arena(s);
-    Rng rng(seed);
-    const std::uint64_t rows = 64 * scale;
-    const std::uint64_t cap = rows * 5 * 12 + 64;
-    const std::uint64_t buf = arena.alloc(cap);
-
-    std::uint64_t at = 0;
-    for (std::uint64_t r = 0; r < rows; ++r) {
-        for (int col = 0; col < 5; ++col) {
-            std::uint64_t v = rng.nextBelow(100000);
-            char tmp[12];
-            int n = 0;
-            do {
-                tmp[n++] = static_cast<char>('0' + v % 10);
-                v /= 10;
-            } while (v);
-            while (n)
-                s.store<std::uint8_t>(buf + at++,
-                                      static_cast<std::uint8_t>(tmp[--n]));
-            s.store<std::uint8_t>(buf + at++, col == 4 ? '\n' : ',');
-        }
-    }
-
-    std::uint64_t sums[5] = {};
-    int col = 0;
-    std::uint64_t val = 0;
-    for (std::uint64_t i = 0; i < at; ++i) {
-        const std::uint8_t c = s.load<std::uint8_t>(buf + i);
-        s.chargeOps(4);
-        if (c == ',' || c == '\n') {
-            sums[col] += val;
-            val = 0;
-            col = c == '\n' ? 0 : col + 1;
-        } else {
-            val = val * 10 + (c - '0');
-        }
-    }
-    Checksum sum;
-    for (std::uint64_t v : sums)
-        sum.mix(v);
-    return sum.value();
-}
-
-std::uint64_t
-runNestedloop(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Pure control flow: triple nested loop, almost no memory traffic.
-    (void)seed;
-    std::uint64_t acc = 0;
-    const std::uint64_t n = 16 + scale;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        for (std::uint64_t j = 0; j < n; ++j) {
-            for (std::uint64_t k = 0; k < n; ++k)
-                acc += i * j + k;
-            s.chargeOps(3 * n);
-        }
-    }
-    Arena arena(s);
-    const std::uint64_t out = arena.alloc(8);
-    s.store<std::uint64_t>(out, acc);
-    return s.load<std::uint64_t>(out);
-}
-
-std::uint64_t
-runRandom(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Pointer-chase style random access over a table.
-    Arena arena(s);
-    const std::uint64_t slots = 4096;
-    const std::uint64_t table = arena.alloc(slots * 8);
-    Rng rng(seed);
-    for (std::uint64_t i = 0; i < slots; ++i)
-        s.store<std::uint64_t>(table + i * 8, rng.nextBelow(slots));
-
-    std::uint64_t at = 0;
-    const std::uint64_t steps = 20000 * scale;
-    for (std::uint64_t i = 0; i < steps; ++i) {
-        at = s.load<std::uint64_t>(table + at * 8);
-        s.store<std::uint64_t>(table + at * 8, (at * 6364136223846793005ULL +
-                                                1442695040888963407ULL) %
-                                                   slots);
-        at = s.load<std::uint64_t>(table + at * 8) % slots;
-        s.chargeOps(5);
-    }
-    return at;
-}
-
-std::uint64_t
-runRatelimit(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // Token-bucket rate limiter over a bucket table: the request stream
-    // updates per-key state, the typical edge-compute primitive.
-    Arena arena(s);
-    const std::uint64_t buckets = 1024;
-    const std::uint64_t table = arena.alloc(buckets * 16);
-    for (std::uint64_t i = 0; i < buckets; ++i) {
-        s.store<std::uint64_t>(table + i * 16, 10);    // tokens
-        s.store<std::uint64_t>(table + i * 16 + 8, 0); // last-refill tick
-    }
-
-    Rng rng(seed);
-    std::uint64_t allowed = 0;
-    const std::uint64_t requests = 10000 * scale;
-    for (std::uint64_t tick = 0; tick < requests; ++tick) {
-        const std::uint64_t key = rng.nextBelow(buckets);
-        const std::uint64_t slot = table + key * 16;
-        std::uint64_t tokens = s.load<std::uint64_t>(slot);
-        const std::uint64_t last = s.load<std::uint64_t>(slot + 8);
-        tokens = std::min<std::uint64_t>(10, tokens + (tick - last) / 64);
-        if (tokens > 0) {
-            --tokens;
-            ++allowed;
-        }
-        s.store<std::uint64_t>(slot, tokens);
-        s.store<std::uint64_t>(slot + 8, tick);
-        s.chargeOps(10);
-    }
-    return allowed;
-}
-
-std::uint64_t
-runSieve(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    (void)seed;
-    Arena arena(s);
-    const std::uint64_t n = 50000 * scale;
-    const std::uint64_t flags = arena.alloc(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        s.store<std::uint8_t>(flags + i, 1);
-
-    std::uint64_t count = 0;
-    for (std::uint64_t p = 2; p < n; ++p) {
-        if (!s.load<std::uint8_t>(flags + p))
-            continue;
-        ++count;
-        for (std::uint64_t m = p * p; m < n; m += p) {
-            s.store<std::uint8_t>(flags + m, 0);
-            s.chargeOps(2);
-        }
-        s.chargeOps(3);
-    }
-    return count;
-}
 
 std::uint64_t
 runSwitch(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
@@ -549,92 +37,6 @@ runSwitch(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
         }
     }
     return acc;
-}
-
-std::uint64_t
-runXblabla20(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    // BlaBla20: the 64-bit-word ChaCha variant. Real double rounds over
-    // a 16x64-bit state, keystream XORed over a buffer.
-    Arena arena(s);
-    const std::uint64_t len = scale * 1024;
-    const std::uint64_t buf = arena.alloc(len);
-    fillRandom(s, buf, len, seed);
-
-    std::uint64_t st[16];
-    Rng rng(seed ^ 0xb1ab1a20);
-    for (auto &w : st)
-        w = rng.next();
-
-    auto qr = [&](std::uint64_t &a, std::uint64_t &b, std::uint64_t &c,
-                  std::uint64_t &d) {
-        a += b; d ^= a; d = std::rotr(d, 32);
-        c += d; b ^= c; b = std::rotr(b, 24);
-        a += b; d ^= a; d = std::rotr(d, 16);
-        c += d; b ^= c; b = std::rotr(b, 63);
-    };
-
-    Checksum sum;
-    for (std::uint64_t off = 0; off < len; off += 128) {
-        std::uint64_t x[16];
-        for (int i = 0; i < 16; ++i)
-            x[i] = st[i];
-        for (int round = 0; round < 10; ++round) {
-            qr(x[0], x[4], x[8], x[12]);
-            qr(x[1], x[5], x[9], x[13]);
-            qr(x[2], x[6], x[10], x[14]);
-            qr(x[3], x[7], x[11], x[15]);
-            qr(x[0], x[5], x[10], x[15]);
-            qr(x[1], x[6], x[11], x[12]);
-            qr(x[2], x[7], x[8], x[13]);
-            qr(x[3], x[4], x[9], x[14]);
-        }
-        s.chargeOps(10 * 8 * 14);
-        st[12] += 1; // counter
-        const std::uint64_t n = std::min<std::uint64_t>(128, len - off);
-        for (std::uint64_t i = 0; i + 8 <= n; i += 8) {
-            const std::uint64_t w =
-                s.load<std::uint64_t>(buf + off + i) ^ (x[i / 8] + st[i / 8]);
-            s.store<std::uint64_t>(buf + off + i, w);
-            sum.mix(w);
-            s.chargeOps(3);
-        }
-    }
-    return sum.value();
-}
-
-std::uint64_t
-runXchacha20(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
-{
-    Arena arena(s);
-    const std::uint64_t len = scale * 1024;
-    const std::uint64_t buf = arena.alloc(len);
-    fillRandom(s, buf, len, seed);
-    return crypto::chacha20Sandboxed(s, buf, len, seed);
-}
-
-const std::vector<Workload> &
-suite()
-{
-    static const std::vector<Workload> kSuite = {
-        {"blake3-scalar", 5, runBlake3Scalar},
-        {"ackermann", 0, runAckermann},
-        {"base64", 5, runBase64},
-        {"ctype", 0, runCtype},
-        {"fib2", 0, runFib2},
-        {"gimli", 5, runGimli},
-        {"keccak", 10, runKeccak},
-        {"memmove", 0, runMemmove},
-        {"minicsv", 5, runMinicsv},
-        {"nestedloop", 0, runNestedloop},
-        {"random", 0, runRandom},
-        {"ratelimit", 5, runRatelimit},
-        {"sieve", 0, runSieve},
-        {"switch", 15, runSwitch},
-        {"xblabla20", 5, runXblabla20},
-        {"xchacha20", 5, runXchacha20},
-    };
-    return kSuite;
 }
 
 } // namespace hfi::workloads::sightglass

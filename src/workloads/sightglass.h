@@ -1,15 +1,12 @@
 /**
  * @file
- * The Sightglass kernel suite (§5.2, Fig 2).
+ * §6.1's interpreter probe: Sightglass's `switch` kernel over sandbox
+ * linear memory.
  *
- * Sightglass is the set of short Wasm-friendly programs — "primitives
- * from cryptography, mathematics, string manipulation, and control
- * flow" — that the paper uses to cross-validate its gem5 simulation
- * against its compiler-based emulation. We implement the sixteen kernels
- * Fig 2 reports as real algorithms over sandbox linear memory. Each
- * takes a scale parameter (iteration count / buffer size knob) and a
- * seed, and returns a checksum that is independent of the isolation
- * backend — the property the functional tests assert.
+ * The paper measures the cost of reserving general-purpose registers on
+ * Wasmtime's Spidermonkey benchmark; bench/register_pressure runs this
+ * opcode-dispatch kernel in its place. The Fig 2 Sightglass suite, in
+ * hardware-HFI and compiler-emulation form, lives in sim/kernels.
  */
 
 #ifndef HFI_WORKLOADS_SIGHTGLASS_H
@@ -20,41 +17,13 @@
 namespace hfi::workloads::sightglass
 {
 
-std::uint64_t runBlake3Scalar(sfi::Sandbox &s, std::uint64_t scale,
-                              std::uint32_t seed);
-std::uint64_t runAckermann(sfi::Sandbox &s, std::uint64_t scale,
-                           std::uint32_t seed);
-std::uint64_t runBase64(sfi::Sandbox &s, std::uint64_t scale,
-                        std::uint32_t seed);
-std::uint64_t runCtype(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runFib2(sfi::Sandbox &s, std::uint64_t scale,
-                      std::uint32_t seed);
-std::uint64_t runGimli(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runKeccak(sfi::Sandbox &s, std::uint64_t scale,
-                        std::uint32_t seed);
-std::uint64_t runMemmove(sfi::Sandbox &s, std::uint64_t scale,
-                         std::uint32_t seed);
-std::uint64_t runMinicsv(sfi::Sandbox &s, std::uint64_t scale,
-                         std::uint32_t seed);
-std::uint64_t runNestedloop(sfi::Sandbox &s, std::uint64_t scale,
-                            std::uint32_t seed);
-std::uint64_t runRandom(sfi::Sandbox &s, std::uint64_t scale,
-                        std::uint32_t seed);
-std::uint64_t runRatelimit(sfi::Sandbox &s, std::uint64_t scale,
-                           std::uint32_t seed);
-std::uint64_t runSieve(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
+/**
+ * Switch dispatch over a seeded 4 KiB stream of opcodes, 200 * @p scale
+ * passes, one byte load per dispatch. @return the accumulator, which is
+ * independent of the isolation backend.
+ */
 std::uint64_t runSwitch(sfi::Sandbox &s, std::uint64_t scale,
                         std::uint32_t seed);
-std::uint64_t runXblabla20(sfi::Sandbox &s, std::uint64_t scale,
-                           std::uint32_t seed);
-std::uint64_t runXchacha20(sfi::Sandbox &s, std::uint64_t scale,
-                           std::uint32_t seed);
-
-/** The sixteen Fig 2 kernels, in the figure's order. */
-const std::vector<Workload> &suite();
 
 } // namespace hfi::workloads::sightglass
 

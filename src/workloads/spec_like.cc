@@ -21,8 +21,6 @@ fillRandom(sfi::Sandbox &s, std::uint64_t off, std::uint64_t len,
         s.store<std::uint8_t>(off + i, static_cast<std::uint8_t>(rng.next()));
 }
 
-} // namespace
-
 std::uint64_t
 runBzip2(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
 {
@@ -754,6 +752,8 @@ runXalancbmk(sfi::Sandbox &s, std::uint64_t scale, std::uint32_t seed)
         sum.mix(a);
     return sum.value();
 }
+
+} // namespace
 
 const std::vector<Workload> &
 suite()

@@ -21,29 +21,6 @@
 namespace hfi::workloads::spec
 {
 
-std::uint64_t runBzip2(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runMcf(sfi::Sandbox &s, std::uint64_t scale,
-                     std::uint32_t seed);
-std::uint64_t runMilc(sfi::Sandbox &s, std::uint64_t scale,
-                      std::uint32_t seed);
-std::uint64_t runGobmk(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runHmmer(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runSjeng(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runLibquantum(sfi::Sandbox &s, std::uint64_t scale,
-                            std::uint32_t seed);
-std::uint64_t runH264ref(sfi::Sandbox &s, std::uint64_t scale,
-                         std::uint32_t seed);
-std::uint64_t runLbm(sfi::Sandbox &s, std::uint64_t scale,
-                     std::uint32_t seed);
-std::uint64_t runAstar(sfi::Sandbox &s, std::uint64_t scale,
-                       std::uint32_t seed);
-std::uint64_t runXalancbmk(sfi::Sandbox &s, std::uint64_t scale,
-                           std::uint32_t seed);
-
 /** The Fig 3 benchmark set (11 kernels). */
 const std::vector<Workload> &suite();
 

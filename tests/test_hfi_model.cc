@@ -5,7 +5,7 @@
  *
  * The cross-model test runs every hfi_* operation from every
  * {enabled, hybrid, serialized, switch-on-exit, shadow-valid, handler}
- * state through both HfiContext and FunctionalCore::execute, delivers
+ * state through both HfiContext and FunctionalCore::executeOn, delivers
  * any trap the way each model retires it, and requires the same banks,
  * shadow-valid bit, MSR, trap reason, handler and serialize verdict.
  * Also here: the region-register encode/decode round trip and a native
@@ -251,9 +251,9 @@ runOnFunctionalCore(const Operation &op, const HfiState &start)
     arch.regs[kBoundReg] = op.bound;
     arch.regs[sim::kExitHandlerReg] = kEnterHandler;
     sim::SimMemory mem;
-    sim::DirectMemView view(mem);
+    sim::DirectMem view{mem};
     const sim::ExecInfo info =
-        sim::FunctionalCore::execute(op.inst, kPc, arch, view);
+        sim::FunctionalCore::executeOn(op.inst, kPc, arch, view);
 
     Observed seen;
     if (info.faulted) {

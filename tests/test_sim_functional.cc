@@ -302,11 +302,11 @@ TEST(Functional, FlushComputesAddressOnly)
     ArchState state;
     state.pc = prog.base();
     SimMemory mem;
-    DirectMemView view(mem);
+    DirectMem view{mem};
     const Inst *flush_inst = prog.at(prog.addressOf(1));
     ArchState flush_state = state;
     flush_state.regs[1] = 0x7000;
-    const ExecInfo info = FunctionalCore::execute(
+    const ExecInfo info = FunctionalCore::executeOn(
         *flush_inst, prog.addressOf(1), flush_state, view);
     EXPECT_TRUE(info.isFlush);
     EXPECT_EQ(info.memAddr, 0x7040u);

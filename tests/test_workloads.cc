@@ -122,22 +122,6 @@ TEST_F(CryptoSandboxed, Sha256MatchesHostReference)
     EXPECT_EQ(std::memcmp(in_sandbox, host.data(), 32), 0);
 }
 
-TEST_F(CryptoSandboxed, Chacha20RoundTrips)
-{
-    auto sandbox = makeSandbox(mmu, ctx, sfi::BackendKind::GuardPages);
-    ASSERT_TRUE(sandbox);
-    const char *msg = "attack at dawn";
-    sandbox->memory().writeBytes(128, msg, 14);
-    crypto::chacha20Sandboxed(*sandbox, 128, 14, 7);
-    char cipher[15] = {};
-    sandbox->memory().readBytes(128, cipher, 14);
-    EXPECT_NE(std::memcmp(cipher, msg, 14), 0);
-    crypto::chacha20Sandboxed(*sandbox, 128, 14, 7); // same keystream
-    char plain[15] = {};
-    sandbox->memory().readBytes(128, plain, 14);
-    EXPECT_EQ(std::memcmp(plain, msg, 14), 0);
-}
-
 // ------------------------------------------------- backend invariance
 
 struct KernelBackendCase
@@ -146,18 +130,20 @@ struct KernelBackendCase
     std::size_t kernelIndex;
 };
 
+/** §6.1's interpreter probe. */
+const Workload kSwitch{"switch", 15, sightglass::runSwitch};
+
+const Workload &
+lookup(const KernelBackendCase &param)
+{
+    return std::string(param.suiteName) == "sightglass"
+               ? kSwitch
+               : spec::suite()[param.kernelIndex];
+}
+
 class KernelBackendInvariance
     : public ::testing::TestWithParam<KernelBackendCase>
 {
-  protected:
-    static const Workload &
-    lookup(const KernelBackendCase &param)
-    {
-        const auto &s = std::string(param.suiteName) == "sightglass"
-                            ? sightglass::suite()
-                            : spec::suite();
-        return s[param.kernelIndex];
-    }
 };
 
 TEST_P(KernelBackendInvariance, ChecksumIdenticalAcrossBackends)
@@ -167,7 +153,7 @@ TEST_P(KernelBackendInvariance, ChecksumIdenticalAcrossBackends)
     bool first = true;
     for (sfi::BackendKind kind :
          {sfi::BackendKind::GuardPages, sfi::BackendKind::BoundsCheck,
-          sfi::BackendKind::Hfi}) {
+          sfi::BackendKind::Mask, sfi::BackendKind::Hfi}) {
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
         core::HfiContext ctx(clock);
@@ -179,6 +165,12 @@ TEST_P(KernelBackendInvariance, ChecksumIdenticalAcrossBackends)
             checksum = workload.run(s, 1, 1234);
         })) << workload.name << " trapped under "
             << backendKindName(kind);
+        // A masked access that strays out of bounds wraps silently
+        // instead of trapping, so the counters, not invoke, catch it.
+        EXPECT_EQ(sandbox->stats().traps, 0u)
+            << workload.name << " under " << backendKindName(kind);
+        EXPECT_EQ(sandbox->stats().wrappedAccesses, 0u)
+            << workload.name << " under " << backendKindName(kind);
         if (first) {
             reference = checksum;
             first = false;
@@ -194,9 +186,7 @@ TEST_P(KernelBackendInvariance, ChecksumIdenticalAcrossBackends)
 std::vector<KernelBackendCase>
 allKernels()
 {
-    std::vector<KernelBackendCase> cases;
-    for (std::size_t i = 0; i < sightglass::suite().size(); ++i)
-        cases.push_back({"sightglass", i});
+    std::vector<KernelBackendCase> cases{{"sightglass", 0}};
     for (std::size_t i = 0; i < spec::suite().size(); ++i)
         cases.push_back({"spec", i});
     return cases;
@@ -205,11 +195,8 @@ allKernels()
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelBackendInvariance, ::testing::ValuesIn(allKernels()),
     [](const ::testing::TestParamInfo<KernelBackendCase> &info) {
-        const auto &s = std::string(info.param.suiteName) == "sightglass"
-                            ? sightglass::suite()
-                            : spec::suite();
         std::string name = std::string(info.param.suiteName) + "_" +
-                           s[info.param.kernelIndex].name;
+                           lookup(info.param).name;
         for (char &c : name) {
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';
@@ -222,18 +209,16 @@ TEST(KernelDeterminism, SeedChangesChecksumScaleKeepsIt)
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    const auto &fib = sightglass::suite()[4]; // fib2: seed-independent
-    const auto &csv = sightglass::suite()[8]; // minicsv: seed-dependent
 
-    auto run = [&](const Workload &w, std::uint32_t seed) {
+    auto run = [&](std::uint32_t seed) {
         auto sandbox = makeSandbox(mmu, ctx, sfi::BackendKind::Hfi);
         std::uint64_t sum = 0;
-        sandbox->invoke([&](sfi::Sandbox &s) { sum = w.run(s, 1, seed); });
+        sandbox->invoke(
+            [&](sfi::Sandbox &s) { sum = sightglass::runSwitch(s, 1, seed); });
         return sum;
     };
-    EXPECT_EQ(run(fib, 1), run(fib, 2));
-    EXPECT_NE(run(csv, 1), run(csv, 2));
-    EXPECT_EQ(run(csv, 7), run(csv, 7));
+    EXPECT_NE(run(1), run(2));
+    EXPECT_EQ(run(7), run(7));
 }
 
 // --------------------------------------------------------------- image
