@@ -18,9 +18,8 @@
 #include <memory>
 #include <vector>
 
-#include "sfi/hfi_backend.h"
+#include "sfi/backend.h"
 #include "sfi/multi_memory.h"
-#include "sfi/software_backend.h"
 
 namespace
 {
@@ -35,15 +34,12 @@ countInstances(bool use_hfi, unsigned va_bits)
     core::HfiContext ctx(clock);
 
     constexpr std::uint64_t kGiBPages = 16384; // 1 GiB of Wasm pages
-    std::vector<std::unique_ptr<sfi::IsolationBackend>> live;
+    const sfi::BackendKind kind =
+        use_hfi ? sfi::BackendKind::Hfi : sfi::BackendKind::GuardPages;
+    std::vector<std::unique_ptr<sfi::Backend>> live;
     std::uint64_t count = 0;
     while (true) {
-        std::unique_ptr<sfi::IsolationBackend> backend;
-        if (use_hfi)
-            backend = std::make_unique<sfi::HfiBackend>(mmu, ctx);
-        else
-            backend = std::make_unique<sfi::SoftwareBackend>(
-                mmu, sfi::BackendKind::GuardPages);
+        auto backend = std::make_unique<sfi::Backend>(mmu, ctx, kind);
         if (!backend->create(1, kGiBPages))
             break;
         live.push_back(std::move(backend));

@@ -38,12 +38,10 @@ firefoxConfig(sfi::BackendKind kind)
     sfi::RuntimeConfig config;
     config.backend = kind;
     // Dense decode loops saturate the AGU: the base-add / zext chain
-    // costs that SPEC-style code hides become visible (DESIGN.md).
-    if (kind != sfi::BackendKind::Hfi) {
-        config.softwareCosts = sfi::paperCosts(kind);
-        config.softwareCosts->accessMilli += 450;
-    }
-    config.hfi.addressingMilli = 100; // hmov's residue
+    // costs that SPEC-style code hides become visible, and hmov keeps
+    // a residue (DESIGN.md).
+    config.costs = sfi::paperCosts(kind);
+    config.costs->accessMilli += kind == sfi::BackendKind::Hfi ? 100 : 450;
     return config;
 }
 

@@ -7,16 +7,14 @@
  *  mprotect() method takes 10.92 seconds, while HFI takes 370 ms, a
  *  difference of ~30x."
  *
- * We drive the backends' grow paths directly (the LinearMemory byte
+ * We drive the backend's grow path directly (the LinearMemory byte
  * store is skipped so the harness itself does not allocate 4 GiB of
  * host RAM; the modeled costs are identical).
  */
 
 #include <cstdio>
 
-#include "sfi/hfi_backend.h"
-#include "sfi/linear_memory.h"
-#include "sfi/software_backend.h"
+#include "sfi/backend.h"
 
 int
 main()
@@ -33,7 +31,8 @@ main()
     {
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
-        sfi::SoftwareBackend backend(mmu, sfi::BackendKind::GuardPages);
+        core::HfiContext ctx(clock);
+        sfi::Backend backend(mmu, ctx, sfi::BackendKind::GuardPages);
         if (!backend.create(1, total_pages))
             return 1;
         const double t0 = clock.nowNs();
@@ -48,7 +47,7 @@ main()
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
         core::HfiContext ctx(clock);
-        sfi::HfiBackend backend(mmu, ctx);
+        sfi::Backend backend(mmu, ctx, sfi::BackendKind::Hfi);
         if (!backend.create(1, total_pages))
             return 1;
         const double t0 = clock.nowNs();

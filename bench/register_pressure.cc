@@ -31,8 +31,8 @@ runWithPressure(std::uint64_t pressure_milli)
     core::HfiContext ctx(clock);
     sfi::RuntimeConfig config;
     config.backend = sfi::BackendKind::GuardPages;
-    config.softwareCosts = sfi::paperCosts(config.backend);
-    config.softwareCosts->opPressureMilli = pressure_milli;
+    config.costs = sfi::paperCosts(config.backend);
+    config.costs->opPressureMilli = pressure_milli;
     sfi::Runtime runtime(mmu, ctx, config);
     auto sandbox = runtime.createSandbox({4, 256});
     if (!sandbox)

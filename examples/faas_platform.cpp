@@ -27,8 +27,8 @@ main()
     core::HfiContext ctx(clock);
 
     sfi::RuntimeConfig config;
-    config.backend = sfi::BackendKind::Hfi; // guard pages elided
-    config.hfi.serialized = true;           // Spectre-safe transitions
+    config.backend = sfi::BackendKind::Hfi; // guard pages elided,
+                                            // serialized transitions
     sfi::Runtime runtime(mmu, ctx, config);
 
     std::printf("Tenant capacity in this process (1 MiB instances): "

@@ -34,12 +34,10 @@
 #include "vm/virtual_clock.h"
 
 #include "sfi/backend.h"
-#include "sfi/hfi_backend.h"
 #include "sfi/linear_memory.h"
 #include "sfi/multi_memory.h"
 #include "sfi/runtime.h"
 #include "sfi/sandbox.h"
-#include "sfi/software_backend.h"
 
 #include "sim/cpu_config.h"
 #include "sim/functional.h"

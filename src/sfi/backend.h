@@ -1,45 +1,53 @@
 /**
  * @file
- * The pluggable isolation backend interface.
- *
- * The paper contrasts four ways of enforcing a Wasm linear memory's
- * bounds (§2, §5.2, Fig 3):
+ * The isolation backend: one class for all four ways of enforcing a
+ * Wasm linear memory's bounds that the paper contrasts (§2, §5.1-5.2,
+ * Fig 3, §6.1):
  *
  *  - guard pages: the memory is placed in an 8 GiB reservation whose
  *    inaccessible tail traps out-of-bounds accesses via the MMU;
  *  - bounds checks: a compare+branch precedes every access;
- *  - address masking: classic Wahbe-style SFI, which silently wraps
- *    out-of-bounds accesses instead of trapping;
+ *  - address masking: classic Wahbe-style SFI ([78]), which silently
+ *    wraps out-of-bounds accesses instead of trapping;
  *  - HFI: an explicit region accessed through hmov, checked in hardware
  *    in parallel with address translation.
  *
- * SoftwareBackend implements the first three, which differ only in data
- * (software_backend.h); HfiBackend the last.
+ * Where the schemes differ only in data, the BackendKind selects it:
  *
- * A backend provides two things: *enforcement* (checkAccess decides
- * whether an access traps and where it lands) and *costs* (a small POD of
- * per-access/per-op overheads that the Sandbox charges on the hot path,
- * plus lifecycle methods that charge MMU/HFI work to the virtual clock).
+ *  - the address space reserved (footprintBytes): heap + a 4 GiB
+ *    PROT_NONE guard, the heap alone (bounds checks, HFI), or the heap
+ *    rounded up to a power of two and aligned to itself (mask), so an
+ *    AND keeps every address inside it;
+ *  - the reservation's protection: PROT_NONE with pages opened as the
+ *    memory grows, or read-write for HFI, whose region bound (not page
+ *    permissions) does the enforcing;
+ *  - one cost row (BackendCosts, paperCosts).
+ *
+ * Where the mechanism differs, a branch on the kind picks it: growth
+ * is mprotect() over the new pages or one hfi_set_region (§6.1's 30x
+ * gap); an access is checked by the accessible-size rule (a mask wraps
+ * where the others trap) or by AccessChecker::checkHmov; and only HFI
+ * programs a region register and runs hfi_enter/hfi_exit around
+ * sandboxed execution.
  *
  * checkAccess is the Sandbox's slow path, not its per-access call: the
- * Sandbox accepts in-bounds accesses inline (against the memory's size,
- * or HFI's live heap register, HfiBackend::accepts) and calls
- * checkAccess only for the rest, so every trap, every mask wrap and
- * every HFI trap reason comes from here.
+ * Sandbox accepts in-bounds accesses inline (Backend::accepts, against
+ * the memory's size or HFI's live heap register) and calls checkAccess
+ * only for the rest, so every trap, every mask wrap and every HFI trap
+ * reason comes from there.
  */
 
 #ifndef HFI_SFI_BACKEND_H
 #define HFI_SFI_BACKEND_H
 
 #include <cstdint>
-#include <string>
 
-#include "vm/virtual_clock.h"
+#include "core/context.h"
+#include "sfi/linear_memory.h"
+#include "vm/mmu.h"
 
 namespace hfi::sfi
 {
-
-class LinearMemory;
 
 /** Which isolation scheme a sandbox uses. */
 enum class BackendKind
@@ -80,96 +88,184 @@ struct AccessCheck
 };
 
 /**
- * Steady-state costs the Sandbox charges inline on every access/op.
- *
- * Expressed in milli-cycles so sub-cycle amortized costs (a fraction of
- * a compare absorbed by the out-of-order window, register-pressure
- * spill costs smeared over all instructions) stay deterministic without
- * floating point on the hot path.
+ * One scheme's modeled costs. Per-access and per-op costs are in
+ * milli-cycles, so sub-cycle amortized costs (a fraction of a compare
+ * absorbed by the out-of-order window, register-pressure spill costs
+ * smeared over all instructions) stay deterministic without floating
+ * point on the hot path.
  */
-struct SteadyStateCosts
+struct BackendCosts
 {
-    /** Extra milli-cycles per load beyond the bare memory operation. */
-    std::uint64_t loadExtraMilli = 0;
-    /** Extra milli-cycles per store. */
-    std::uint64_t storeExtraMilli = 0;
+    /** Springboard transition cost per enter and per exit (cycles). */
+    std::uint64_t transitionCycles = 0;
     /**
-     * Register-pressure tax in milli-cycles per charged ALU op: the
-     * cost of pinning the heap base (guard pages: one register, §6.1
-     * measures 2.25%) or base+bound (bounds checks: two registers,
-     * 2.40%) in general-purpose registers.
+     * Extra milli-cycles per load/store: the emitted compare+branch or
+     * AND, plus any address computation the out-of-order core cannot
+     * hide (the Firefox benches add the u32 zext + base add, and
+     * hmov's residue when the access stream saturates the AGU, §6.2).
+     */
+    std::uint64_t accessMilli = 0;
+    /**
+     * Register-pressure tax per charged op: the pinned heap base (guard
+     * pages: one register, §6.1 measures 2.25%) or base + bound (bounds
+     * checks: two registers, 2.40%).
      */
     std::uint64_t opPressureMilli = 0;
-    /**
-     * Instruction-cache tax in milli-cycles per load/store, scaled by
-     * the workload's icache sensitivity (0..100): hmov's longer
-     * encodings hurt big-code workloads like 445.gobmk (§6.1).
-     */
-    std::uint64_t icacheMilliPerAccess = 0;
 };
 
+/** The paper-calibrated cost row of @p kind. */
+BackendCosts paperCosts(BackendKind kind);
+
+/** The guard-page scheme's guard region: 4 GiB, as in production Wasm. */
+inline constexpr std::uint64_t kGuardBytes = 4ULL << 30;
+
 /**
- * Abstract isolation backend. One instance per sandbox.
+ * Virtual-address-space bytes a memory of at most @p heap_bytes
+ * reserves under @p kind (HFI: the heap alone, §6.3.2). The one
+ * footprint rule: Backend::create and Runtime::addressSpaceCapacity
+ * both use it.
  */
-class IsolationBackend
+std::uint64_t footprintBytes(BackendKind kind, std::uint64_t heap_bytes);
+
+/**
+ * One sandbox's isolation backend. Under HFI the heap is explicit
+ * region 0: hmov index 0, region register kFirstExplicitRegion.
+ */
+class Backend
 {
   public:
-    virtual ~IsolationBackend() = default;
-
-    virtual BackendKind kind() const = 0;
+    /**
+     * Per-access icache tax in milli-cycles at sensitivity 100, HFI
+     * only: hmov's longer instruction encodings pressure the icache on
+     * big-code workloads (§6.1, 445.gobmk).
+     */
+    static constexpr std::uint64_t kIcacheMilliPerAccess = 4;
 
     /**
-     * Create the sandbox's address-space footprint for a memory of
-     * @p initial_pages growable to @p max_pages.
+     * A backend of @p kind charging @p costs (default paperCosts(kind)).
+     * The @p mmu pays mmap/mprotect costs; @p ctx holds HFI's region
+     * registers.
+     */
+    Backend(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind);
+    Backend(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
+            BackendCosts costs);
+    ~Backend();
+
+    Backend(const Backend &) = delete;
+    Backend &operator=(const Backend &) = delete;
+
+    BackendKind kind() const { return kind_; }
+
+    const BackendCosts &costs() const { return costs_; }
+
+    /**
+     * Create the footprint for a memory of @p initial_pages growable to
+     * @p max_pages.
      * @return false when address space is exhausted (the §6.3.2
      *         scalability limit).
      */
-    virtual bool create(std::uint64_t initial_pages,
-                        std::uint64_t max_pages) = 0;
+    bool create(std::uint64_t initial_pages, std::uint64_t max_pages);
 
     /** Tear down the footprint (the §6.3.1 teardown path). */
-    virtual void destroy() = 0;
+    void destroy();
 
     /**
-     * The memory grew from @p old_pages to @p new_pages: charge whatever
-     * the scheme needs (mprotect for guard pages, hfi_set_region for
-     * HFI, a bound-variable update for bounds checks).
+     * The memory grew from @p old_pages to @p new_pages: mprotect the
+     * new pages read-write, or (HFI) update the region's bound.
      */
-    virtual void grow(std::uint64_t old_pages, std::uint64_t new_pages) = 0;
+    void grow(std::uint64_t old_pages, std::uint64_t new_pages);
 
     /**
-     * Check (and possibly redirect) an access of @p width at @p offset.
-     * Must pass every access the Sandbox's inline accept passes.
+     * Check (and for a mask, redirect) an access of @p width at
+     * @p offset. Passes every access accepts() passes.
      */
-    virtual AccessCheck checkAccess(std::uint64_t offset, std::uint32_t width,
-                                    bool write,
-                                    const LinearMemory &mem) = 0;
+    AccessCheck checkAccess(std::uint64_t offset, std::uint32_t width,
+                            bool write, const LinearMemory &mem);
 
     /**
-     * Re-install any per-core state this sandbox's enforcement depends
-     * on (HFI: hfi_set_region of the heap region, §6.4.2). Needed when
-     * an instance is dispatched on a core whose register state was
+     * Re-install the per-core state enforcement depends on (HFI:
+     * hfi_set_region of the heap region, §6.4.2). Needed when an
+     * instance is dispatched on a core whose register state was
      * swapped since the instance last ran — the warm-pool dispatch path
-     * — and must happen before any region-locking hfi_enter. Schemes
-     * whose enforcement lives in the address space (guard pages, masks,
-     * bounds variables) need nothing: the default is free.
+     * — and before any region-locking hfi_enter. The software schemes
+     * enforce through the address space and need nothing.
      */
-    virtual void rebindRegions() {}
+    void rebindRegions();
 
-    /** Transition into sandboxed execution; charges transition cost. */
-    virtual void enterSandbox() = 0;
+    /**
+     * Transition into sandboxed execution: the springboard's cycles,
+     * then (HFI) a region reload and a serialized hybrid hfi_enter.
+     */
+    void enter();
 
     /** Transition back to the host. */
-    virtual void exitSandbox() = 0;
+    void exit();
 
-    /** Steady-state per-access/per-op cost table. */
-    virtual SteadyStateCosts steadyStateCosts() const = 0;
+    /**
+     * Inline accept for an access of @p bytes at @p offset: the memory's
+     * accessible size, or HFI's live heap register. False sends the
+     * access to checkAccess.
+     */
+    bool
+    accepts(std::uint64_t offset, std::uint64_t bytes, bool write,
+            const LinearMemory &mem) const
+    {
+        if (kind_ == BackendKind::Hfi)
+            return heapAccepts(*heap_, offset, bytes, write);
+        return mem.inBounds(offset, bytes);
+    }
 
-    /** Virtual-address-space bytes this sandbox's footprint reserves. */
-    virtual std::uint64_t reservedVaBytes() const = 0;
+    /**
+     * Inline accept for an hmov of @p bytes at @p offset through
+     * @p heap (index = offset, scale 1, no displacement). For every
+     * well-formed region (HfiContext::setRegion admits no other) it is
+     * true exactly when AccessChecker::checkHmov passes, save a small
+     * region ending at the very top of the address space, which it
+     * leaves to checkAccess. A large region's 32-bit compare of bits
+     * [47:16] equals `offset + bytes <= bound` because base and bound
+     * are 64 KiB aligned; a small region's 33-bit compare equals it
+     * outright. The last clause rejects a region whose limit wraps the
+     * address space.
+     */
+    static bool
+    heapAccepts(const core::FlatRegionSlot &heap, std::uint64_t offset,
+                std::uint64_t bytes, bool write)
+    {
+        return heap.kind == core::RegionKind::ExplicitData &&
+               (write ? heap.permWrite : heap.permRead) &&
+               offset < heap.bound && bytes <= heap.bound - offset &&
+               heap.base + heap.bound >= heap.base;
+    }
+
+    /** Virtual-address-space bytes the footprint reserves. */
+    std::uint64_t reservedVaBytes() const { return reservation; }
 
     /** Base virtual address of the linear memory (0 before create()). */
-    virtual std::uint64_t baseAddress() const = 0;
+    std::uint64_t baseAddress() const { return base; }
+
+    /** HFI: exit reason of the last trapping access (for tests). */
+    core::ExitReason lastTrapReason() const { return lastTrap; }
+
+  private:
+    /** HFI: write the heap region descriptor into its register. */
+    void programRegion(std::uint64_t accessible_bytes);
+
+    vm::Mmu &mmu;
+    core::HfiContext &ctx;
+    BackendKind kind_;
+    BackendCosts costs_;
+    /**
+     * The live explicit-region register holding the heap, in the
+     * context's register file: not a copy of its bound, so a cleared or
+     * swapped register traps on the next access.
+     */
+    const core::FlatRegionSlot *heap_;
+    std::uint64_t reservation = 0;
+    /** HFI: the bound last programmed into the heap region. */
+    std::uint64_t accessibleBytes = 0;
+    vm::VAddr base = 0;
+    bool live = false;
+    core::ExitReason lastTrap = core::ExitReason::None;
 };
 
 } // namespace hfi::sfi

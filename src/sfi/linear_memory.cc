@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
 
 namespace hfi::sfi
 {
@@ -60,6 +61,9 @@ LinearMemory::LinearMemory(std::uint64_t initial_pages,
                            std::uint64_t max_pages)
     : sizePages(initial_pages), maxPages_(max_pages)
 {
+    if (initial_pages > max_pages)
+        throw std::invalid_argument(
+            "LinearMemory: initial pages exceed the maximum");
     const std::uint64_t size = sizePages * kWasmPageSize;
     if (!spareGone) {
         // The newest spare store that fits without wasting over half.
@@ -103,7 +107,7 @@ std::int64_t
 LinearMemory::grow(std::uint64_t delta_pages)
 {
     // Compared without the sum, which a huge delta would wrap.
-    if (sizePages > maxPages_ || delta_pages > maxPages_ - sizePages)
+    if (delta_pages > maxPages_ - sizePages)
         return -1;
     const std::int64_t prev = static_cast<std::int64_t>(sizePages);
     sizePages += delta_pages;

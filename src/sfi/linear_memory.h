@@ -4,8 +4,8 @@
  *
  * Workloads executed inside a Sandbox read and write genuine bytes here
  * (so tests can check functional results), while the *enforcement* of the
- * heap bound and the *cost* of growth are delegated to the configured
- * IsolationBackend. Growth happens in 64 KiB Wasm pages (§3.2: "granular
+ * heap bound and the *cost* of growth are delegated to the sandbox's
+ * Backend. Growth happens in 64 KiB Wasm pages (§3.2: "granular
  * heap growth (64K increments)").
  */
 
@@ -44,6 +44,8 @@ class LinearMemory
      * @param initial_pages accessible pages at creation.
      * @param max_pages maximum the memory may grow to (Wasm's declared
      *        maximum; 65536 pages = the 4 GiB architectural limit).
+     * @throws std::invalid_argument when @p initial_pages exceeds
+     *         @p max_pages: the backend reserves only the maximum.
      */
     explicit LinearMemory(std::uint64_t initial_pages = 1,
                           std::uint64_t max_pages = 65536);

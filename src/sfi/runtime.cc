@@ -1,6 +1,7 @@
 #include "sfi/runtime.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace hfi::sfi
 {
@@ -10,20 +11,12 @@ Runtime::Runtime(vm::Mmu &mmu, core::HfiContext &ctx, RuntimeConfig config)
 {
 }
 
-std::unique_ptr<IsolationBackend>
-Runtime::makeBackend()
-{
-    const BackendKind kind = config_.backend;
-    if (kind == BackendKind::Hfi)
-        return std::make_unique<HfiBackend>(mmu_, ctx, config_.hfi);
-    return std::make_unique<SoftwareBackend>(
-        mmu_, kind, config_.softwareCosts.value_or(paperCosts(kind)));
-}
-
 std::unique_ptr<Sandbox>
 Runtime::createSandbox(SandboxOptions opts)
 {
-    auto sandbox = std::make_unique<Sandbox>(makeBackend(), mmu_, opts);
+    auto sandbox = std::make_unique<Sandbox>(
+        mmu_, ctx, config_.backend,
+        config_.costs.value_or(paperCosts(config_.backend)), opts);
     if (!sandbox->valid())
         return nullptr;
     return sandbox;
@@ -44,6 +37,8 @@ Runtime::reclaim(const std::vector<Sandbox *> &sandboxes,
 
     // Batched: one madvise per run of @p batch_size sandboxes, spanning
     // from the lowest footprint to the highest — guard regions included.
+    if (batch_size == 0)
+        throw std::invalid_argument("Runtime::reclaim: batch size 0");
     for (std::size_t i = 0; i < sandboxes.size(); i += batch_size) {
         const std::size_t end = std::min(i + batch_size, sandboxes.size());
         std::uint64_t lo = UINT64_MAX;

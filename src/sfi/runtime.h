@@ -24,9 +24,7 @@
 
 #include "core/context.h"
 #include "sfi/backend.h"
-#include "sfi/hfi_backend.h"
 #include "sfi/sandbox.h"
-#include "sfi/software_backend.h"
 #include "vm/mmu.h"
 
 namespace hfi::sfi
@@ -43,10 +41,8 @@ enum class ReclaimPolicy
 struct RuntimeConfig
 {
     BackendKind backend = BackendKind::GuardPages;
-    /** HFI sandbox options (used when backend == Hfi). */
-    HfiBackendConfig hfi{};
-    /** A software backend's cost row; unset means paperCosts(backend). */
-    std::optional<SoftwareCosts> softwareCosts{};
+    /** The backend's cost row; unset means paperCosts(backend). */
+    std::optional<BackendCosts> costs{};
 };
 
 /**
@@ -57,9 +53,6 @@ class Runtime
 {
   public:
     Runtime(vm::Mmu &mmu, core::HfiContext &ctx, RuntimeConfig config = {});
-
-    /** Construct a backend of the configured kind. */
-    std::unique_ptr<IsolationBackend> makeBackend();
 
     /**
      * Create a sandbox; returns nullptr when the address space cannot
@@ -74,7 +67,8 @@ class Runtime
      * @p batch_size and each run is reclaimed with a single madvise
      * spanning from the first footprint to the last — including
      * whatever guard regions lie in between, which is exactly the cost
-     * HFI's guard elision removes.
+     * HFI's guard elision removes. A Batched @p batch_size of 0 throws
+     * std::invalid_argument.
      */
     void reclaim(const std::vector<Sandbox *> &sandboxes,
                  ReclaimPolicy policy, std::size_t batch_size = 32);

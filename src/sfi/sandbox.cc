@@ -29,46 +29,37 @@ SandboxTrap::what() const noexcept
     return message_.c_str();
 }
 
-Sandbox::Sandbox(std::unique_ptr<IsolationBackend> backend, vm::Mmu &mmu,
-                 SandboxOptions opts)
-    : backend_(std::move(backend)), mmu_(mmu),
-      memory_(opts.initialPages, opts.maxPages),
-      kind_(backend_->kind())
+Sandbox::Sandbox(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
+                 const BackendCosts &costs, SandboxOptions opts)
+    : mmu_(mmu), memory_(opts.initialPages, opts.maxPages),
+      backend_(mmu, ctx, kind, costs)
 {
-    if (kind_ == BackendKind::Hfi)
-        hfiHeap_ = &static_cast<const HfiBackend &>(*backend_).heapSlot();
     touched.resize(memory_.size() / vm::kPageSize, 0);
-    valid_ = backend_->create(opts.initialPages, opts.maxPages);
+    valid_ = backend_.create(opts.initialPages, opts.maxPages);
     if (!valid_)
         return;
 
-    const SteadyStateCosts costs = backend_->steadyStateCosts();
     const std::uint64_t icache =
-        costs.icacheMilliPerAccess * opts.icacheSensitivity;
+        kind == BackendKind::Hfi
+            ? Backend::kIcacheMilliPerAccess * opts.icacheSensitivity
+            : 0;
     // Register-pressure spill cost is smeared over *every* instruction,
     // memory operations included (§6.1's whole-program 2.25%/2.40%).
-    loadMilli = costs.loadExtraMilli + icache + costs.opPressureMilli;
-    storeMilli = costs.storeExtraMilli + icache + costs.opPressureMilli;
+    accessMilli = costs.accessMilli + icache + costs.opPressureMilli;
     opMilli = costs.opPressureMilli;
-}
-
-Sandbox::~Sandbox()
-{
-    if (valid_)
-        backend_->destroy();
 }
 
 void
 Sandbox::enter()
 {
-    backend_->enterSandbox();
+    backend_.enter();
 }
 
 void
 Sandbox::exit()
 {
     flushCharge();
-    backend_->exitSandbox();
+    backend_.exit();
 }
 
 std::int64_t
@@ -82,7 +73,7 @@ Sandbox::memoryGrow(std::uint64_t delta_pages)
     const std::int64_t prev = memory_.grow(delta_pages);
     if (prev < 0)
         return -1;
-    backend_->grow(old_pages, memory_.pages());
+    backend_.grow(old_pages, memory_.pages());
     touched.resize(memory_.size() / vm::kPageSize, 0);
     return prev;
 }
@@ -98,7 +89,7 @@ std::uint64_t
 Sandbox::checkedOffset(std::uint64_t offset, std::uint32_t width, bool write)
 {
     const AccessCheck check =
-        backend_->checkAccess(offset, width, write, memory_);
+        backend_.checkAccess(offset, width, write, memory_);
     if (check.outcome == AccessOutcome::Trap)
         throw SandboxTrap(offset, width, write);
     if (check.outcome == AccessOutcome::Wrapped)
@@ -113,7 +104,7 @@ Sandbox::firstTouch(std::uint64_t page, std::uint64_t at,
     touched[page] = 1;
     // Access the backing virtual address so the Mmu charges the fault
     // and marks residency for the teardown experiments.
-    mmu_.access(backend_->baseAddress() + at, width, write);
+    mmu_.access(backend_.baseAddress() + at, width, write);
 }
 
 } // namespace hfi::sfi

@@ -10,12 +10,13 @@
  * structure. This is the same separation the paper's compiler-based
  * emulation makes (§5.2): real work, modeled isolation costs.
  *
- * The access path is header-inline and makes no virtual call when the
- * access is in bounds: the sandbox accepts it against live state (the
- * linear memory's size, or HFI's heap region register), probes a byte
- * map of touched 4 KiB pages, charges the cached cost and moves bytes.
- * Everything it does not accept goes to the backend's checkAccess, the
- * one slow path, which raises every trap and performs every mask wrap.
+ * The access path is header-inline and makes no virtual call: the
+ * sandbox holds its Backend by value, accepts an in-bounds access
+ * against live state (the linear memory's size, or HFI's heap region
+ * register), probes a byte map of touched 4 KiB pages, charges the
+ * cached cost and moves bytes. Everything it does not accept goes to
+ * the backend's checkAccess, the one slow path, which raises every trap
+ * and performs every mask wrap.
  *
  * Checking and charging are separate: checkedSpan() checks a whole span
  * once and pages it in, chargeAccesses() charges n accesses, and
@@ -32,13 +33,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sfi/backend.h"
-#include "sfi/hfi_backend.h"
 #include "sfi/linear_memory.h"
 #include "vm/mmu.h"
 
@@ -114,13 +113,14 @@ class Sandbox
 {
   public:
     /**
-     * Create a sandbox over @p backend. The backend's create() runs
-     * immediately; failure (address space exhausted) leaves valid()
-     * false — the §6.3.2 scaling limit.
+     * Create a sandbox over a Backend(@p mmu, @p ctx, @p kind, @p costs).
+     * The backend's create() runs immediately; failure (address space
+     * exhausted) leaves valid() false — the §6.3.2 scaling limit.
+     * Throws std::invalid_argument when opts.initialPages exceeds
+     * opts.maxPages.
      */
-    Sandbox(std::unique_ptr<IsolationBackend> backend, vm::Mmu &mmu,
-            SandboxOptions opts = {});
-    ~Sandbox();
+    Sandbox(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
+            const BackendCosts &costs, SandboxOptions opts = {});
 
     Sandbox(const Sandbox &) = delete;
     Sandbox &operator=(const Sandbox &) = delete;
@@ -129,7 +129,7 @@ class Sandbox
     bool valid() const { return valid_; }
 
     /** Re-install per-core enforcement state on warm dispatch. */
-    void rebindRegions() { backend_->rebindRegions(); }
+    void rebindRegions() { backend_.rebindRegions(); }
 
     /** Enter sandboxed execution (springboard / hfi_enter). */
     void enter();
@@ -228,7 +228,8 @@ class Sandbox
                 bool write) const
     {
         const std::uint64_t bytes = n * width;
-        return n != 0 && bytes / width == n && accepts(offset, bytes, write);
+        return n != 0 && bytes / width == n &&
+               backend_.accepts(offset, bytes, write, memory_);
     }
 
     /**
@@ -257,13 +258,8 @@ class Sandbox
     void
     chargeAccesses(std::uint64_t n, bool write)
     {
-        if (write) {
-            stats_.stores += n;
-            chargeMilli(n * (1000 + storeMilli));
-        } else {
-            stats_.loads += n;
-            chargeMilli(n * (1000 + loadMilli));
-        }
+        (write ? stats_.stores : stats_.loads) += n;
+        chargeMilli(n * (1000 + accessMilli));
     }
 
     /**
@@ -280,7 +276,7 @@ class Sandbox
 
     LinearMemory &memory() { return memory_; }
     const LinearMemory &memory() const { return memory_; }
-    IsolationBackend &backend() { return *backend_; }
+    Backend &backend() { return backend_; }
     const SandboxStats &stats() const { return stats_; }
     vm::Mmu &mmu() { return mmu_; }
 
@@ -288,26 +284,14 @@ class Sandbox
     void flushCharge();
 
   private:
-    /**
-     * Inline accept against live state: HFI's heap region register, or
-     * for the software backends the linear memory's size — the bound
-     * their checkAccess tests. False sends the access to checkAccess.
-     */
-    bool
-    accepts(std::uint64_t offset, std::uint64_t bytes, bool write) const
-    {
-        if (kind_ == BackendKind::Hfi)
-            return HfiBackend::accepts(*hfiHeap_, offset, bytes, write);
-        return memory_.inBounds(offset, bytes);
-    }
-
     /** Check one access and page it in; returns the offset accessed. */
     std::uint64_t
     access(std::uint64_t offset, std::uint32_t width, bool write)
     {
-        const std::uint64_t at = accepts(offset, width, write)
-                                     ? offset
-                                     : checkedOffset(offset, width, write);
+        const std::uint64_t at =
+            backend_.accepts(offset, width, write, memory_)
+                ? offset
+                : checkedOffset(offset, width, write);
         touch(at, width, write);
         return at;
     }
@@ -365,18 +349,16 @@ class Sandbox
      */
     static constexpr std::uint64_t kFlushThresholdMilli = 1'000'000;
 
-    std::unique_ptr<IsolationBackend> backend_;
     vm::Mmu &mmu_;
     LinearMemory memory_;
+    Backend backend_;
     bool valid_ = false;
-    /** backend_->kind(), cached at construction. */
-    BackendKind kind_;
-    /** HFI only: the live heap region register (HfiBackend::heapSlot). */
-    const core::FlatRegionSlot *hfiHeap_ = nullptr;
 
-    /** Cached per-access costs (backend table + icache sensitivity). */
-    std::uint64_t loadMilli = 0;
-    std::uint64_t storeMilli = 0;
+    /**
+     * Cached extra milli-cycles per load or store (cost row + icache
+     * sensitivity) and per op.
+     */
+    std::uint64_t accessMilli = 0;
     std::uint64_t opMilli = 0;
 
     std::uint64_t pendingMilli = 0;

@@ -9,17 +9,6 @@ Mmu::Mmu(VirtualClock &clock, unsigned va_bits, MmuCostParams params)
 }
 
 std::optional<VAddr>
-Mmu::mmapReserve(std::uint64_t size, std::uint64_t align)
-{
-    ++stats_.mmapCalls;
-    charge(params_.syscallFixedNs + params_.mmapReserveNs);
-    auto base = space.reserve(size, align);
-    if (base)
-        table.map(*base, alignUp(size, kPageSize), PageProt::None);
-    return base;
-}
-
-std::optional<VAddr>
 Mmu::mmap(std::uint64_t size, PageProt prot, std::uint64_t align)
 {
     ++stats_.mmapCalls;

@@ -48,8 +48,7 @@ struct MmuCostParams
 {
     double syscallFixedNs = 1800.0;
 
-    double mmapReserveNs = 1400.0;      ///< VMA insert for a reservation
-    double mmapPerPageNs = 0.0;         ///< lazy mapping: no per-page cost
+    double mmapReserveNs = 1400.0;      ///< VMA insert; mapping is lazy
     double munmapFixedNs = 1200.0;      ///< VMA removal
     double munmapShootdownNs = 16000.0; ///< TLB shootdown on unmap
 
@@ -96,14 +95,11 @@ class Mmu
         MmuCostParams params = {});
 
     /**
-     * Reserve @p size bytes of address space with no access
-     * (mmap(PROT_NONE)) — how Wasm runtimes reserve heap + guard region.
+     * Map @p size bytes anywhere, aligned to @p align, with protection
+     * @p prot. PageProt::None is how Wasm runtimes reserve heap + guard
+     * region.
      * @return base address or std::nullopt when the VA space is full.
      */
-    std::optional<VAddr> mmapReserve(std::uint64_t size,
-                                     std::uint64_t align = kPageSize);
-
-    /** Map @p size bytes anywhere with protection @p prot. */
     std::optional<VAddr> mmap(std::uint64_t size, PageProt prot,
                               std::uint64_t align = kPageSize);
 

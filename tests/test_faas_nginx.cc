@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checker.h"
 #include "faas/latency.h"
 #include "nginx/server.h"
 #include "serve/engine.h"

@@ -33,9 +33,8 @@
 
 #include "core/context.h"
 #include "serve/engine.h"
-#include "sfi/hfi_backend.h"
+#include "sfi/backend.h"
 #include "sfi/runtime.h"
-#include "sfi/software_backend.h"
 #include "sim/kernels.h"
 #include "sim/pipeline.h"
 #include "spectre/attacker.h"
@@ -61,16 +60,12 @@ heapGrowthSeconds(sfi::BackendKind kind)
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    std::unique_ptr<sfi::IsolationBackend> backend;
-    if (kind == sfi::BackendKind::Hfi)
-        backend = std::make_unique<sfi::HfiBackend>(mmu, ctx);
-    else
-        backend = std::make_unique<sfi::SoftwareBackend>(mmu, kind);
-    EXPECT_TRUE(backend->create(1, total_pages));
+    sfi::Backend backend(mmu, ctx, kind);
+    EXPECT_TRUE(backend.create(1, total_pages));
     const double t0 = clock.nowNs();
     for (std::uint64_t p = 1; p < total_pages; ++p) {
         clock.tick(clock.nsToCycles(grow_runtime_ns));
-        backend->grow(p, p + 1);
+        backend.grow(p, p + 1);
     }
     return (clock.nowNs() - t0) / 1e9;
 }

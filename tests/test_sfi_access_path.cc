@@ -68,11 +68,12 @@ class ReferencePath
     ReferencePath(Sandbox &s, const SandboxOptions &opts)
         : s(s), touched(opts.maxPages * (kWasmPageSize / vm::kPageSize))
     {
-        const SteadyStateCosts c = s.backend().steadyStateCosts();
+        const BackendCosts &c = s.backend().costs();
         const std::uint64_t icache =
-            c.icacheMilliPerAccess * opts.icacheSensitivity;
-        loadMilli = 1000 + c.loadExtraMilli + icache + c.opPressureMilli;
-        storeMilli = 1000 + c.storeExtraMilli + icache + c.opPressureMilli;
+            s.backend().kind() == BackendKind::Hfi
+                ? Backend::kIcacheMilliPerAccess * opts.icacheSensitivity
+                : 0;
+        accessMilli = 1000 + c.accessMilli + icache + c.opPressureMilli;
     }
 
     template <typename T>
@@ -81,7 +82,7 @@ class ReferencePath
     {
         const std::uint64_t at = checked(offset, sizeof(T), false);
         ++loads;
-        milli += loadMilli;
+        milli += accessMilli;
         return s.memory().load<T>(at);
     }
 
@@ -91,7 +92,7 @@ class ReferencePath
     {
         const std::uint64_t at = checked(offset, sizeof(T), true);
         ++stores;
-        milli += storeMilli;
+        milli += accessMilli;
         s.memory().store<T>(at, value);
     }
 
@@ -118,7 +119,7 @@ class ReferencePath
 
     Sandbox &s;
     std::vector<bool> touched;
-    std::uint64_t loadMilli = 0, storeMilli = 0;
+    std::uint64_t accessMilli = 0;
 };
 
 enum class OpKind
@@ -525,7 +526,7 @@ class HfiLiveRegister : public ::testing::Test
     static core::ExitReason
     lastTrap(Sandbox &s)
     {
-        return static_cast<HfiBackend &>(s.backend()).lastTrapReason();
+        return s.backend().lastTrapReason();
     }
 
     vm::VirtualClock clock;
@@ -621,7 +622,7 @@ TEST(HfiAccept, ExhaustiveNearEveryEdgeMatchesCheckHmov)
                                     core::AccessChecker::checkHmov(
                                         ctx, slot, ops, write)
                                         .ok;
-                                ASSERT_EQ(HfiBackend::accepts(
+                                ASSERT_EQ(Backend::heapAccepts(
                                               heap, offset, width, write),
                                           hw)
                                     << "bound " << bound << " large "
@@ -640,8 +641,8 @@ TEST(HfiAccept, ExhaustiveNearEveryEdgeMatchesCheckHmov)
 
     // A cleared register accepts nothing.
     ASSERT_EQ(ctx.clearRegion(reg), core::HfiResult::Ok);
-    EXPECT_FALSE(HfiBackend::accepts(ctx.registerFile().flat(reg), 0, 1,
-                                     false));
+    EXPECT_FALSE(Backend::heapAccepts(ctx.registerFile().flat(reg), 0, 1,
+                                      false));
 }
 
 // -------------------------------------------------------- SandboxTrap

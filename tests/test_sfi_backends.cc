@@ -1,19 +1,17 @@
 /**
  * @file
- * Tests for the two isolation backends (four schemes): enforcement
+ * Tests for the isolation backend's four schemes: enforcement
  * semantics (precise traps vs silent wrapping), address-space
- * footprints, growth costs, and steady-state cost tables — the
- * behavioural contrasts of §2/Fig 3.
+ * footprints, growth costs, and cost rows — the behavioural contrasts
+ * of §2/Fig 3.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 
-#include "sfi/hfi_backend.h"
+#include "sfi/backend.h"
 #include "sfi/linear_memory.h"
-#include "sfi/software_backend.h"
 #include "vm/mmu.h"
 
 namespace
@@ -25,12 +23,10 @@ using namespace hfi::sfi;
 class BackendTest : public ::testing::Test
 {
   protected:
-    std::unique_ptr<IsolationBackend>
+    std::unique_ptr<Backend>
     make(BackendKind kind)
     {
-        if (kind == BackendKind::Hfi)
-            return std::make_unique<HfiBackend>(mmu, ctx);
-        return std::make_unique<SoftwareBackend>(mmu, kind);
+        return std::make_unique<Backend>(mmu, ctx, kind);
     }
 
     vm::VirtualClock clock;
@@ -98,7 +94,7 @@ TEST_F(BackendTest, GuardPagesReserve8GiB)
 {
     // §2: 4 GiB linear memory + 4 GiB guard, reserved even for a tiny
     // heap.
-    SoftwareBackend backend(mmu, BackendKind::GuardPages);
+    Backend backend(mmu, ctx, BackendKind::GuardPages);
     ASSERT_TRUE(backend.create(1, 65536));
     EXPECT_EQ(backend.reservedVaBytes(), 8ULL << 30);
     EXPECT_EQ(mmu.addressSpace().reservedBytes(), 8ULL << 30);
@@ -106,18 +102,18 @@ TEST_F(BackendTest, GuardPagesReserve8GiB)
 
 TEST_F(BackendTest, BoundsAndHfiReserveOnlyTheHeap)
 {
-    SoftwareBackend bounds(mmu, BackendKind::BoundsCheck);
+    Backend bounds(mmu, ctx, BackendKind::BoundsCheck);
     ASSERT_TRUE(bounds.create(1, 65536));
     EXPECT_EQ(bounds.reservedVaBytes(), 4ULL << 30);
 
-    HfiBackend hfi_backend(mmu, ctx);
+    Backend hfi_backend(mmu, ctx, BackendKind::Hfi);
     ASSERT_TRUE(hfi_backend.create(1, 16384)); // 1 GiB max
     EXPECT_EQ(hfi_backend.reservedVaBytes(), 1ULL << 30);
 }
 
 TEST_F(BackendTest, GuardPageGrowPaysMprotect)
 {
-    SoftwareBackend backend(mmu, BackendKind::GuardPages);
+    Backend backend(mmu, ctx, BackendKind::GuardPages);
     ASSERT_TRUE(backend.create(1, 65536));
     const auto calls = mmu.stats().mprotectCalls;
     const double t0 = clock.nowNs();
@@ -129,7 +125,7 @@ TEST_F(BackendTest, GuardPageGrowPaysMprotect)
 
 TEST_F(BackendTest, HfiGrowIsRegisterUpdate)
 {
-    HfiBackend backend(mmu, ctx);
+    Backend backend(mmu, ctx, BackendKind::Hfi);
     ASSERT_TRUE(backend.create(1, 65536));
     const auto mprotects = mmu.stats().mprotectCalls;
     const double t0 = clock.nowNs();
@@ -141,7 +137,7 @@ TEST_F(BackendTest, HfiGrowIsRegisterUpdate)
 
 TEST_F(BackendTest, HfiTrapReasonIsBoundsViolation)
 {
-    HfiBackend backend(mmu, ctx);
+    Backend backend(mmu, ctx, BackendKind::Hfi);
     ASSERT_TRUE(backend.create(1, 16));
     LinearMemory mem(1, 16);
     ASSERT_EQ(backend.checkAccess(kWasmPageSize + 5, 4, false, mem).outcome,
@@ -152,7 +148,7 @@ TEST_F(BackendTest, HfiTrapReasonIsBoundsViolation)
 
 TEST_F(BackendTest, HfiEnforcementMatchesRegionRegister)
 {
-    HfiBackend backend(mmu, ctx);
+    Backend backend(mmu, ctx, BackendKind::Hfi);
     ASSERT_TRUE(backend.create(2, 16));
     const auto region = std::get<core::ExplicitDataRegion>(
         ctx.region(core::kFirstExplicitRegion));
@@ -165,7 +161,7 @@ TEST_F(BackendTest, MaskWrapsInsteadOfTrapping)
 {
     // §2: masking converts out-of-bounds accesses into silent
     // corruption — the precise-trap defect the paper rules it out for.
-    SoftwareBackend backend(mmu, BackendKind::Mask);
+    Backend backend(mmu, ctx, BackendKind::Mask);
     ASSERT_TRUE(backend.create(4, 16));
     LinearMemory mem(4, 16);
 
@@ -181,54 +177,34 @@ TEST_F(BackendTest, MaskWrapsInsteadOfTrapping)
 
 TEST_F(BackendTest, SteadyStateCostTables)
 {
-    SoftwareBackend guard(mmu, BackendKind::GuardPages);
-    SoftwareBackend bounds(mmu, BackendKind::BoundsCheck);
-    HfiBackend hfi_backend(mmu, ctx);
+    Backend guard(mmu, ctx, BackendKind::GuardPages);
+    Backend bounds(mmu, ctx, BackendKind::BoundsCheck);
+    Backend hfi_backend(mmu, ctx, BackendKind::Hfi);
 
     // Guard pages: no per-access check, one pinned register (§6.1's
     // 2.25%). Bounds: compare+branch per access, two pinned registers
-    // (2.40%). HFI: neither.
-    EXPECT_EQ(guard.steadyStateCosts().loadExtraMilli, 0u);
-    EXPECT_GT(guard.steadyStateCosts().opPressureMilli, 0u);
-    EXPECT_GT(bounds.steadyStateCosts().loadExtraMilli, 0u);
-    EXPECT_GT(bounds.steadyStateCosts().opPressureMilli,
-              guard.steadyStateCosts().opPressureMilli);
-    EXPECT_EQ(hfi_backend.steadyStateCosts().loadExtraMilli, 0u);
-    EXPECT_EQ(hfi_backend.steadyStateCosts().opPressureMilli, 0u);
-    EXPECT_GT(hfi_backend.steadyStateCosts().icacheMilliPerAccess, 0u);
+    // (2.40%). HFI: neither, only hmov's icache tax.
+    EXPECT_EQ(guard.costs().accessMilli, 0u);
+    EXPECT_GT(guard.costs().opPressureMilli, 0u);
+    EXPECT_GT(bounds.costs().accessMilli, 0u);
+    EXPECT_GT(bounds.costs().opPressureMilli,
+              guard.costs().opPressureMilli);
+    EXPECT_EQ(hfi_backend.costs().accessMilli, 0u);
+    EXPECT_EQ(hfi_backend.costs().opPressureMilli, 0u);
+    EXPECT_GT(Backend::kIcacheMilliPerAccess, 0u);
 }
 
 TEST_F(BackendTest, HfiTransitionsDriveContext)
 {
-    HfiBackend backend(mmu, ctx);
+    Backend backend(mmu, ctx, BackendKind::Hfi);
     ASSERT_TRUE(backend.create(1, 16));
     EXPECT_FALSE(ctx.enabled());
-    backend.enterSandbox();
+    backend.enter();
     EXPECT_TRUE(ctx.enabled());
     EXPECT_TRUE(ctx.config().isHybrid);
     EXPECT_TRUE(ctx.config().isSerialized);
-    backend.exitSandbox();
+    backend.exit();
     EXPECT_FALSE(ctx.enabled());
-}
-
-TEST_F(BackendTest, HfiSwitchOnExitConfig)
-{
-    HfiBackendConfig config;
-    config.switchOnExit = true;
-    HfiBackend backend(mmu, ctx, config);
-    ASSERT_TRUE(backend.create(1, 16));
-
-    // The runtime sandbox wraps the child (§3.4).
-    core::SandboxConfig runtime_cfg;
-    runtime_cfg.isHybrid = true;
-    runtime_cfg.isSerialized = true;
-    ctx.enter(runtime_cfg);
-
-    backend.enterSandbox();
-    EXPECT_TRUE(ctx.config().switchOnExit);
-    backend.exitSandbox();
-    EXPECT_TRUE(ctx.enabled()); // back in the runtime sandbox
-    EXPECT_TRUE(ctx.lastExitSwitched());
 }
 
 TEST_F(BackendTest, FootprintRuleIsWhatCreateReserves)
@@ -255,9 +231,9 @@ TEST_F(BackendTest, MaskRegionIsAlignedToItsSize)
 {
     // A page-sized reservation first, so the mask's region cannot be
     // aligned by accident.
-    SoftwareBackend bounds(mmu, BackendKind::BoundsCheck);
+    Backend bounds(mmu, ctx, BackendKind::BoundsCheck);
     ASSERT_TRUE(bounds.create(1, 1));
-    SoftwareBackend mask(mmu, BackendKind::Mask);
+    Backend mask(mmu, ctx, BackendKind::Mask);
     ASSERT_TRUE(mask.create(1, 5));
     EXPECT_EQ(mask.reservedVaBytes(), 8 * kWasmPageSize);
     EXPECT_EQ(mask.baseAddress() % mask.reservedVaBytes(), 0u);
@@ -265,26 +241,26 @@ TEST_F(BackendTest, MaskRegionIsAlignedToItsSize)
 
 TEST_F(BackendTest, CostRowDrivesTransitionsAndSteadyState)
 {
-    SoftwareCosts row{30, 700, 5};
-    SoftwareBackend backend(mmu, BackendKind::BoundsCheck, row);
+    BackendCosts row{30, 700, 5};
+    Backend backend(mmu, ctx, BackendKind::BoundsCheck, row);
     ASSERT_TRUE(backend.create(1, 16));
     const auto c0 = clock.now();
-    backend.enterSandbox();
-    backend.exitSandbox();
+    backend.enter();
+    backend.exit();
     EXPECT_EQ(clock.now() - c0, 60u);
-    EXPECT_EQ(backend.steadyStateCosts().loadExtraMilli, 700u);
-    EXPECT_EQ(backend.steadyStateCosts().storeExtraMilli, 700u);
-    EXPECT_EQ(backend.steadyStateCosts().opPressureMilli, 5u);
-    EXPECT_EQ(backend.steadyStateCosts().icacheMilliPerAccess, 0u);
+    EXPECT_EQ(backend.costs().accessMilli, 700u);
+    EXPECT_EQ(backend.costs().opPressureMilli, 5u);
 }
 
 TEST_F(BackendTest, PaperCostRows)
 {
     // {transition cycles, per-access milli-cycles, op pressure}: Fig 3's
-    // bounds-check spread and §6.1's 2.25%/2.40% register reservations.
-    const SoftwareCosts guard = paperCosts(BackendKind::GuardPages);
-    const SoftwareCosts bounds = paperCosts(BackendKind::BoundsCheck);
-    const SoftwareCosts mask = paperCosts(BackendKind::Mask);
+    // bounds-check spread and §6.1's 2.25%/2.40% register reservations;
+    // HFI's transitions are hfi_enter/hfi_exit and it pins nothing.
+    const BackendCosts guard = paperCosts(BackendKind::GuardPages);
+    const BackendCosts bounds = paperCosts(BackendKind::BoundsCheck);
+    const BackendCosts mask = paperCosts(BackendKind::Mask);
+    const BackendCosts hfi_row = paperCosts(BackendKind::Hfi);
     EXPECT_EQ(guard.transitionCycles, 12u);
     EXPECT_EQ(guard.accessMilli, 0u);
     EXPECT_EQ(guard.opPressureMilli, 23u);
@@ -294,27 +270,24 @@ TEST_F(BackendTest, PaperCostRows)
     EXPECT_EQ(mask.transitionCycles, 12u);
     EXPECT_EQ(mask.accessMilli, 600u);
     EXPECT_EQ(mask.opPressureMilli, 23u);
-}
-
-TEST_F(BackendTest, HfiIsNotASoftwareScheme)
-{
-    EXPECT_THROW(paperCosts(BackendKind::Hfi), std::invalid_argument);
-    EXPECT_THROW(SoftwareBackend(mmu, BackendKind::Hfi, SoftwareCosts{}),
-                 std::invalid_argument);
+    EXPECT_EQ(hfi_row.transitionCycles, 0u);
+    EXPECT_EQ(hfi_row.accessMilli, 0u);
+    EXPECT_EQ(hfi_row.opPressureMilli, 0u);
 }
 
 TEST_F(BackendTest, CreateFailsWhenAddressSpaceExhausted)
 {
     vm::VirtualClock small_clock;
     vm::Mmu small_mmu(small_clock, 32); // 4 GiB space
-    SoftwareBackend backend(small_mmu, BackendKind::GuardPages);
+    core::HfiContext small_ctx(small_clock);
+    Backend backend(small_mmu, small_ctx, BackendKind::GuardPages);
     EXPECT_FALSE(backend.create(1, 65536)); // needs 8 GiB
 }
 
 TEST_F(BackendTest, DestroyReleasesAddressSpace)
 {
     {
-        SoftwareBackend backend(mmu, BackendKind::GuardPages);
+        Backend backend(mmu, ctx, BackendKind::GuardPages);
         ASSERT_TRUE(backend.create(1, 65536));
         EXPECT_GT(mmu.addressSpace().reservedBytes(), 0u);
         backend.destroy();
@@ -322,7 +295,7 @@ TEST_F(BackendTest, DestroyReleasesAddressSpace)
     }
     {
         // Destructor path.
-        HfiBackend backend(mmu, ctx);
+        Backend backend(mmu, ctx, BackendKind::Hfi);
         ASSERT_TRUE(backend.create(1, 65536));
     }
     EXPECT_EQ(mmu.addressSpace().reservedBytes(), 0u);

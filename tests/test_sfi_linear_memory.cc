@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "sfi/linear_memory.h"
+#include "sfi/multi_memory.h"
 #include "sfi/runtime.h"
 
 namespace
@@ -81,6 +83,31 @@ TEST(LinearMemory, SandboxGrowByAWrappingDeltaFails)
         s->store<std::uint8_t>(4 * kWasmPageSize - 1, 1);
         EXPECT_EQ(s->load<std::uint8_t>(4 * kWasmPageSize - 1), 1u);
     }
+}
+
+TEST(LinearMemory, InitialPagesBeyondTheMaximumThrow)
+{
+    EXPECT_THROW(LinearMemory(4, 1), std::invalid_argument);
+    EXPECT_EQ(LinearMemory(1, 1).pages(), 1u);
+    // A sandbox reserves only its maximum, so it must not start larger:
+    // a store at 3 pages + 8 would land past its reservation.
+    for (BackendKind kind : {BackendKind::GuardPages, BackendKind::BoundsCheck,
+                             BackendKind::Mask, BackendKind::Hfi}) {
+        SCOPED_TRACE(backendKindName(kind));
+        hfi::vm::VirtualClock clock;
+        hfi::vm::Mmu mmu(clock);
+        hfi::core::HfiContext ctx(clock);
+        RuntimeConfig config;
+        config.backend = kind;
+        EXPECT_THROW(Runtime(mmu, ctx, config).createSandbox({4, 1}),
+                     std::invalid_argument);
+        EXPECT_EQ(mmu.addressSpace().reservedBytes(), 0u);
+    }
+    hfi::vm::VirtualClock clock;
+    hfi::vm::Mmu mmu(clock);
+    hfi::core::HfiContext ctx(clock);
+    EXPECT_THROW(MultiMemorySandbox(mmu, ctx, 2, 4, 1),
+                 std::invalid_argument);
 }
 
 TEST(LinearMemory, NewPagesAreZero)

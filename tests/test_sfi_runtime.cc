@@ -1,10 +1,14 @@
 /**
  * @file
- * Tests for the Runtime: backend factory, VA-adjacent instance layout,
- * the three §6.3.1 reclaim policies, and the §6.3.2 capacity math.
+ * Tests for the Runtime: backend choice and cost row, VA-adjacent
+ * instance layout, the three §6.3.1 reclaim policies, and the §6.3.2
+ * capacity math.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <stdexcept>
 
 #include "sfi/runtime.h"
 
@@ -35,10 +39,45 @@ TEST_F(RuntimeTest, FactoryProducesRequestedKind)
     for (BackendKind kind :
          {BackendKind::GuardPages, BackendKind::BoundsCheck,
           BackendKind::Mask, BackendKind::Hfi}) {
-        auto runtime = makeRuntime(kind);
-        auto backend = runtime.makeBackend();
-        ASSERT_TRUE(backend);
-        EXPECT_EQ(backend->kind(), kind);
+        auto sandbox = makeRuntime(kind).createSandbox({1, 16});
+        ASSERT_TRUE(sandbox);
+        EXPECT_EQ(sandbox->backend().kind(), kind);
+    }
+}
+
+TEST_F(RuntimeTest, CostRowOverrideReachesEveryKind)
+{
+    // Fig 4 adds hmov's residue to HFI's row the same way it adds the
+    // exposed address arithmetic to a software row: RuntimeConfig::costs
+    // applies whatever the backend.
+    auto invokeCycles = [](BackendKind kind,
+                           std::optional<BackendCosts> costs) {
+        vm::VirtualClock local_clock;
+        vm::Mmu local_mmu(local_clock);
+        core::HfiContext local_ctx(local_clock);
+        RuntimeConfig config;
+        config.backend = kind;
+        config.costs = costs;
+        auto s = Runtime(local_mmu, local_ctx, config).createSandbox({1, 1});
+        EXPECT_TRUE(s);
+        const vm::Cycles c0 = local_clock.now();
+        s->invoke([](Sandbox &sb) {
+            for (std::uint64_t i = 0; i < 1000; ++i)
+                sb.store<std::uint64_t>(8 * i, i);
+            sb.chargeOps(1000);
+        });
+        return local_clock.now() - c0;
+    };
+    for (BackendKind kind : {BackendKind::BoundsCheck, BackendKind::Hfi}) {
+        SCOPED_TRACE(backendKindName(kind));
+        BackendCosts row = paperCosts(kind);
+        row.transitionCycles += 7;
+        row.accessMilli += 100;
+        row.opPressureMilli += 20;
+        // 1000 stores at +120 milli-cycles, 1000 ops at +20, and +7
+        // cycles on enter and on exit.
+        EXPECT_EQ(invokeCycles(kind, row) - invokeCycles(kind, std::nullopt),
+                  120u + 20u + 14u);
     }
 }
 
@@ -94,6 +133,15 @@ TEST_F(RuntimeTest, BatchedReclaimCoalescesCalls)
     const auto calls0 = mmu.stats().madviseCalls;
     runtime.reclaim(raw, ReclaimPolicy::Batched, 4);
     EXPECT_EQ(mmu.stats().madviseCalls, calls0 + 2); // 8 sandboxes / 4
+}
+
+TEST_F(RuntimeTest, BatchedReclaimRejectsAZeroBatch)
+{
+    auto runtime = makeRuntime(BackendKind::Hfi);
+    auto s = runtime.createSandbox({1, 16});
+    ASSERT_TRUE(s);
+    EXPECT_THROW(runtime.reclaim({s.get()}, ReclaimPolicy::Batched, 0),
+                 std::invalid_argument);
 }
 
 TEST_F(RuntimeTest, BatchedReclaimCheaperOnlyWithGuardElision)

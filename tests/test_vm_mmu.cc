@@ -23,7 +23,7 @@ class MmuTest : public ::testing::Test
 
 TEST_F(MmuTest, ReserveIsProtNone)
 {
-    auto base = mmu.mmapReserve(8ULL << 30);
+    auto base = mmu.mmap(8ULL << 30, PageProt::None);
     ASSERT_TRUE(base);
     EXPECT_EQ(mmu.access(*base, 8, false), AccessResult::NotMapped);
     EXPECT_EQ(mmu.stats().mmapCalls, 1u);
@@ -31,7 +31,7 @@ TEST_F(MmuTest, ReserveIsProtNone)
 
 TEST_F(MmuTest, MprotectOpensAccess)
 {
-    auto base = mmu.mmapReserve(1 << 20);
+    auto base = mmu.mmap(1 << 20, PageProt::None);
     ASSERT_TRUE(base);
     mmu.mprotect(*base, 1 << 16, PageProt::ReadWrite);
     EXPECT_EQ(mmu.access(*base, 8, true), AccessResult::Ok);
@@ -92,7 +92,7 @@ TEST_F(MmuTest, MunmapReleasesAndCharges)
 TEST_F(MmuTest, SyscallCostsAdvanceVirtualTime)
 {
     const double t0 = clock.nowNs();
-    mmu.mmapReserve(1 << 20);
+    mmu.mmap(1 << 20, PageProt::None);
     const double t1 = clock.nowNs();
     EXPECT_NEAR(t1 - t0,
                 mmu.params().syscallFixedNs + mmu.params().mmapReserveNs,
@@ -101,7 +101,7 @@ TEST_F(MmuTest, SyscallCostsAdvanceVirtualTime)
 
 TEST_F(MmuTest, MprotectCostScalesWithPages)
 {
-    auto base = mmu.mmapReserve(1 << 24);
+    auto base = mmu.mmap(1 << 24, PageProt::None);
     ASSERT_TRUE(base);
     const double t0 = clock.nowNs();
     mmu.mprotect(*base, 16 * kPageSize, PageProt::ReadWrite);
@@ -119,7 +119,7 @@ TEST_F(MmuTest, HeapGrowthCalibration)
     // §6.1: growing a Wasm heap from one page to 4 GiB in 64 KiB
     // increments with mprotect() takes ~10.92 s. The per-grow cost here
     // must therefore be ~166 µs.
-    auto base = mmu.mmapReserve(8ULL << 30);
+    auto base = mmu.mmap(8ULL << 30, PageProt::None);
     ASSERT_TRUE(base);
     const double t0 = clock.nowNs();
     mmu.mprotect(*base, 16 * kPageSize, PageProt::ReadWrite);
@@ -162,7 +162,7 @@ TEST_F(MmuTest, MadviseWalkCostScalesWithGuardSpan)
     // Batching a madvise across an 8 GiB guard region costs kernel page-
     // walk time even with nothing resident — the §6.3.1 penalty of
     // batching without HFI.
-    auto base = mmu.mmapReserve(16ULL << 30);
+    auto base = mmu.mmap(16ULL << 30, PageProt::None);
     ASSERT_TRUE(base);
     const double t0 = clock.nowNs();
     mmu.madviseDontneed(*base, 8ULL << 30);
@@ -176,9 +176,9 @@ TEST_F(MmuTest, ExhaustionPropagates)
 {
     VirtualClock small_clock;
     Mmu small(small_clock, 26);
-    while (small.mmapReserve(1 << 20)) {
+    while (small.mmap(1 << 20, PageProt::None)) {
     }
-    EXPECT_FALSE(small.mmapReserve(1 << 20).has_value());
+    EXPECT_FALSE(small.mmap(1 << 20, PageProt::None).has_value());
 }
 
 } // namespace
