@@ -19,12 +19,21 @@
  * untraced, untraced, traced). Within a block, any drift that is
  * linear in time — frequency ramps, thermal throttling, a neighbor
  * spinning up — contributes equally to both variants and cancels in
- * the block's ratio. The gate then takes the median over block ratios,
- * which trims blocks that caught a descheduling spike.
+ * the block's ratio. Each slot of a block repeats the serving run until
+ * the block holds at least 50 ms of work, so one descheduling is small
+ * against it. Every run is timed twice: by wall time, which the bound
+ * gates, and by the thread's CPU time (CLOCK_THREAD_CPUTIME_ID; the
+ * engine runs on the calling thread), which time spent descheduled
+ * does not inflate. The gate takes the median over block ratios, which
+ * trims blocks that caught a spike, and prints the min, median and max
+ * of both clocks' ratios so a reader can see how far they spread.
  */
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -70,24 +79,44 @@ config()
     return ec;
 }
 
+/** Host time of one block slot, on both clocks. */
 struct Timed
 {
-    ServeResult res;
-    double hostNs = 0;
+    double wallNs = 0;
+    double cpuNs = 0;
 };
 
+double
+threadCpuNs()
+{
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return ts.tv_sec * 1e9 + ts.tv_nsec;
+}
+
+/**
+ * @p reps serving runs with @p trace attached (or none), timed together.
+ * Clears @p identicalResults if any run's result differs from
+ * @p baseline.
+ */
 Timed
-runOnce(obs::Trace *trace)
+runSlot(obs::Trace *trace, int reps, const ServeResult &baseline,
+        bool &identicalResults)
 {
     auto cfg = config();
     cfg.trace = trace;
-    ServeEngine engine(cfg, handlerWithOps(250'000));
-    const auto start = Clock::now();
     Timed t;
-    t.res = engine.run();
-    t.hostNs =
-        std::chrono::duration<double, std::nano>(Clock::now() - start)
-            .count();
+    for (int r = 0; r < reps; ++r) {
+        ServeEngine engine(cfg, handlerWithOps(250'000));
+        const auto wall0 = Clock::now();
+        const double cpu0 = threadCpuNs();
+        const ServeResult res = engine.run();
+        t.cpuNs += threadCpuNs() - cpu0;
+        t.wallNs += std::chrono::duration<double, std::nano>(
+                        Clock::now() - wall0)
+                        .count();
+        identicalResults = identicalResults && identical(res, baseline);
+    }
     return t;
 }
 
@@ -98,59 +127,76 @@ median(std::vector<double> v)
     return v[v.size() / 2];
 }
 
+/** "min / median / max" of the block ratios, as overhead percentages. */
+void
+printSpread(const char *clock, const std::vector<double> &ratios)
+{
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+    std::printf("  %-4s overhead %+.2f%% median  (min %+.2f%%, max %+.2f%% "
+                "over %zu blocks)\n",
+                clock, (median(ratios) - 1.0) * 100.0, (*lo - 1.0) * 100.0,
+                (*hi - 1.0) * 100.0, ratios.size());
+}
+
 } // namespace
 
 int
 main()
 {
-    constexpr int kBlocks = 13; // A/B/B/A blocks; 2 runs per variant each
+    constexpr int kBlocks = 13; // A/B/B/A blocks
+    constexpr double kMinBlockNs = 50e6;
     constexpr double kMaxOverhead = 0.05;
 
     std::printf("Trace-overhead gate: seeded 4-core serve run, tracer "
                 "attached vs detached,\n%d traced/untraced/untraced/traced "
-                "blocks, median block ratio (bound: %.0f%%)\n",
+                "blocks, median block ratio (bound: %.0f%% wall)\n",
                 kBlocks, kMaxOverhead * 100.0);
 #if !HFI_OBS_ENABLED
     std::printf("(built with HFI_OBS=OFF: record sites are compiled "
                 "out; the bound is trivial)\n");
 #endif
 
-    // Warm both paths (page faults, allocator) before timing.
-    const ServeResult baselineRes = runOnce(nullptr).res;
+    // Warm both paths (page faults, allocator) before timing; the
+    // untraced warm-up also sizes the slots.
+    const ServeResult baseline =
+        ServeEngine(config(), handlerWithOps(250'000)).run();
+    bool resultsMatch = true;
+    const Timed once = runSlot(nullptr, 1, baseline, resultsMatch);
     {
         obs::Trace warm(config().workers);
-        runOnce(&warm);
+        runSlot(&warm, 1, baseline, resultsMatch);
     }
+    const int reps = std::max(
+        1, static_cast<int>(std::ceil(kMinBlockNs / (4 * once.wallNs))));
 
-    std::vector<double> ratios, untracedNs, tracedNs;
+    std::vector<double> wallRatios, cpuRatios, untracedNs, tracedNs;
     std::size_t events = 0;
-    bool resultsMatch = true;
     for (int i = 0; i < kBlocks; ++i) {
         obs::Trace trace(config().workers);
-        const Timed t1 = runOnce(&trace);
-        const Timed u1 = runOnce(nullptr);
-        const Timed u2 = runOnce(nullptr);
-        const Timed t2 = runOnce(&trace);
-        ratios.push_back((t1.hostNs + t2.hostNs) /
-                         (u1.hostNs + u2.hostNs));
-        tracedNs.insert(tracedNs.end(), {t1.hostNs, t2.hostNs});
-        untracedNs.insert(untracedNs.end(), {u1.hostNs, u2.hostNs});
-        resultsMatch = resultsMatch && identical(t1.res, baselineRes) &&
-                       identical(t2.res, baselineRes) &&
-                       identical(u1.res, baselineRes) &&
-                       identical(u2.res, baselineRes);
+        const Timed t1 = runSlot(&trace, reps, baseline, resultsMatch);
+        const Timed u1 = runSlot(nullptr, reps, baseline, resultsMatch);
+        const Timed u2 = runSlot(nullptr, reps, baseline, resultsMatch);
+        const Timed t2 = runSlot(&trace, reps, baseline, resultsMatch);
+        wallRatios.push_back((t1.wallNs + t2.wallNs) /
+                             (u1.wallNs + u2.wallNs));
+        cpuRatios.push_back((t1.cpuNs + t2.cpuNs) / (u1.cpuNs + u2.cpuNs));
+        tracedNs.insert(tracedNs.end(), {t1.wallNs / reps, t2.wallNs / reps});
+        untracedNs.insert(untracedNs.end(),
+                          {u1.wallNs / reps, u2.wallNs / reps});
         events = 0;
         for (unsigned c = 0; c < trace.cores(); ++c)
             events += trace.buffer(c).size();
     }
 
-    const double overhead = median(ratios) - 1.0;
-    std::printf("  untraced median %10.0f ns\n", median(untracedNs));
-    std::printf("  traced   median %10.0f ns  (%zu events/run "
+    const double overhead = median(wallRatios) - 1.0;
+    std::printf("  %d runs per slot, %.0f ms per block\n", reps,
+                4 * reps * median(untracedNs) / 1e6);
+    std::printf("  untraced median %10.0f ns per run\n", median(untracedNs));
+    std::printf("  traced   median %10.0f ns per run  (%zu events "
                 "retained)\n",
                 median(tracedNs), events);
-    std::printf("  overhead %+.2f%% (median of %d block ratios)\n",
-                overhead * 100.0, kBlocks);
+    printSpread("wall", wallRatios);
+    printSpread("cpu", cpuRatios);
 
     if (!resultsMatch) {
         std::printf("FAIL: tracing perturbed the simulation (results "

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <new>
 #include <stdexcept>
+#include <vector>
 
 namespace hfi::sfi
 {
@@ -20,7 +22,7 @@ constexpr std::uint64_t kSpareBytes = 8ULL << 20;
 /** Backing stores of destroyed memories on this thread, oldest first. */
 struct SpareStores
 {
-    std::vector<std::vector<std::uint8_t>> stores;
+    std::vector<BackingStore> stores;
     std::uint64_t bytes = 0;
 
     ~SpareStores();
@@ -50,9 +52,23 @@ makeRoom(std::size_t stores, std::uint64_t bytes)
     while (!kept.empty() &&
            (kept.size() + stores > kSpareStores * spareBatches ||
             spare.bytes + bytes > kSpareBytes * spareBatches)) {
-        spare.bytes -= kept.front().capacity();
+        spare.bytes -= kept.front().capacity;
         kept.erase(kept.begin());
     }
+}
+
+/** A store of @p capacity bytes, all zero: its mark is 0. */
+BackingStore
+allocateZeroed(std::uint64_t capacity)
+{
+    BackingStore store;
+    if (capacity == 0)
+        return store;
+    store.bytes.reset(static_cast<std::uint8_t *>(std::calloc(capacity, 1)));
+    if (!store.bytes)
+        throw std::bad_alloc();
+    store.capacity = capacity;
+    return store;
 }
 
 } // namespace
@@ -69,25 +85,49 @@ LinearMemory::LinearMemory(std::uint64_t initial_pages,
         // The newest spare store that fits without wasting over half.
         auto &stores = spare.stores;
         for (auto it = stores.rbegin(); it != stores.rend(); ++it) {
-            if (it->capacity() >= size && it->capacity() <= 2 * size) {
-                spare.bytes -= it->capacity();
-                bytes = std::move(*it);
+            if (it->capacity >= size && it->capacity <= 2 * size) {
+                spare.bytes -= it->capacity;
+                store_ = std::move(*it);
                 stores.erase(std::next(it).base());
                 break;
             }
         }
     }
-    bytes.assign(size, 0);
+    if (!store_.bytes) {
+        store_ = allocateZeroed(size);
+        return;
+    }
+    // Only the bytes below the mark can hold the last tenant's data.
+    std::memset(store_.bytes.get(), 0, store_.mark);
+    store_.mark = 0;
 }
 
 LinearMemory::~LinearMemory()
 {
-    const std::uint64_t capacity = bytes.capacity();
+    const std::uint64_t capacity = store_.capacity;
     if (spareGone || capacity == 0 || capacity > kSpareBytes)
         return;
     makeRoom(1, capacity);
     spare.bytes += capacity;
-    spare.stores.push_back(std::move(bytes));
+    spare.stores.push_back(std::move(store_));
+}
+
+LinearMemory::LinearMemory(const LinearMemory &other)
+    : sizePages(other.sizePages), maxPages_(other.maxPages_),
+      store_(allocateZeroed(other.size()))
+{
+    if (other.store_.mark != 0)
+        std::memcpy(store_.bytes.get(), other.store_.bytes.get(),
+                    other.store_.mark);
+    store_.mark = other.store_.mark;
+}
+
+LinearMemory &
+LinearMemory::operator=(const LinearMemory &other)
+{
+    if (this != &other)
+        *this = LinearMemory(other);
+    return *this;
 }
 
 SpareStoreScope::SpareStoreScope(std::size_t batches)
@@ -110,8 +150,17 @@ LinearMemory::grow(std::uint64_t delta_pages)
     if (delta_pages > maxPages_ - sizePages)
         return -1;
     const std::int64_t prev = static_cast<std::int64_t>(sizePages);
+    const std::uint64_t old_size = size();
     sizePages += delta_pages;
-    bytes.resize(sizePages * kWasmPageSize, 0);
+    if (size() > store_.capacity) {
+        // Double as std::vector does. The new store is zero, so only the
+        // bytes below the mark need to move.
+        BackingStore bigger = allocateZeroed(std::max(2 * old_size, size()));
+        if (store_.mark != 0)
+            std::memcpy(bigger.bytes.get(), store_.bytes.get(), store_.mark);
+        bigger.mark = store_.mark;
+        store_ = std::move(bigger);
+    }
     return prev;
 }
 
@@ -119,14 +168,15 @@ void
 LinearMemory::writeBytes(std::uint64_t offset, const void *src,
                          std::uint64_t len)
 {
-    std::memcpy(bytes.data() + offset, src, len);
+    std::memcpy(store_.bytes.get() + offset, src, len);
+    markDirty(offset + len);
 }
 
 void
 LinearMemory::readBytes(std::uint64_t offset, void *dst,
                         std::uint64_t len) const
 {
-    std::memcpy(dst, bytes.data() + offset, len);
+    std::memcpy(dst, store_.bytes.get() + offset, len);
 }
 
 } // namespace hfi::sfi

@@ -13,14 +13,45 @@
 #define HFI_SFI_LINEAR_MEMORY_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
+#include <utility>
 
 namespace hfi::sfi
 {
 
 /** A Wasm page: 64 KiB. */
 constexpr std::uint64_t kWasmPageSize = 1ULL << 16;
+
+/**
+ * The byte buffer behind one LinearMemory, with its dirty mark: the end
+ * of the highest byte any write could have reached since the buffer was
+ * last known zero. Invariant: every byte of the capacity at or above
+ * the mark is zero.
+ */
+struct BackingStore
+{
+    struct Free
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    BackingStore() = default;
+    BackingStore(BackingStore &&other) noexcept { *this = std::move(other); }
+    BackingStore &
+    operator=(BackingStore &&other) noexcept
+    {
+        bytes = std::move(other.bytes);
+        capacity = std::exchange(other.capacity, 0);
+        mark = std::exchange(other.mark, 0);
+        return *this;
+    }
+
+    std::unique_ptr<std::uint8_t[], Free> bytes;
+    std::uint64_t capacity = 0;
+    std::uint64_t mark = 0;
+};
 
 /**
  * Backing store for one sandbox's linear memory.
@@ -32,10 +63,20 @@ constexpr std::uint64_t kWasmPageSize = 1ULL << 16;
  * A destroyed memory's backing store is kept, per host thread, for the
  * next memory created there (one teardown batch: up to 32 stores in
  * 8 MiB, oldest dropped first, or one batch per serving core while a
- * SpareStoreScope is open); the new memory zero-fills it. A serving run
- * that creates and tears down instances by the batch would otherwise
- * hand their pages back to the OS and fault them in again for the next
- * batch.
+ * SpareStoreScope is open). A serving run that creates and tears down
+ * instances by the batch would otherwise hand their pages back to the
+ * OS and fault them in again for the next batch.
+ *
+ * No tenant may see another's bytes, so every write path raises the
+ * store's dirty mark (BackingStore): store<T>, writeBytes and the
+ * non-const data() here, and Sandbox's first touch of a page. A reused
+ * store is zeroed only below its mark, so a cold instance costs what
+ * its last tenant could have written, not its declared size. A fresh
+ * store is allocated zeroed and a grow past the capacity moves to a
+ * zeroed buffer, so the bytes above the mark stay zero. The store is
+ * zeroed when it is reused, not when it is destroyed: the serving
+ * engine destroys instances a whole batch at a time, and zeroing there
+ * would add every store's memset to the request that ends the batch.
  */
 class LinearMemory
 {
@@ -51,9 +92,10 @@ class LinearMemory
                           std::uint64_t max_pages = 65536);
     /** Keeps the backing store for this thread's next LinearMemory. */
     ~LinearMemory();
-    LinearMemory(const LinearMemory &) = default;
+    /** Copies the bytes into a fresh store of exactly the size. */
+    LinearMemory(const LinearMemory &other);
     LinearMemory(LinearMemory &&) = default;
-    LinearMemory &operator=(const LinearMemory &) = default;
+    LinearMemory &operator=(const LinearMemory &other);
     LinearMemory &operator=(LinearMemory &&) = default;
 
     /**
@@ -90,7 +132,7 @@ class LinearMemory
     load(std::uint64_t offset) const
     {
         T v;
-        std::memcpy(&v, bytes.data() + offset, sizeof(T));
+        std::memcpy(&v, store_.bytes.get() + offset, sizeof(T));
         return v;
     }
 
@@ -98,7 +140,8 @@ class LinearMemory
     void
     store(std::uint64_t offset, T value)
     {
-        std::memcpy(bytes.data() + offset, &value, sizeof(T));
+        put<T>(offset, value);
+        markDirty(offset + sizeof(T));
     }
 
     /** Bulk copy in (for staging workload inputs). */
@@ -107,14 +150,55 @@ class LinearMemory
     /** Bulk copy out (for checking workload outputs). */
     void readBytes(std::uint64_t offset, void *dst, std::uint64_t len) const;
 
-    /** Direct pointer into the backing store (runtime-internal use). */
-    std::uint8_t *data() { return bytes.data(); }
-    const std::uint8_t *data() const { return bytes.data(); }
+    /**
+     * Direct pointer into the backing store (runtime-internal use). The
+     * caller may write anywhere in the size, so this marks all of it.
+     */
+    std::uint8_t *
+    data()
+    {
+        markDirty(size());
+        return store_.bytes.get();
+    }
+    const std::uint8_t *data() const { return store_.bytes.get(); }
+
+    /** Bytes the backing store holds; a grow within them keeps it. */
+    std::uint64_t capacity() const { return store_.capacity; }
+
+    /**
+     * The backing store's dirty mark: every byte of the capacity at or
+     * above it is zero, and a reuse zeroes the bytes below it.
+     */
+    std::uint64_t dirtyEnd() const { return store_.mark; }
 
   private:
+    /**
+     * Sandbox writes only into pages it has first-touched, and its first
+     * touch marks them (Sandbox::firstTouch), so its inline path stores
+     * through these unmarked accessors.
+     */
+    friend class Sandbox;
+
+    template <typename T>
+    void
+    put(std::uint64_t offset, T value)
+    {
+        std::memcpy(store_.bytes.get() + offset, &value, sizeof(T));
+    }
+
+    std::uint8_t *bytesUnmarked() { return store_.bytes.get(); }
+
+    /** Raise the dirty mark to @p end, which is at most the size. */
+    void
+    markDirty(std::uint64_t end)
+    {
+        if (end > store_.mark)
+            store_.mark = end;
+    }
+
     std::uint64_t sizePages;
     std::uint64_t maxPages_;
-    std::vector<std::uint8_t> bytes;
+    BackingStore store_;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "sfi/sandbox.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace hfi::sfi
@@ -102,6 +103,10 @@ Sandbox::firstTouch(std::uint64_t page, std::uint64_t at,
                     std::uint32_t width, bool write)
 {
     touched[page] = 1;
+    // An access starts in a touched page and is at most a page wide, so
+    // it can write into the next page without touching it (8 bytes
+    // stored at 4094 write two bytes of page 1): the mark covers both.
+    memory_.markDirty(std::min(memory_.size(), (page + 2) * vm::kPageSize));
     // Access the backing virtual address so the Mmu charges the fault
     // and marks residency for the teardown experiments.
     mmu_.access(backend_.baseAddress() + at, width, write);

@@ -178,7 +178,7 @@ class Sandbox
     {
         const std::uint64_t at = access(offset, sizeof(T), true);
         chargeAccesses(1, true);
-        memory_.store<T>(at, value);
+        memory_.put<T>(at, value);
     }
 
     /**
@@ -248,7 +248,7 @@ class Sandbox
         if (!acceptsSpan(offset, width, n, write))
             return nullptr;
         touchSpan(offset, width, n, write);
-        return memory_.data() + offset;
+        return memory_.bytesUnmarked() + offset;
     }
 
     /**
@@ -298,13 +298,15 @@ class Sandbox
 
     /**
      * First touch of a 4 KiB page takes a minor fault through the Mmu
-     * (allocation + page-table fill); later accesses are free.
+     * (allocation + page-table fill); later accesses are free. An access
+     * is at most a page wide (see firstTouch).
      */
     void
     touch(std::uint64_t at, std::uint32_t width, bool write)
     {
         const std::uint64_t page = at / vm::kPageSize;
         assert(page < touched.size());
+        assert(width <= vm::kPageSize);
         if (!touched[page])
             firstTouch(page, at, width, write);
     }
@@ -330,7 +332,10 @@ class Sandbox
     std::uint64_t checkedOffset(std::uint64_t offset, std::uint32_t width,
                                 bool write);
 
-    /** Mark @p page touched and fault it in through the Mmu. */
+    /**
+     * Mark @p page touched, raise the memory's dirty mark over it, and
+     * fault it in through the Mmu.
+     */
     void firstTouch(std::uint64_t page, std::uint64_t at,
                     std::uint32_t width, bool write);
 

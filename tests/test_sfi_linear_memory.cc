@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the Wasm-style linear memory: 64 KiB-page growth semantics,
- * typed access, and zeroing of reused backing stores.
+ * typed access, and zeroing of reused backing stores after a write
+ * through each path that can dirty one.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sfi/linear_memory.h"
@@ -175,6 +179,222 @@ TEST(LinearMemory, ReusedStoreStartsZeroed)
     ASSERT_EQ(fresh.grow(1), 3);
     for (std::uint64_t i = 0; i < fresh.size(); ++i)
         ASSERT_EQ(fresh.load<std::uint8_t>(i), 0) << "byte " << i;
+}
+
+// ------------------------------------------------------------ store reuse
+//
+// One case per write path. Each writes through its path, among other
+// places into the last bytes its marks must cover, destroys the memory,
+// and hands its store to expectReusedStoreReadsZero. Deleting any one
+// path's mark fails its case.
+
+/** The store a memory gives back when it is destroyed. */
+struct GivenUp
+{
+    const std::uint8_t *bytes = nullptr;
+    std::uint64_t capacity = 0;
+};
+
+GivenUp
+givenUp(const LinearMemory &mem)
+{
+    return {mem.data(), mem.capacity()};
+}
+
+/**
+ * Take @p store back in a new memory (the newest spare that fits: it
+ * was just given up), grow that into all of the store's capacity, and
+ * expect every byte to read zero.
+ */
+void
+expectReusedStoreReadsZero(const GivenUp &store)
+{
+    const std::uint64_t pages = store.capacity / kWasmPageSize;
+    ASSERT_GE(pages, 2u);
+    const std::uint64_t half = (pages + 1) / 2;
+    LinearMemory fresh(half, 64);
+    ASSERT_EQ(std::as_const(fresh).data(), store.bytes)
+        << "the store was not reused";
+    ASSERT_EQ(fresh.grow(pages - half), static_cast<std::int64_t>(half));
+    ASSERT_EQ(std::as_const(fresh).data(), store.bytes)
+        << "the grow left the store";
+    std::vector<std::uint8_t> bytes(fresh.size(), 0xff);
+    fresh.readBytes(0, bytes.data(), bytes.size());
+    for (std::uint64_t i = 0; i < bytes.size(); ++i)
+        ASSERT_EQ(bytes[i], 0) << "byte " << i;
+}
+
+TEST(ReusedStore, ZeroAfterLinearMemoryStore)
+{
+    GivenUp store;
+    {
+        LinearMemory mem(4, 64);
+        mem.store<std::uint8_t>(0, 0xab);
+        mem.store<std::uint64_t>(mem.size() - 8, ~0ULL);
+        store = givenUp(mem);
+    }
+    expectReusedStoreReadsZero(store);
+}
+
+TEST(ReusedStore, ZeroAfterWriteBytes)
+{
+    GivenUp store;
+    {
+        LinearMemory mem(4, 64);
+        const std::vector<std::uint8_t> pattern(100, 0xcd);
+        mem.writeBytes(mem.size() - pattern.size(), pattern.data(),
+                       pattern.size());
+        store = givenUp(mem);
+    }
+    expectReusedStoreReadsZero(store);
+}
+
+TEST(ReusedStore, ZeroAfterMutableData)
+{
+    GivenUp store;
+    {
+        LinearMemory mem(4, 64);
+        mem.data()[mem.size() - 1] = 0xef;
+        store = givenUp(mem);
+    }
+    expectReusedStoreReadsZero(store);
+}
+
+TEST(ReusedStore, ZeroAfterGrowPastTheCapacity)
+{
+    // The grow moves the bytes to a bigger store, which must take their
+    // mark with it.
+    GivenUp store;
+    {
+        LinearMemory mem(1, 64);
+        mem.store<std::uint64_t>(mem.size() - 8, ~0ULL);
+        const std::uint8_t *before = std::as_const(mem).data();
+        const std::uint64_t pages = mem.capacity() / kWasmPageSize;
+        ASSERT_EQ(mem.grow(pages), 1);
+        ASSERT_NE(std::as_const(mem).data(), before);
+        EXPECT_EQ(mem.load<std::uint64_t>(kWasmPageSize - 8), ~0ULL);
+        store = givenUp(mem);
+    }
+    expectReusedStoreReadsZero(store);
+}
+
+TEST(ReusedStore, ZeroAfterCopyConstruction)
+{
+    // The copy gets a store of its own, which must carry the original's
+    // mark. It is destroyed last, so its store is the newest spare.
+    std::optional<LinearMemory> copy;
+    {
+        LinearMemory original(4, 64);
+        original.store<std::uint32_t>(original.size() - 4, 0xdeadbeef);
+        copy.emplace(original);
+    }
+    EXPECT_EQ(copy->load<std::uint32_t>(copy->size() - 4), 0xdeadbeefu);
+    const GivenUp store = givenUp(*copy);
+    copy.reset();
+    expectReusedStoreReadsZero(store);
+}
+
+/** One sandbox with its own clock, Mmu and HFI context. */
+struct World
+{
+    explicit World(BackendKind kind)
+    {
+        RuntimeConfig config;
+        config.backend = kind;
+        sandbox = Runtime(mmu, ctx, config).createSandbox({4, 64});
+    }
+
+    /** Destroy the sandbox; @return the store its memory gave up. */
+    GivenUp
+    destroy()
+    {
+        const GivenUp store = givenUp(sandbox->memory());
+        sandbox.reset();
+        return store;
+    }
+
+    hfi::vm::VirtualClock clock;
+    hfi::vm::Mmu mmu{clock};
+    hfi::core::HfiContext ctx{clock};
+    std::unique_ptr<Sandbox> sandbox;
+};
+
+constexpr BackendKind kAllKinds[] = {BackendKind::GuardPages,
+                                     BackendKind::BoundsCheck,
+                                     BackendKind::Mask, BackendKind::Hfi};
+
+/** The first 4 KiB page of linear memory, which the cases touch first. */
+constexpr std::uint64_t kPage = hfi::vm::kPageSize;
+
+// The sandbox cases touch page 0, then write a few bytes past its end
+// from an access that starts in it. Page 1 is never touched (the checks
+// read it through LinearMemory, not the sandbox), so only page 0's first
+// touch can mark those bytes.
+
+TEST(ReusedStore, ZeroAfterSandboxStore)
+{
+    for (BackendKind kind : kAllKinds) {
+        SCOPED_TRACE(backendKindName(kind));
+        World w(kind);
+        ASSERT_TRUE(w.sandbox);
+        w.sandbox->store<std::uint8_t>(0, 1);
+        w.sandbox->store<std::uint64_t>(kPage - 4, ~0ULL);
+        expectReusedStoreReadsZero(w.destroy());
+    }
+}
+
+TEST(ReusedStore, ZeroAfterStoreNAndCheckedSpan)
+{
+    for (BackendKind kind : kAllKinds) {
+        SCOPED_TRACE(backendKindName(kind));
+        World w(kind);
+        ASSERT_TRUE(w.sandbox);
+        const std::uint32_t words[2] = {0x11111111, 0x22222222};
+        w.sandbox->storeN(kPage - 6, words, 2);
+        EXPECT_EQ(w.sandbox->memory().load<std::uint16_t>(kPage), 0x2222u);
+        std::uint8_t *span = w.sandbox->checkedSpan(kPage - 1, 4, 1, true);
+        ASSERT_NE(span, nullptr);
+        std::memset(span, 0x33, 4);
+        expectReusedStoreReadsZero(w.destroy());
+    }
+}
+
+TEST(ReusedStore, ZeroAfterMaskWrappedStore)
+{
+    // Past the bound the mask wraps the store back to page 0's end.
+    World w(BackendKind::Mask);
+    ASSERT_TRUE(w.sandbox);
+    const std::uint64_t size = w.sandbox->memory().size();
+    w.sandbox->store<std::uint64_t>(size + kPage - 4, ~0ULL);
+    EXPECT_EQ(w.sandbox->stats().wrappedAccesses, 1u);
+    EXPECT_EQ(w.sandbox->memory().load<std::uint32_t>(kPage), ~0u);
+    expectReusedStoreReadsZero(w.destroy());
+}
+
+TEST(ReusedStore, SandboxMarksOnlyWhatItsAccessesCanReach)
+{
+    // The serving handler's 256 bytes at 64 dirty the two pages an
+    // access starting in page 0 can reach, not the 64 KiB memory; a
+    // reuse zeroes 8 KiB. Loads mark too: a page first touched by a load
+    // is not touched again by a later store into it.
+    for (BackendKind kind : kAllKinds) {
+        SCOPED_TRACE(backendKindName(kind));
+        hfi::vm::VirtualClock clock;
+        hfi::vm::Mmu mmu(clock);
+        hfi::core::HfiContext ctx(clock);
+        RuntimeConfig config;
+        config.backend = kind;
+        auto s = Runtime(mmu, ctx, config).createSandbox({1, 4});
+        ASSERT_TRUE(s);
+        const std::vector<std::uint8_t> payload(256, 7);
+        s->storeN(64, payload.data(), payload.size());
+        EXPECT_EQ(s->memory().dirtyEnd(), 2 * kPage);
+        EXPECT_EQ(s->load<std::uint8_t>(5 * kPage), 0u);
+        EXPECT_EQ(s->memory().dirtyEnd(), 7 * kPage);
+        // A first touch in the last page marks up to the size, no more.
+        s->store<std::uint8_t>(s->memory().size() - 1, 1);
+        EXPECT_EQ(s->memory().dirtyEnd(), s->memory().size());
+    }
 }
 
 /** Destroy 64 memories (two teardown batches) with 2-page stores. */
