@@ -112,24 +112,6 @@ LinearMemory::~LinearMemory()
     spare.stores.push_back(std::move(store_));
 }
 
-LinearMemory::LinearMemory(const LinearMemory &other)
-    : sizePages(other.sizePages), maxPages_(other.maxPages_),
-      store_(allocateZeroed(other.size()))
-{
-    if (other.store_.mark != 0)
-        std::memcpy(store_.bytes.get(), other.store_.bytes.get(),
-                    other.store_.mark);
-    store_.mark = other.store_.mark;
-}
-
-LinearMemory &
-LinearMemory::operator=(const LinearMemory &other)
-{
-    if (this != &other)
-        *this = LinearMemory(other);
-    return *this;
-}
-
 SpareStoreScope::SpareStoreScope(std::size_t batches)
     : previous_(spareBatches)
 {

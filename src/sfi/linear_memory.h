@@ -69,14 +69,15 @@ struct BackingStore
  *
  * No tenant may see another's bytes, so every write path raises the
  * store's dirty mark (BackingStore): store<T>, writeBytes and the
- * non-const data() here, and Sandbox's first touch of a page. A reused
- * store is zeroed only below its mark, so a cold instance costs what
- * its last tenant could have written, not its declared size. A fresh
- * store is allocated zeroed and a grow past the capacity moves to a
- * zeroed buffer, so the bytes above the mark stay zero. The store is
- * zeroed when it is reused, not when it is destroyed: the serving
- * engine destroys instances a whole batch at a time, and zeroing there
- * would add every store's memset to the request that ends the batch.
+ * non-const data() here, and Sandbox's first touch of a page and its
+ * grow past a touched last page. A reused store is zeroed only below
+ * its mark, so a cold instance costs what its last tenant could have
+ * written, not its declared size. A fresh store is allocated zeroed and
+ * a grow past the capacity moves to a zeroed buffer, so the bytes above
+ * the mark stay zero. The store is zeroed when it is reused, not when
+ * it is destroyed: the serving engine destroys instances a whole batch
+ * at a time, and zeroing there would add every store's memset to the
+ * request that ends the batch.
  */
 class LinearMemory
 {
@@ -92,10 +93,9 @@ class LinearMemory
                           std::uint64_t max_pages = 65536);
     /** Keeps the backing store for this thread's next LinearMemory. */
     ~LinearMemory();
-    /** Copies the bytes into a fresh store of exactly the size. */
-    LinearMemory(const LinearMemory &other);
+    LinearMemory(const LinearMemory &) = delete;
     LinearMemory(LinearMemory &&) = default;
-    LinearMemory &operator=(const LinearMemory &other);
+    LinearMemory &operator=(const LinearMemory &) = delete;
     LinearMemory &operator=(LinearMemory &&) = default;
 
     /**
@@ -162,13 +162,14 @@ class LinearMemory
     }
     const std::uint8_t *data() const { return store_.bytes.get(); }
 
-    /** Bytes the backing store holds; a grow within them keeps it. */
-    std::uint64_t capacity() const { return store_.capacity; }
-
     /**
-     * The backing store's dirty mark: every byte of the capacity at or
-     * above it is zero, and a reuse zeroes the bytes below it.
+     * Diagnostics for tests of the store's reuse; no runtime path reads
+     * them. capacity() is the bytes the backing store holds (a grow
+     * within them keeps the store). dirtyEnd() is its dirty mark: every
+     * byte of the capacity at or above it is zero, and a reuse zeroes
+     * the bytes below it.
      */
+    std::uint64_t capacity() const { return store_.capacity; }
     std::uint64_t dirtyEnd() const { return store_.mark; }
 
   private:

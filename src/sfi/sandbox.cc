@@ -75,6 +75,12 @@ Sandbox::memoryGrow(std::uint64_t delta_pages)
     if (prev < 0)
         return -1;
     backend_.grow(old_pages, memory_.pages());
+    // firstTouch clamps its mark to the size, so a touched last page did
+    // not cover the page after it. That page is in bounds now, and an
+    // access starting in the touched page can spill into it.
+    if (!touched.empty() && touched.back())
+        memory_.markDirty(std::min(memory_.size(),
+                                   old_pages * kWasmPageSize + vm::kPageSize));
     touched.resize(memory_.size() / vm::kPageSize, 0);
     return prev;
 }
@@ -106,6 +112,7 @@ Sandbox::firstTouch(std::uint64_t page, std::uint64_t at,
     // An access starts in a touched page and is at most a page wide, so
     // it can write into the next page without touching it (8 bytes
     // stored at 4094 write two bytes of page 1): the mark covers both.
+    // Past the size there is nothing to cover until memoryGrow.
     memory_.markDirty(std::min(memory_.size(), (page + 2) * vm::kPageSize));
     // Access the backing virtual address so the Mmu charges the fault
     // and marks residency for the teardown experiments.

@@ -11,8 +11,10 @@
  *
  * The stream is generated per index (lifecycleStep), after SeqWorkLoad's
  * getNextOp: the op picked by power-of-two ratios of the index, the
- * offset taken as bits & (range - 1). A lifecycle oracle that compares
- * the sandbox against a model after every op can draw the same steps.
+ * offset taken as bits & (range - 1), or moved into the last bytes of a
+ * Wasm page so stores straddle the ends a grow moves. A lifecycle
+ * oracle that compares the sandbox against a model after every op can
+ * draw the same steps.
  */
 
 #include <gtest/gtest.h>
@@ -72,7 +74,8 @@ constexpr std::uint64_t kOffsetRange = kMaxPages * kWasmPageSize;
  * step in 64 re-creates, one in 16 grows, one in 8 stages bytes, one in
  * 4 stores a span and the rest store one value. The offset is uniform
  * in kOffsetRange, so smaller memories see out-of-bounds stores (traps,
- * or wraps under the mask).
+ * or wraps under the mask), except that one in four lands in the last
+ * 8 bytes of a Wasm page: a memory's end before or after a grow.
  */
 LifecycleStep
 lifecycleStep(std::uint64_t seed, std::uint64_t index)
@@ -82,6 +85,8 @@ lifecycleStep(std::uint64_t seed, std::uint64_t index)
     LifecycleStep step;
     step.value = nextRandom(state);
     step.offset = bits & (kOffsetRange - 1);
+    if (((bits >> 48) & 3) == 0)
+        step.offset = (step.offset | (kWasmPageSize - 1)) - ((bits >> 50) & 7);
     if ((index & 63) == 63) {
         step.op = LifecycleOp::Recreate;
         step.count = static_cast<std::uint32_t>(1 + (bits >> 32) % kMaxPages);

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -278,22 +277,6 @@ TEST(ReusedStore, ZeroAfterGrowPastTheCapacity)
     expectReusedStoreReadsZero(store);
 }
 
-TEST(ReusedStore, ZeroAfterCopyConstruction)
-{
-    // The copy gets a store of its own, which must carry the original's
-    // mark. It is destroyed last, so its store is the newest spare.
-    std::optional<LinearMemory> copy;
-    {
-        LinearMemory original(4, 64);
-        original.store<std::uint32_t>(original.size() - 4, 0xdeadbeef);
-        copy.emplace(original);
-    }
-    EXPECT_EQ(copy->load<std::uint32_t>(copy->size() - 4), 0xdeadbeefu);
-    const GivenUp store = givenUp(*copy);
-    copy.reset();
-    expectReusedStoreReadsZero(store);
-}
-
 /** One sandbox with its own clock, Mmu and HFI context. */
 struct World
 {
@@ -359,6 +342,25 @@ TEST(ReusedStore, ZeroAfterStoreNAndCheckedSpan)
     }
 }
 
+TEST(ReusedStore, ZeroAfterStoreAcrossAGrownEnd)
+{
+    // The last page's first touch cannot mark past the size. After a
+    // grow, a store that starts in that page writes the first grown
+    // bytes without touching their page, so the grow must mark them.
+    for (BackendKind kind : kAllKinds) {
+        SCOPED_TRACE(backendKindName(kind));
+        World w(kind);
+        ASSERT_TRUE(w.sandbox);
+        const std::uint64_t old_size = w.sandbox->memory().size();
+        w.sandbox->store<std::uint8_t>(old_size - 1, 1);
+        ASSERT_EQ(w.sandbox->memoryGrow(1),
+                  static_cast<std::int64_t>(old_size / kWasmPageSize));
+        w.sandbox->store<std::uint64_t>(old_size - 4, ~0ULL);
+        EXPECT_EQ(w.sandbox->memory().load<std::uint32_t>(old_size), ~0u);
+        expectReusedStoreReadsZero(w.destroy());
+    }
+}
+
 TEST(ReusedStore, ZeroAfterMaskWrappedStore)
 {
     // Past the bound the mask wraps the store back to page 0's end.
@@ -391,9 +393,13 @@ TEST(ReusedStore, SandboxMarksOnlyWhatItsAccessesCanReach)
         EXPECT_EQ(s->memory().dirtyEnd(), 2 * kPage);
         EXPECT_EQ(s->load<std::uint8_t>(5 * kPage), 0u);
         EXPECT_EQ(s->memory().dirtyEnd(), 7 * kPage);
-        // A first touch in the last page marks up to the size, no more.
-        s->store<std::uint8_t>(s->memory().size() - 1, 1);
-        EXPECT_EQ(s->memory().dirtyEnd(), s->memory().size());
+        // A first touch in the last page marks up to the size, no more;
+        // a grow extends the mark over the page after it.
+        const std::uint64_t size = s->memory().size();
+        s->store<std::uint8_t>(size - 1, 1);
+        EXPECT_EQ(s->memory().dirtyEnd(), size);
+        ASSERT_EQ(s->memoryGrow(1), 1);
+        EXPECT_EQ(s->memory().dirtyEnd(), size + kPage);
     }
 }
 
@@ -401,9 +407,10 @@ TEST(ReusedStore, SandboxMarksOnlyWhatItsAccessesCanReach)
 void
 destroyTwoBatches()
 {
-    std::vector<LinearMemory> batch(64, LinearMemory(1, 2));
-    for (auto &m : batch)
-        m.grow(1);
+    std::vector<LinearMemory> batch;
+    batch.reserve(64);
+    for (int i = 0; i < 64; ++i)
+        batch.emplace_back(1, 2).grow(1);
 }
 
 /**
