@@ -11,7 +11,11 @@
  *
  * Simulated work per rep is deterministic (seeded kernels on virtual
  * state); only host wall time varies, so instructions/sec is an honest
- * measure of interpreter speed.
+ * measure of interpreter speed. Pipeline rows also report the µops
+ * dispatched per rep and the host ns per dispatched µop: the pipeline
+ * executes every wrong-path µop, so it pays per dispatched µop, and a
+ * kernel that squashes most of what it dispatches (`switch`) shows a
+ * low sim-insts/s at an ordinary per-µop cost.
  */
 
 #include <chrono>
@@ -45,9 +49,21 @@ struct Row
     std::uint64_t reps = 0;
     double hostNs = 0;
     double ips = 0; ///< simulated instructions per host second
+    /** µops dispatched per rep, wrong-path ones included (pipeline rows
+        only): the pipeline pays its host cost per dispatched µop. */
+    std::uint64_t dispatchedPerRep = 0;
     /** Event-loop cycle attribution (pipeline rows only; deterministic
         per rep, all-zero when built with HFI_OBS=OFF). */
     PipelineProfile profile{};
+
+    double
+    nsPerDispatchedUop() const
+    {
+        return dispatchedPerRep == 0
+                   ? 0
+                   : hostNs / (static_cast<double>(reps) *
+                               static_cast<double>(dispatchedPerRep));
+    }
 };
 
 double
@@ -107,6 +123,7 @@ measurePipeline(const hfi::sim::kernels::Kernel &kernel, kernels::Mode mode)
 {
     const Program prog = kernel.build(mode, kScale);
     PipelineProfile prof{};
+    std::uint64_t dispatched = 0;
     Row row = measure(kernel, mode, "pipeline", [&]() {
         Pipeline pipe(prog);
         kernel.stage(pipe.memory(), kScale, kStageSeed);
@@ -114,9 +131,11 @@ measurePipeline(const hfi::sim::kernels::Kernel &kernel, kernels::Mode mode)
         // Identical every rep (seeded virtual state), so keeping the
         // last one loses nothing.
         prof = pipe.profile();
+        dispatched = pipe.stats().dispatched;
         return res.instructions;
     });
     row.profile = prof;
+    row.dispatchedPerRep = dispatched;
     return row;
 }
 
@@ -153,6 +172,9 @@ emitJson(const std::vector<Row> &rows, double func_geo, double pipe_geo)
         jw.field("host_ns", r.hostNs, "%.0f");
         jw.field("sim_insts_per_sec", r.ips, "%.0f");
         if (r.core == "pipeline") {
+            jw.field("dispatched_per_rep", r.dispatchedPerRep);
+            jw.field("host_ns_per_dispatched_uop", r.nsPerDispatchedUop(),
+                     "%.2f");
             // Where the event-driven loop spent (and skipped) its
             // cycles — attribution the loop used to discard.
             jw.field("active_cycles", r.profile.activeCycles);
@@ -194,15 +216,22 @@ main(int argc, char **argv)
     std::printf("Simulator throughput (simulated instructions per host "
                 "second), Fig 2 kernels, scale %llu\n\n",
                 static_cast<unsigned long long>(kScale));
-    std::printf("%-12s %-16s %-4s %12s %6s %12s\n", "core", "kernel",
-                "mode", "insts/rep", "reps", "sim-insts/s");
+    std::printf("%-12s %-16s %-4s %12s %6s %12s %12s %9s\n", "core",
+                "kernel", "mode", "insts/rep", "reps", "sim-insts/s",
+                "uops/rep", "ns/uop");
 
     std::vector<Row> rows;
     auto report = [&rows](Row row) {
-        std::printf("%-12s %-16s %-4s %12llu %6llu %12.3e\n",
-                    row.core.c_str(), row.kernel.c_str(), row.mode.c_str(),
+        std::printf("%-12s %-16s %-4s %12llu %6llu %12.3e", row.core.c_str(),
+                    row.kernel.c_str(), row.mode.c_str(),
                     static_cast<unsigned long long>(row.instructionsPerRep),
                     static_cast<unsigned long long>(row.reps), row.ips);
+        if (row.core == "pipeline")
+            std::printf(" %12llu %9.2f\n",
+                        static_cast<unsigned long long>(row.dispatchedPerRep),
+                        row.nsPerDispatchedUop());
+        else
+            std::printf(" %12s %9s\n", "-", "-");
         rows.push_back(std::move(row));
     };
 

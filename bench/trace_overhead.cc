@@ -27,6 +27,14 @@
  * does not inflate. The gate takes the median over block ratios, which
  * trims blocks that caught a spike, and prints the min, median and max
  * of both clocks' ratios so a reader can see how far they spread.
+ *
+ * To tell what the overhead is made of, the gate also times
+ * TraceBuffer::record itself in a microbench (one ring at the gate's
+ * capacity and categories) and prints ns per recorded event next to the
+ * events one traced run records: their product is the share of a run
+ * the stores into the ring explain, the rest is the record sites and
+ * what the ring does to the engine's caches. The microbench is printed
+ * only; the bound gates the serving runs alone.
  */
 
 #include <time.h>
@@ -127,6 +135,44 @@ median(std::vector<double> v)
     return v[v.size() / 2];
 }
 
+/** Events recorded into @p trace (retained plus overwritten). */
+std::uint64_t
+recordedEvents(const obs::Trace &trace)
+{
+    std::uint64_t n = 0;
+    for (unsigned c = 0; c < trace.cores(); ++c)
+        n += trace.buffer(c).size() + trace.buffer(c).dropped();
+    return n;
+}
+
+/**
+ * Host ns per TraceBuffer::record call of a type the default categories
+ * keep, on a ring configured as the gate's (default capacity and
+ * categories): the median of 9 batches of 2^20 records each.
+ */
+double
+nsPerRecord()
+{
+    constexpr std::uint64_t kRecords = 1u << 20;
+    obs::Trace trace(1);
+    obs::TraceBuffer &ring = trace.buffer(0);
+    std::vector<double> ns;
+    for (std::uint64_t batch = 0; batch < 9; ++batch) {
+        const auto t0 = Clock::now();
+        for (std::uint64_t i = 0; i < kRecords; ++i)
+            ring.record(obs::EventType::QueuePush, static_cast<double>(i),
+                        i, batch);
+        ns.push_back(std::chrono::duration<double, std::nano>(
+                         Clock::now() - t0)
+                         .count() /
+                     kRecords);
+    }
+    if (recordedEvents(trace) != 9 * kRecords)
+        std::printf("(record microbench: QueuePush is masked out, so this "
+                    "timed the drop path)\n");
+    return median(ns);
+}
+
 /** "min / median / max" of the block ratios, as overhead percentages. */
 void
 printSpread(const char *clock, const std::vector<double> &ratios)
@@ -171,6 +217,7 @@ main()
 
     std::vector<double> wallRatios, cpuRatios, untracedNs, tracedNs;
     std::size_t events = 0;
+    std::uint64_t recorded = 0;
     for (int i = 0; i < kBlocks; ++i) {
         obs::Trace trace(config().workers);
         const Timed t1 = runSlot(&trace, reps, baseline, resultsMatch);
@@ -186,6 +233,7 @@ main()
         events = 0;
         for (unsigned c = 0; c < trace.cores(); ++c)
             events += trace.buffer(c).size();
+        recorded = recordedEvents(trace);
     }
 
     const double overhead = median(wallRatios) - 1.0;
@@ -197,6 +245,16 @@ main()
                 median(tracedNs), events);
     printSpread("wall", wallRatios);
     printSpread("cpu", cpuRatios);
+
+    // One block's trace holds its two traced slots.
+    const double perRun = static_cast<double>(recorded) / (2.0 * reps);
+    const double recordNs = nsPerRecord();
+    std::printf("  record() microbench: %.2f ns per recorded event\n",
+                recordNs);
+    std::printf("  %.0f events recorded per traced run x %.2f ns = %.2f%% "
+                "of an untraced run\n",
+                perRun, recordNs,
+                perRun * recordNs / median(untracedNs) * 100.0);
 
     if (!resultsMatch) {
         std::printf("FAIL: tracing perturbed the simulation (results "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace hfi::sim
 {
@@ -23,6 +24,12 @@ Pipeline::SpecMemView::load(std::uint64_t addr, unsigned width)
     unsigned filled = 0;
     while (k-- > 0) {
         const StoreEntry &s = pipe.storeAt(k);
+        // Two byte ranges overlap iff one starts inside the other
+        // (modulo 2^64, so a range that wraps is no special case). Most
+        // stores miss the load: skip them before the byte loop, which
+        // decides the forwarded bytes exactly as before.
+        if (addr - s.addr >= s.width && s.addr - addr >= width)
+            continue;
         for (unsigned i = 0; i < width; ++i) {
             const std::uint64_t byte_addr = addr + i;
             if ((filled & (1u << i)) == 0 && byte_addr >= s.addr &&
@@ -62,7 +69,6 @@ Pipeline::Pipeline(Program program, CpuConfig config)
         std::bit_ceil(std::max<std::size_t>(config_.robSize, 1));
     rob_.resize(rob_cap);
     snapshots_.resize(rob_cap);
-    resolveAt_.assign(rob_cap, UINT64_MAX);
     robMask_ = rob_cap - 1;
 
     stores_.resize(std::bit_ceil(std::max<std::size_t>(config_.sqSize, 1)));
@@ -71,8 +77,8 @@ Pipeline::Pipeline(Program program, CpuConfig config)
     issueRing_.resize(std::size_t{1} << 10);
     issueMask_ = issueRing_.size() - 1;
 
-    resolveBuckets_.resize(std::size_t{1} << 10);
-    resolveBucketMask_ = resolveBuckets_.size() - 1;
+    resolveLists_.resize(std::size_t{1} << 10);
+    resolveMask_ = resolveLists_.size() - 1;
 
     archState.pc = this->program.base();
 }
@@ -97,13 +103,6 @@ Pipeline::willSerialize(const Inst &inst) const
       default:
         return false;
     }
-}
-
-unsigned
-Pipeline::issueCountAt(std::uint64_t t) const
-{
-    const IssueSlot &s = issueRing_[t & issueMask_];
-    return s.cycle == t ? s.count : 0;
 }
 
 void
@@ -160,74 +159,68 @@ Pipeline::allocateIssue(std::uint64_t earliest, const MicroOp &uop,
         break;
     }
 
-    std::uint64_t t = earliest;
-    while (true) {
-        // Issue-width limit this cycle?
-        if (issueCountAt(t) >= config_.issueWidth) {
-            ++t;
-            continue;
-        }
-        // A free unit of the right kind?
-        std::uint64_t *best = nullptr;
-        for (std::uint64_t &free_at : *units) {
-            if (free_at <= t && (!best || free_at < *best))
-                best = &free_at;
-        }
-        if (!best) {
-            std::uint64_t soonest = UINT64_MAX;
-            for (std::uint64_t free_at : *units)
-                soonest = std::min(soonest, free_at);
-            t = std::max(t + 1, soonest);
-            continue;
-        }
-        *best = t + occupancy;
-        issueBump(t);
-        *unit_latency = latency;
-        return t;
+    // The unit that frees first (the first of a tie) is the one the
+    // µop takes: no unit frees or books while the issue cycle is
+    // searched, so the search starts where both a unit is free and the
+    // operands are ready, and only the issue width can push it later.
+    std::uint64_t *best = units->data();
+    for (std::uint64_t &free_at : *units) {
+        if (free_at < *best)
+            best = &free_at;
     }
+    std::uint64_t t = std::max(earliest, *best);
+    for (;;) {
+        const IssueSlot &s = issueRing_[t & issueMask_];
+        if (s.cycle != t || s.count < config_.issueWidth)
+            break;
+        ++t;
+    }
+    *best = t + occupancy;
+    issueBump(t);
+    *unit_latency = latency;
+    return t;
 }
 
 void
-Pipeline::appendResolve(std::uint64_t at, std::uint32_t slot,
-                        std::uint64_t seq)
+Pipeline::fileResolve(std::size_t slot)
 {
-    if (at - cycle >= resolveBuckets_.size())
-        growResolveRing(at);
-    ResolveBucket &b = resolveBuckets_[at & resolveBucketMask_];
-    if (b.epoch != at) {
-        b.epoch = at;
-        b.refs.clear();
-    }
-    b.refs.push_back({seq, slot});
+    if (rob_[slot].completeCycle - cycle >= resolveLists_.size())
+        growResolveRing(rob_[slot].completeCycle);
+    linkResolve(slot);
+}
+
+void
+Pipeline::linkResolve(std::size_t slot)
+{
+    RobEntry &e = rob_[slot];
+    ResolveList &l = resolveLists_[e.completeCycle & resolveMask_];
+    // A list holds one cycle's entries, in program order.
+    assert(l.tail == kNoSlot ||
+           (rob_[l.tail].completeCycle == e.completeCycle &&
+            rob_[l.tail].seq < e.seq));
+    e.resolveNext = kNoSlot;
+    e.resolvePrev = l.tail;
+    if (l.tail == kNoSlot)
+        l.head = static_cast<std::uint32_t>(slot);
+    else
+        rob_[l.tail].resolveNext = static_cast<std::uint32_t>(slot);
+    l.tail = static_cast<std::uint32_t>(slot);
 }
 
 void
 Pipeline::growResolveRing(std::uint64_t at)
 {
-    std::size_t size = resolveBuckets_.size();
+    std::size_t size = resolveLists_.size();
     while (at - cycle >= size)
         size *= 2;
-    std::vector<ResolveBucket> grown(size);
-    for (ResolveBucket &b : resolveBuckets_) {
-        if (b.epoch != ~0ull && b.epoch > cycle && !b.refs.empty())
-            grown[b.epoch & (size - 1)] = std::move(b);
+    resolveLists_.assign(size, ResolveList{});
+    resolveMask_ = size - 1;
+    // Refile every unresolved entry, oldest first: each list comes out
+    // in program order again.
+    for (std::size_t i = 0; i < robCount_; ++i) {
+        if (!robAt(i).resolved)
+            linkResolve(robSlot(i));
     }
-    resolveBuckets_ = std::move(grown);
-    resolveBucketMask_ = size - 1;
-}
-
-bool
-Pipeline::hasDueResolve() const
-{
-    const ResolveBucket &b = resolveBuckets_[cycle & resolveBucketMask_];
-    if (b.epoch != cycle)
-        return false;
-    for (const ResolveRef &r : b.refs) {
-        if (robSlotLive(r.slot) && rob_[r.slot].seq == r.seq &&
-            resolveAt_[r.slot] == cycle)
-            return true;
-    }
-    return false;
 }
 
 bool
@@ -338,9 +331,7 @@ Pipeline::dispatchStage()
                 e.info.nextPc = f.pc;
                 e.completeCycle = cycle + 1;
                 snapshots_[slot].state = specState;
-                resolveAt_[slot] = e.completeCycle;
-                appendResolve(e.completeCycle,
-                              static_cast<std::uint32_t>(slot), e.seq);
+                fileResolve(slot);
                 ++robCount_;
                 popDecodeFront();
                 --budget;
@@ -365,19 +356,19 @@ Pipeline::dispatchStage()
         // happen and its destination stays poisoned.
         const bool inputs_poisoned = (poisonMask_ & uop.taintMask) != 0;
 
+        // The entry is written field by field, in place: its slot is
+        // free, and SpecMemView reads only the store queue.
         const std::uint64_t seq = seqCounter++;
-        SpecMemView view(*this, seq);
-        const ExecInfo info =
-            FunctionalCore::executeOn(inst, f.pc, specState, view);
-
         const std::size_t slot = robSlot(robCount_);
         RobEntry &e = rob_[slot];
-        e = RobEntry{};
+        SpecMemView view(*this, seq);
+        e.info = FunctionalCore::executeOn(inst, f.pc, specState, view);
+        const ExecInfo &info = e.info;
         e.inst = f.inst;
         e.pc = f.pc;
         e.seq = seq;
         e.predictedNext = f.predictedNext;
-        e.info = info;
+        e.resolved = false;
         e.isLoad = is_load;
         e.isStore = is_store;
         e.condBranch = uop.ctrl == MicroOp::kCtrlCond;
@@ -475,9 +466,7 @@ Pipeline::dispatchStage()
             snapshots_[slot].state = specState;
         }
 
-        resolveAt_[slot] = e.completeCycle;
-        appendResolve(e.completeCycle, static_cast<std::uint32_t>(slot),
-                      seq);
+        fileResolve(slot);
         ++robCount_;
         popDecodeFront();
 
@@ -501,13 +490,26 @@ void
 Pipeline::squashAfter(std::size_t rob_index)
 {
     const std::uint64_t boundary_seq = robAt(rob_index).seq;
-    for (std::size_t i = rob_index + 1; i < robCount_; ++i) {
-        const RobEntry &e = robAt(i);
+    // Youngest first: a squashed unresolved entry is then the tail of
+    // its resolve list, since a list is in program order and everything
+    // younger has already left it.
+    for (std::size_t i = robCount_; i-- > rob_index + 1;) {
+        const std::size_t slot = robSlot(i);
+        const RobEntry &e = rob_[slot];
         ++stats_.squashed;
         if (e.info.faulted)
             ++stats_.hfiFaultsSuppressed;
         if (e.isLoad)
             --loadsInFlight;
+        if (!e.resolved) {
+            ResolveList &l = resolveLists_[e.completeCycle & resolveMask_];
+            assert(l.tail == slot);
+            l.tail = e.resolvePrev;
+            if (l.tail == kNoSlot)
+                l.head = kNoSlot;
+            else
+                rob_[l.tail].resolveNext = kNoSlot;
+        }
     }
     robCount_ = rob_index + 1;
     while (storeCount_ != 0 && storeAt(storeCount_ - 1).seq > boundary_seq)
@@ -519,23 +521,21 @@ Pipeline::squashAfter(std::size_t rob_index)
 void
 Pipeline::resolveStage()
 {
-    // Drain this cycle's calendar bucket. Its live refs are exactly the
-    // unresolved entries completing now (earlier buckets were drained
-    // at their own cycles, or their stragglers squashed by the
-    // mispredict that cut those drains short), in program order — the
-    // order the full ROB scan used to visit them in.
-    ResolveBucket &b = resolveBuckets_[cycle & resolveBucketMask_];
-    if (b.epoch != cycle)
-        return;
-    for (std::size_t n = 0; n < b.refs.size(); ++n) {
-        const ResolveRef r = b.refs[n];
-        const std::size_t index = (r.slot - robHead_) & robMask_;
-        if (index >= robCount_ || rob_[r.slot].seq != r.seq ||
-            resolveAt_[r.slot] != cycle)
-            continue; // filed, then squashed (slot possibly reused)
-        RobEntry &e = rob_[r.slot];
+    // Pop this cycle's list, oldest first: exactly the unresolved
+    // entries completing now, in program order. A mispredict squashes
+    // (and so unlinks) the rest of the list, which are all younger.
+    ResolveList &l = resolveLists_[cycle & resolveMask_];
+    while (l.head != kNoSlot) {
+        const std::uint32_t slot = l.head;
+        RobEntry &e = rob_[slot];
+        assert(robSlotLive(slot) && !e.resolved &&
+               e.completeCycle == cycle);
+        l.head = e.resolveNext;
+        if (l.head == kNoSlot)
+            l.tail = kNoSlot;
+        else
+            rob_[l.head].resolvePrev = kNoSlot;
         e.resolved = true;
-        resolveAt_[r.slot] = UINT64_MAX;
 
         if (e.condBranch && !e.info.faulted)
             predictor_.updateDirection(e.pc, e.info.branchTaken);
@@ -544,12 +544,12 @@ Pipeline::resolveStage()
             ++stats_.mispredicts;
             predictor_.countMispredict();
             // Recover state and redirect fetch down the correct path.
-            const Snapshot &s = snapshots_[r.slot];
+            const Snapshot &s = snapshots_[slot];
             specState = s.state;
             regReadyAt = s.regReady;
             poisonMask_ = s.poison;
             fetchCheckDirty_ = true;
-            squashAfter(index);
+            squashAfter((slot - robHead_) & robMask_);
             decodeHead_ = 0;
             decodeCount_ = 0;
             fetchPc = e.info.nextPc;
@@ -663,11 +663,18 @@ Pipeline::nextEventCycle(unsigned *source_out) const
             next = front.completeCycle + 1; // commit-eligible
             source = 0;
         }
-        for (std::size_t i = 0; i < robCount_; ++i) {
-            const std::uint64_t at = resolveAt_[robSlot(i)];
-            if (at < next) { // next resolution
-                next = at;
+        // The next resolution: the first non-empty calendar list. This
+        // cycle's is empty (the cycle is quiet), and every list lies
+        // within one ring of it.
+        const std::uint64_t end =
+            std::min<std::uint64_t>(next, cycle + resolveLists_.size());
+        for (std::uint64_t t = cycle + 1; t < end; ++t) {
+            const ResolveList &l = resolveLists_[t & resolveMask_];
+            if (l.head != kNoSlot) {
+                assert(rob_[l.head].completeCycle == t);
+                next = t;
                 source = 1;
+                break;
             }
         }
     }

@@ -142,6 +142,9 @@ class Pipeline
         std::uint8_t width = 0;
     };
 
+    /** "No ROB slot": the end of a resolve list. */
+    static constexpr std::uint32_t kNoSlot = ~0u;
+
     /**
      * One in-flight instruction. Recovery snapshots live out-of-line in
      * `snapshots_`, indexed by ROB slot: inlining the two HFI register
@@ -156,6 +159,10 @@ class Pipeline
         std::uint64_t predictedNext = 0;
         std::uint64_t completeCycle = 0;
         ExecInfo info{};
+        /** Neighbours (ROB slots) in the resolve list of completeCycle;
+            meaningful only while the entry is unresolved. */
+        std::uint32_t resolveNext = kNoSlot;
+        std::uint32_t resolvePrev = kNoSlot;
         bool mispredicted = false;
         bool resolved = false;
         bool isLoad = false;
@@ -213,22 +220,15 @@ class Pipeline
         unsigned count = 0;
     };
 
-    /** Reference to an in-flight entry awaiting resolution. */
-    struct ResolveRef
-    {
-        std::uint64_t seq = 0;  ///< disambiguates a reused ROB slot
-        std::uint32_t slot = 0; ///< physical ROB slot
-    };
-
     /**
-     * One slot of the completion-cycle calendar. A bucket is live iff
-     * its epoch equals the probed cycle; append resets a stale bucket,
-     * so vectors are recycled across ring wraps without deallocating.
+     * One slot of the completion-cycle calendar: the unresolved ROB
+     * entries completing at one cycle, linked through their ROB slots
+     * in dispatch (= program) order.
      */
-    struct ResolveBucket
+    struct ResolveList
     {
-        std::uint64_t epoch = ~0ull;
-        std::vector<ResolveRef> refs;
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
     };
 
     void commitStage(PipelineResult &result, bool *done);
@@ -256,19 +256,22 @@ class Pipeline
     /** Earliest issue cycle respecting slots + a unit of @p uop's kind. */
     std::uint64_t allocateIssue(std::uint64_t earliest, const MicroOp &uop,
                                 unsigned *unit_latency);
-    unsigned issueCountAt(std::uint64_t t) const;
     void issueBump(std::uint64_t t);
     void growIssueRing(std::uint64_t t);
 
     void squashAfter(std::size_t rob_index);
 
-    /** File @p slot (holding @p seq) for resolution at cycle @p at. */
-    void appendResolve(std::uint64_t at, std::uint32_t slot,
-                       std::uint64_t seq);
+    /** File ROB slot @p slot for resolution at its completeCycle. */
+    void fileResolve(std::size_t slot);
+    /** Append @p slot to its list (the ring already spans it). */
+    void linkResolve(std::size_t slot);
     void growResolveRing(std::uint64_t at);
 
-    /** True iff this cycle's calendar bucket holds a live entry. */
-    bool hasDueResolve() const;
+    /** True iff an entry resolves this cycle. */
+    bool hasDueResolve() const
+    {
+        return resolveLists_[cycle & resolveMask_].head != kNoSlot;
+    }
 
     /** Is physical ROB slot @p slot currently occupied? */
     bool robSlotLive(std::size_t slot) const
@@ -331,11 +334,6 @@ class Pipeline
 
     std::vector<RobEntry> rob_;
     std::vector<Snapshot> snapshots_; ///< parallel to rob_ slots
-    /**
-     * Per-ROB-slot completion cycle while unresolved, UINT64_MAX once
-     * resolved. Validates calendar refs and feeds nextEventCycle().
-     */
-    std::vector<std::uint64_t> resolveAt_;
     std::size_t robHead_ = 0;
     std::size_t robCount_ = 0;
     std::size_t robMask_ = 0;
@@ -370,16 +368,17 @@ class Pipeline
     std::uint64_t issueMask_ = 0;
 
     /**
-     * Calendar queue over completion cycles: dispatch files each entry
-     * in the bucket of its completion cycle, and the resolve stage
-     * drains exactly the current cycle's bucket instead of scanning the
-     * whole ROB. Entries squashed after filing are skipped lazily (the
-     * seq + occupancy check in resolveStage). Bucket order is dispatch
-     * order, i.e. program order — the same order the full ROB scan
-     * visited due entries in.
+     * Calendar queue over completion cycles: dispatch appends each
+     * entry to the intrusive list of its completion cycle, the resolve
+     * stage pops exactly the current cycle's list, and squashAfter
+     * unlinks what it squashes. Invariant: every list holds exactly the
+     * live, unresolved entries completing at its cycle, all of which
+     * lie in [cycle, cycle + ring size) — fileResolve grows the ring
+     * before an entry would land outside — in program order, the order
+     * a full ROB scan would visit due entries in.
      */
-    std::vector<ResolveBucket> resolveBuckets_;
-    std::uint64_t resolveBucketMask_ = 0;
+    std::vector<ResolveList> resolveLists_;
+    std::uint64_t resolveMask_ = 0;
 
     /** Cached fetchCoversProgram verdict + its dirty bit (set after any
      *  dispatch that can touch the bank, recovery, and run start). */

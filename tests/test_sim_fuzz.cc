@@ -198,7 +198,7 @@ generate(std::uint64_t seed, bool with_hfi)
 
 /** Run @p prog both ways and compare all architectural outputs. */
 void
-compareRuns(std::uint64_t seed, bool with_hfi)
+compareRuns(std::uint64_t seed, bool with_hfi, const CpuConfig &config = {})
 {
     const Program prog = generate(seed, with_hfi);
 
@@ -209,7 +209,7 @@ compareRuns(std::uint64_t seed, bool with_hfi)
         FunctionalCore::run(prog, ref_state, ref_mem, 2'000'000);
     ASSERT_LT(steps, 2'000'000u) << "seed " << seed << " did not halt";
 
-    Pipeline pipe(prog);
+    Pipeline pipe(prog, config);
     const auto res = pipe.run(50'000'000);
     ASSERT_TRUE(res.halted || res.faulted) << "seed " << seed;
 
@@ -249,5 +249,100 @@ TEST_P(PipelineFuzz, MatchesFunctionalExecutorUnderHfi)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+/**
+ * Timing pins beyond the default core. The parity suite compares run()
+ * with runReference(), but both share the issue rings, the resolve
+ * calendar and the store queue, so a bug in those is invisible to it.
+ * Here the generated programs run under three non-default cores, and
+ * the cycles and every PipelineStats counter are pinned to the values
+ * the model produced when these pins were taken.
+ */
+struct TimingPin
+{
+    std::uint64_t cycles = 0;     ///< summed over the 48 programs
+    std::uint64_t dispatched = 0; ///< summed over the 48 programs
+    std::uint64_t squashed = 0;   ///< summed over the 48 programs
+    std::uint64_t digest = 0;     ///< FNV-1a over each run's cycles and stats
+};
+
+std::uint64_t
+fnv(std::uint64_t h, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Every generated program on @p config, with and without HFI. */
+TimingPin
+timingOf(const CpuConfig &config)
+{
+    TimingPin pin;
+    pin.digest = 0xcbf29ce484222325ULL;
+    for (std::uint64_t seed = 1; seed < 25; ++seed) {
+        for (const bool with_hfi : {false, true}) {
+            Pipeline pipe(generate(seed, with_hfi), config);
+            const auto res = pipe.run(50'000'000);
+            EXPECT_TRUE(res.halted || res.faulted) << "seed " << seed;
+            const PipelineStats &s = pipe.stats();
+            for (const std::uint64_t v :
+                 {res.cycles, res.instructions, s.fetched, s.dispatched,
+                  s.committed, s.squashed, s.mispredicts, s.serializations,
+                  s.hfiDataChecks, s.hfiFaultsSuppressed})
+                pin.digest = fnv(pin.digest, v);
+            pin.cycles += res.cycles;
+            pin.dispatched += s.dispatched;
+            pin.squashed += s.squashed;
+        }
+    }
+    return pin;
+}
+
+void
+expectTiming(const CpuConfig &config, const TimingPin &want)
+{
+    const TimingPin got = timingOf(config);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.dispatched, want.dispatched);
+    EXPECT_EQ(got.squashed, want.squashed);
+    EXPECT_EQ(got.digest, want.digest);
+    // The architectural results hold on this core too.
+    for (std::uint64_t seed = 1; seed < 25; ++seed) {
+        compareRuns(seed, false, config);
+        compareRuns(seed, true, config);
+    }
+}
+
+TEST(PipelineFuzzTiming, SmallWindow)
+{
+    // An 8-entry ROB with 4 load and 4 store slots: dispatch stalls on
+    // every structure, and squashes reach across a wrapped ring.
+    CpuConfig config;
+    config.robSize = 8;
+    config.lqSize = 4;
+    config.sqSize = 4;
+    expectTiming(config, {29583, 13427, 884, 4302559087352298055ULL});
+}
+
+TEST(PipelineFuzzTiming, OneAluOneMemoryPort)
+{
+    // One unit of each kind: issue waits on units, not on the width.
+    CpuConfig config;
+    config.intAluCount = 1;
+    config.memPortCount = 1;
+    expectTiming(config, {56584, 42601, 30054, 17574273427747775338ULL});
+}
+
+TEST(PipelineFuzzTiming, FarMemory)
+{
+    // A 2000-cycle dcache miss: completions and dependent issues land
+    // beyond the 1024-cycle issue and resolve rings, which must grow.
+    CpuConfig config;
+    config.dcache.missLatency = 2000;
+    expectTiming(config, {291411, 29007, 16464, 2266988231016312020ULL});
+}
 
 } // namespace

@@ -138,6 +138,57 @@ TEST(Pipeline, PartialStoreForwarding)
     EXPECT_EQ(pipe.memory().read(0x6000, 8), 0x1111111111ff1111ULL);
 }
 
+TEST(Pipeline, ForwardingMergesStoresAtTheLoadsEdges)
+{
+    // Loads that merge in-flight stores of widths 1, 2 and 4, among
+    // them a store whose last byte is a load's first byte and one that
+    // starts at a load's last byte; a store younger than the loads must
+    // not forward. The cold load in front keeps every store in the
+    // store queue (it cannot commit for ~80 cycles), so the merge is
+    // the pipeline's forwarding, not memory.
+    constexpr std::int64_t kA = 0x5000;
+    ProgramBuilder b;
+    b.movi(9, 0x300000);
+    b.load(8, 9, 0, 8);
+    b.movi(1, kA);
+    b.movi(2, 0x44332211).store(2, 1, -3, 4); // last byte at A
+    b.movi(2, 0x6655).store(2, 1, 2, 2);
+    b.movi(2, 0x0d0c0b0a).store(2, 1, 4, 4);
+    b.movi(2, 0x77).store(2, 1, 4, 1); // younger than the 4-byte one
+    b.movi(2, 0x9988).store(2, 1, 7, 2); // first byte at A + 7
+    b.load(3, 1, 0, 8);
+    b.load(4, 1, 5, 4);
+    b.load(5, 1, -1, 2);
+    b.movi(2, static_cast<std::int64_t>(0xdeadbeef)).store(2, 1, 1, 4);
+    b.movi(6, 0x6000);
+    b.store(3, 6, 0, 8).store(4, 6, 8, 8).store(5, 6, 16, 8);
+    b.halt();
+    const Program prog = b.build();
+
+    // Distinct background bytes around A: byte A + j holds 0xa8 + j.
+    auto stage = [](SimMemory &mem) {
+        for (std::uint64_t k = 0; k < 24; ++k)
+            mem.write(kA - 8 + k, 0xa0 + k, 1);
+    };
+    SimMemory ref_mem;
+    stage(ref_mem);
+    ArchState ref_state;
+    ref_state.pc = prog.base();
+    FunctionalCore::run(prog, ref_state, ref_mem);
+
+    Pipeline pipe(prog);
+    stage(pipe.memory());
+    ASSERT_TRUE(pipe.run().halted);
+    EXPECT_EQ(pipe.state().regs, ref_state.regs);
+    for (std::uint64_t off = 0; off < 24; off += 8)
+        EXPECT_EQ(pipe.memory().read(0x6000 + off, 8),
+                  ref_mem.read(0x6000 + off, 8))
+            << "offset " << off;
+    EXPECT_EQ(pipe.state().regs[3], 0x880c0b776655a944ULL);
+    EXPECT_EQ(pipe.state().regs[4], 0x99880c0bULL);
+    EXPECT_EQ(pipe.state().regs[5], 0x4433ULL);
+}
+
 TEST(Pipeline, MispredictRecoveryIsArchitecturallyInvisible)
 {
     // A data-dependent unpredictable branch pattern: results must still
