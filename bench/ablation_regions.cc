@@ -9,13 +9,16 @@
  * multi-memories". This sweep quantifies that choice: a workload that
  * round-robins accesses across K distinct memories pays one
  * hfi_set_region per memory switch once K exceeds the register count.
+ * Memories are bound to slots by sfi::LruBinder, the policy the
+ * runtime's multi-memory uses; on this cyclic order it misses exactly
+ * where FIFO would.
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "core/checker.h"
 #include "core/context.h"
+#include "sfi/lru_binder.h"
 
 namespace
 {
@@ -45,9 +48,7 @@ runMultiplexed(unsigned memories, unsigned slots, unsigned switches)
         return r;
     };
 
-    // slot -> memory currently loaded; simple round-robin replacement.
-    std::vector<int> loaded(slots, -1);
-    unsigned victim = 0;
+    sfi::LruBinder binder(slots);
 
     SandboxConfig cfg;
     cfg.isHybrid = true; // the runtime multiplexes from inside (§3.3.1)
@@ -57,36 +58,20 @@ runMultiplexed(unsigned memories, unsigned slots, unsigned switches)
     std::uint64_t accesses = 0;
     for (unsigned i = 0; i < switches; ++i) {
         const unsigned memory = i % memories;
-        // Find the memory's slot, or evict one.
-        int slot = -1;
-        for (unsigned s = 0; s < slots; ++s) {
-            if (loaded[s] == static_cast<int>(memory)) {
-                slot = static_cast<int>(s);
-                break;
-            }
-        }
-        if (slot < 0) {
-            slot = static_cast<int>(victim);
-            victim = (victim + 1) % slots;
-            loaded[static_cast<std::size_t>(slot)] =
-                static_cast<int>(memory);
-            // Counterfactual slot counts beyond the architectural four
-            // reuse the real registers modulo 4: the *cost* of the
-            // metadata reload is what this ablation measures, and it is
-            // identical per slot.
-            ctx.setRegion(kFirstExplicitRegion +
-                              static_cast<unsigned>(slot) %
-                                  kNumExplicitRegions,
-                          regionFor(memory));
-        }
+        // Counterfactual slot counts beyond the architectural four
+        // reuse the real registers modulo 4: the *cost* of the metadata
+        // reload is what this ablation measures, and it is identical
+        // per slot.
+        const sfi::LruBinder::Binding binding = binder.bind(memory);
+        const unsigned slot = binding.slot % kNumExplicitRegions;
+        if (!binding.hit)
+            ctx.setRegion(kFirstExplicitRegion + slot, regionFor(memory));
         // A burst of checked accesses through the slot.
         HmovOperands ops;
         ops.width = 8;
         for (unsigned a = 0; a < 16; ++a) {
             ops.index = a * 8;
-            AccessChecker::checkHmov(
-                ctx, static_cast<unsigned>(slot) % kNumExplicitRegions,
-                ops, false);
+            AccessChecker::checkHmov(ctx, slot, ops, false);
             clock.tick(1);
             ++accesses;
         }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "sfi/backend.h"
-#include "sfi/multi_memory.h"
+#include "sfi/sandbox.h"
 
 namespace
 {
@@ -74,16 +74,20 @@ main()
         vm::VirtualClock clock;
         vm::Mmu mmu(clock, 48);
         core::HfiContext ctx(clock);
-        sfi::MultiMemorySandbox instance(mmu, ctx, /*memories*/ 4,
-                                         /*initial*/ 1,
-                                         /*max pages*/ 16384); // 1 GiB
+        constexpr std::uint64_t kGiBPages = 16384;
+        sfi::Sandbox instance(mmu, ctx, sfi::BackendKind::Hfi,
+                              sfi::paperCosts(sfi::BackendKind::Hfi),
+                              {1, kGiBPages});
+        for (int memory = 1; memory < 4; ++memory)
+            instance.addMemory(1, kGiBPages);
         std::printf("\nMulti-memory footprint (4 memories, 1 GiB max "
                     "each):\n");
         std::printf("  guard pages: %5.0f GiB (8 GiB per memory, §2)\n",
                     4 * 8.0);
         std::printf("  HFI:         %5.0f GiB (exactly the declared "
                     "maxima)\n",
-                    static_cast<double>(instance.reservedVaBytes()) /
+                    static_cast<double>(
+                        mmu.addressSpace().reservedBytes()) /
                         (1ULL << 30));
     }
     return 0;

@@ -35,7 +35,7 @@
 
 #include "sfi/backend.h"
 #include "sfi/linear_memory.h"
-#include "sfi/multi_memory.h"
+#include "sfi/lru_binder.h"
 #include "sfi/runtime.h"
 #include "sfi/sandbox.h"
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+#include <stdexcept>
 
 #include "core/checker.h"
 
@@ -59,16 +61,22 @@ Backend::~Backend()
 }
 
 void
-Backend::programRegion(std::uint64_t accessible_bytes)
+Backend::program(unsigned index, vm::VAddr region_base, std::uint64_t bytes)
 {
     core::ExplicitDataRegion region;
-    region.baseAddress = base;
-    region.bound = accessible_bytes; // multiples of 64 KiB: large-region ok
+    region.baseAddress = region_base;
+    region.bound = bytes; // multiples of 64 KiB: large-region ok
     region.permRead = true;
     region.permWrite = true;
     region.isLargeRegion = true;
-    ctx.setRegion(core::kFirstExplicitRegion, region);
-    accessibleBytes = accessible_bytes;
+    ctx.setRegion(core::kFirstExplicitRegion + index, region);
+}
+
+void
+Backend::programMemory(unsigned slot, unsigned memory)
+{
+    const ExtraMemory &extra = extras_[memory - 1];
+    program(1 + slot, extra.base, extra.accessibleBytes);
 }
 
 bool
@@ -100,21 +108,67 @@ Backend::destroy()
         return;
     if (kind_ == BackendKind::Hfi)
         ctx.clearRegion(core::kFirstExplicitRegion);
+    // A register left describing a freed range would admit accesses to
+    // whatever footprint is placed there next.
+    for (unsigned slot = 0; binder_ && slot < binder_->slots(); ++slot) {
+        if (binder_->memoryAt(slot) != LruBinder::kNone)
+            ctx.clearRegion(core::kFirstExplicitRegion + 1 + slot);
+    }
+    binder_.reset();
+    for (const ExtraMemory &extra : extras_)
+        mmu.munmap(extra.base);
+    extras_.clear();
     mmu.munmap(base);
     live = false;
     base = 0;
     reservation = 0;
 }
 
+bool
+Backend::addMemory(std::uint64_t initial_pages, std::uint64_t max_pages)
+{
+    if (kind_ != BackendKind::Hfi)
+        throw std::invalid_argument(
+            "Backend::addMemory: multi-memory needs HFI's explicit regions");
+    if (!live)
+        return false;
+    // Guard-free: guard pages would add 4 GiB per memory (§2).
+    auto addr = mmu.mmap(footprintBytes(kind_, max_pages * kWasmPageSize),
+                         vm::PageProt::ReadWrite, kWasmPageSize);
+    if (!addr)
+        return false;
+    if (!binder_)
+        binder_ = std::make_unique<LruBinder>(core::kNumExplicitRegions - 1);
+    extras_.push_back({*addr, initial_pages * kWasmPageSize});
+    return true;
+}
+
+bool
+Backend::bind(unsigned memory)
+{
+    const LruBinder::Binding binding = binder_->bind(memory);
+    if (!binding.hit) // serializes inside the hybrid sandbox (§4.3)
+        programMemory(binding.slot, memory);
+    return !binding.hit;
+}
+
 void
-Backend::grow(std::uint64_t old_pages, std::uint64_t new_pages)
+Backend::grow(std::uint64_t old_pages, std::uint64_t new_pages,
+              unsigned memory)
 {
     const std::uint64_t old_bytes = old_pages * kWasmPageSize;
     const std::uint64_t new_bytes = new_pages * kWasmPageSize;
     if (kind_ == BackendKind::Hfi) {
         // §6.1: "HFI can just update a region's bound registers" — a
         // single hfi_set_region replaces the mprotect below.
-        programRegion(new_bytes);
+        if (memory == 0) {
+            accessibleBytes = new_bytes;
+            program(0, base, new_bytes);
+        } else {
+            extras_[memory - 1].accessibleBytes = new_bytes;
+            if (const int slot = binder_->slotOf(memory); slot >= 0)
+                programMemory(static_cast<unsigned>(slot), memory);
+        }
         return;
     }
     // memory_grow flips the newly accessible pages from PROT_NONE to
@@ -130,18 +184,20 @@ Backend::grow(std::uint64_t old_pages, std::uint64_t new_pages)
 
 AccessCheck
 Backend::checkAccess(std::uint64_t offset, std::uint32_t width, bool write,
-                     const LinearMemory &mem)
+                     const LinearMemory &mem, unsigned memory)
 {
     if (kind_ == BackendKind::Hfi) {
         // The real bit-level hmov check, with the hardware's precise
-        // trap reasons.
+        // trap reasons, through the memory's register.
+        const int slot = memory == 0 ? -1 : binder_->slotOf(memory);
+        assert(memory == 0 || slot >= 0);
         core::HmovOperands ops;
         ops.index = static_cast<std::int64_t>(offset);
         ops.scale = 1;
         ops.displacement = 0;
         ops.width = width;
-        const core::HmovResult res =
-            core::AccessChecker::checkHmov(ctx, 0, ops, write);
+        const core::HmovResult res = core::AccessChecker::checkHmov(
+            ctx, static_cast<unsigned>(1 + slot), ops, write);
         if (res.ok)
             return {AccessOutcome::Ok, offset};
         lastTrap = res.reason;
@@ -178,9 +234,16 @@ Backend::rebindRegions()
     // Warm dispatch on a core whose register file was context-switched
     // since this instance last ran: reload the heap region descriptor
     // before the (region-locking) hfi_enter. One hfi_set_region, the
-    // §6.1 "just update the bound registers" cost.
-    if (kind_ == BackendKind::Hfi && live)
-        programRegion(accessibleBytes);
+    // §6.1 "just update the bound registers" cost, per region.
+    if (kind_ != BackendKind::Hfi || !live)
+        return;
+    program(0, base, accessibleBytes);
+    // checkAccess trusts whatever a bound memory's register holds, so it
+    // is reloaded with the heap's.
+    for (unsigned slot = 0; binder_ && slot < binder_->slots(); ++slot) {
+        if (binder_->memoryAt(slot) != LruBinder::kNone)
+            programMemory(slot, binder_->memoryAt(slot));
+    }
 }
 
 void
@@ -192,7 +255,7 @@ Backend::enter()
     // Each transition re-loads the region metadata from memory into the
     // HFI registers (§6.4.2) and enters a hybrid sandbox, serialized for
     // Spectre protection (§3.4).
-    programRegion(accessibleBytes);
+    rebindRegions();
     core::SandboxConfig sandbox;
     sandbox.isHybrid = true;
     sandbox.isSerialized = true;

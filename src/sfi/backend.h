@@ -35,15 +35,22 @@
  * the memory's size or HFI's live heap register) and calls checkAccess
  * only for the rest, so every trap, every mask wrap and every HFI trap
  * reason comes from there.
+ *
+ * HFI alone takes extra Wasm memories (addMemory): memories 1..N-1
+ * share explicit registers 1..3 through an LruBinder, so the heap keeps
+ * register 0, the one accepts() reads.
  */
 
 #ifndef HFI_SFI_BACKEND_H
 #define HFI_SFI_BACKEND_H
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/context.h"
 #include "sfi/linear_memory.h"
+#include "sfi/lru_binder.h"
 #include "vm/mmu.h"
 
 namespace hfi::sfi
@@ -166,25 +173,38 @@ class Backend
      */
     bool create(std::uint64_t initial_pages, std::uint64_t max_pages);
 
-    /** Tear down the footprint (the §6.3.1 teardown path). */
+    /** Tear down the footprints and (HFI) clear their registers (§6.3.1). */
     void destroy();
 
+    /** Sandbox::addMemory's reservation (HFI only, else throws). */
+    bool addMemory(std::uint64_t initial_pages, std::uint64_t max_pages);
+
     /**
-     * The memory grew from @p old_pages to @p new_pages: mprotect the
-     * new pages read-write, or (HFI) update the region's bound.
+     * Memory @p memory (0: the heap) grew from @p old_pages to
+     * @p new_pages: mprotect the new pages read-write, or (HFI) update
+     * the region's bound.
      */
-    void grow(std::uint64_t old_pages, std::uint64_t new_pages);
+    void grow(std::uint64_t old_pages, std::uint64_t new_pages,
+              unsigned memory = 0);
+
+    /**
+     * HFI: bind memory @p memory (>= 1) to a register for an access.
+     * @return true when that took an hfi_set_region.
+     */
+    bool bind(unsigned memory);
 
     /**
      * Check (and for a mask, redirect) an access of @p width at
-     * @p offset. Passes every access accepts() passes.
+     * @p offset of memory @p memory (0: the heap; another must be
+     * bound). Passes every access accepts() passes.
      */
     AccessCheck checkAccess(std::uint64_t offset, std::uint32_t width,
-                            bool write, const LinearMemory &mem);
+                            bool write, const LinearMemory &mem,
+                            unsigned memory = 0);
 
     /**
      * Re-install the per-core state enforcement depends on (HFI:
-     * hfi_set_region of the heap region, §6.4.2). Needed when an
+     * hfi_set_region of each region it bound, §6.4.2). Needed when an
      * instance is dispatched on a core whose register state was
      * swapped since the instance last ran — the warm-pool dispatch path
      * — and before any region-locking hfi_enter. The software schemes
@@ -237,7 +257,7 @@ class Backend
                heap.base + heap.bound >= heap.base;
     }
 
-    /** Virtual-address-space bytes the footprint reserves. */
+    /** Virtual-address-space bytes the heap's footprint reserves. */
     std::uint64_t reservedVaBytes() const { return reservation; }
 
     /** Base virtual address of the linear memory (0 before create()). */
@@ -247,8 +267,17 @@ class Backend
     core::ExitReason lastTrapReason() const { return lastTrap; }
 
   private:
-    /** HFI: write the heap region descriptor into its register. */
-    void programRegion(std::uint64_t accessible_bytes);
+    struct ExtraMemory
+    {
+        vm::VAddr base;
+        std::uint64_t accessibleBytes;
+    };
+
+    /** HFI: explicit region @p index is @p bytes at @p region_base, RW. */
+    void program(unsigned index, vm::VAddr region_base, std::uint64_t bytes);
+
+    /** HFI: write memory @p memory's descriptor into @p slot's register. */
+    void programMemory(unsigned slot, unsigned memory);
 
     vm::Mmu &mmu;
     core::HfiContext &ctx;
@@ -266,6 +295,9 @@ class Backend
     vm::VAddr base = 0;
     bool live = false;
     core::ExitReason lastTrap = core::ExitReason::None;
+    /** HFI: memories 1..N-1, and (once one exists) their binder. */
+    std::vector<ExtraMemory> extras_;
+    std::unique_ptr<LruBinder> binder_;
 };
 
 } // namespace hfi::sfi

@@ -12,6 +12,7 @@
 #ifndef HFI_SFI_LINEAR_MEMORY_H
 #define HFI_SFI_LINEAR_MEMORY_H
 
+#include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -131,6 +132,7 @@ class LinearMemory
     T
     load(std::uint64_t offset) const
     {
+        assert(inBounds(offset, sizeof(T)));
         T v;
         std::memcpy(&v, store_.bytes.get() + offset, sizeof(T));
         return v;
@@ -184,6 +186,7 @@ class LinearMemory
     void
     put(std::uint64_t offset, T value)
     {
+        assert(inBounds(offset, sizeof(T)));
         std::memcpy(store_.bytes.get() + offset, &value, sizeof(T));
     }
 

@@ -63,18 +63,32 @@ Sandbox::exit()
     backend_.exit();
 }
 
+bool
+Sandbox::addMemory(std::uint64_t initial_pages, std::uint64_t max_pages)
+{
+    LinearMemory memory(initial_pages, max_pages);
+    if (!backend_.addMemory(initial_pages, max_pages))
+        return false;
+    extraMemories_.push_back(std::move(memory));
+    return true;
+}
+
 std::int64_t
-Sandbox::memoryGrow(std::uint64_t delta_pages)
+Sandbox::memoryGrow(unsigned memory, std::uint64_t delta_pages)
 {
     ++stats_.growCalls;
     auto &clock = mmu_.clock();
     clock.tick(clock.nsToCycles(kGrowRuntimeNs));
 
-    const std::uint64_t old_pages = memory_.pages();
-    const std::int64_t prev = memory_.grow(delta_pages);
+    LinearMemory &mem =
+        memory == 0 ? memory_ : extraMemories_.at(memory - 1);
+    const std::uint64_t old_pages = mem.pages();
+    const std::int64_t prev = mem.grow(delta_pages);
     if (prev < 0)
         return -1;
-    backend_.grow(old_pages, memory_.pages());
+    backend_.grow(old_pages, mem.pages(), memory);
+    if (memory != 0)
+        return prev;
     // firstTouch clamps its mark to the size, so a touched last page did
     // not cover the page after it. That page is in bounds now, and an
     // access starting in the touched page can spill into it.
@@ -102,6 +116,19 @@ Sandbox::checkedOffset(std::uint64_t offset, std::uint32_t width, bool write)
     if (check.outcome == AccessOutcome::Wrapped)
         ++stats_.wrappedAccesses;
     return check.offset;
+}
+
+LinearMemory &
+Sandbox::checkMemory(unsigned memory, std::uint64_t offset,
+                     std::uint32_t width, bool write)
+{
+    LinearMemory &mem = extraMemories_.at(memory - 1);
+    if (backend_.bind(memory))
+        ++stats_.rebinds;
+    if (backend_.checkAccess(offset, width, write, mem, memory).outcome !=
+        AccessOutcome::Ok)
+        throw SandboxTrap(offset, width, write);
+    return mem;
 }
 
 void

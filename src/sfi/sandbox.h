@@ -24,6 +24,10 @@
  * built on those two. The modeled cost is the same whichever way a
  * kernel splits them, because the clock after exit() depends only on
  * the total milli-cycles charged.
+ *
+ * Under HFI, memories 1..N-1 (addMemory, Wasm multi-memory) are bound
+ * to a register and hmov-checked by the Backend on each access and
+ * charged as heap accesses, with no inline path or first-touch fault.
  */
 
 #ifndef HFI_SFI_SANDBOX_H
@@ -99,6 +103,8 @@ struct SandboxStats
     std::uint64_t traps = 0;
     std::uint64_t wrappedAccesses = 0;
     std::uint64_t invocations = 0;
+    /** Accesses that bound their memory to a register (set_region). */
+    std::uint64_t rebinds = 0;
 };
 
 /**
@@ -159,7 +165,21 @@ class Sandbox
     }
 
     /** memory_grow: add @p delta_pages. @return prior size or -1. */
-    std::int64_t memoryGrow(std::uint64_t delta_pages);
+    std::int64_t memoryGrow(std::uint64_t delta_pages)
+    {
+        return memoryGrow(0, delta_pages);
+    }
+
+    /** memory_grow on memory @p memory (0: the heap). */
+    std::int64_t memoryGrow(unsigned memory, std::uint64_t delta_pages);
+
+    /**
+     * Add the next memory, reserving its own footprintBytes.
+     * @return false when the address space cannot hold it.
+     * @throws std::invalid_argument unless the backend is HFI, or when
+     *         @p initial_pages exceeds @p max_pages.
+     */
+    bool addMemory(std::uint64_t initial_pages, std::uint64_t max_pages);
 
     /** Typed load at @p offset; throws SandboxTrap on a violation. */
     template <typename T>
@@ -179,6 +199,30 @@ class Sandbox
         const std::uint64_t at = access(offset, sizeof(T), true);
         chargeAccesses(1, true);
         memory_.put<T>(at, value);
+    }
+
+    /** Typed load from memory @p memory (0: the heap). */
+    template <typename T>
+    T
+    load(unsigned memory, std::uint64_t offset)
+    {
+        if (memory == 0)
+            return load<T>(offset);
+        const LinearMemory &mem = checkMemory(memory, offset, sizeof(T), false);
+        chargeAccesses(1, false);
+        return mem.load<T>(offset);
+    }
+
+    /** Typed store to memory @p memory (0: the heap). */
+    template <typename T>
+    void
+    store(unsigned memory, std::uint64_t offset, T value)
+    {
+        if (memory == 0)
+            return store<T>(offset, value);
+        LinearMemory &mem = checkMemory(memory, offset, sizeof(T), true);
+        chargeAccesses(1, true);
+        mem.store<T>(offset, value);
     }
 
     /**
@@ -332,6 +376,10 @@ class Sandbox
     std::uint64_t checkedOffset(std::uint64_t offset, std::uint32_t width,
                                 bool write);
 
+    /** Bind and check an access to memory @p memory >= 1, or throw. */
+    LinearMemory &checkMemory(unsigned memory, std::uint64_t offset,
+                              std::uint32_t width, bool write);
+
     /**
      * Mark @p page touched, raise the memory's dirty mark over it, and
      * fault it in through the Mmu.
@@ -374,6 +422,9 @@ class Sandbox
     std::vector<std::uint8_t> touched;
 
     SandboxStats stats_;
+
+    /** Memories 1..N-1 (HFI multi-memory); empty for most instances. */
+    std::vector<LinearMemory> extraMemories_;
 };
 
 } // namespace hfi::sfi

@@ -16,7 +16,6 @@
 #include "faas/latency.h"
 #include "nginx/server.h"
 #include "os/scheduler.h"
-#include "sfi/multi_memory.h"
 #include "sfi/runtime.h"
 #include "syscall/interposer.h"
 #include "workloads/faas_workloads.h"
@@ -148,13 +147,19 @@ TEST(Integration, ScheduledProcessesKeepDistinctSandboxWorlds)
         std::holds_alternative<core::EmptyRegion>(
             ctx.region(core::kFirstExplicitRegion)));
 
-    // The FaaS process runs its own multi-memory instance.
-    sfi::MultiMemorySandbox instance(mmu, ctx, 2);
-    ASSERT_TRUE(instance.valid());
-    instance.enter();
-    instance.store<std::uint32_t>(0, 0, 42);
-    EXPECT_EQ(instance.load<std::uint32_t>(0, 0), 42u);
-    instance.exit();
+    // The FaaS process runs its own multi-memory instance, and tears it
+    // down before it is switched out.
+    {
+        auto instance = runtime.createSandbox({1, 16});
+        ASSERT_TRUE(instance);
+        ASSERT_TRUE(instance->addMemory(1, 16));
+        instance->enter();
+        instance->store<std::uint32_t>(0, 0, 42);
+        instance->store<std::uint32_t>(1, 0, 43);
+        EXPECT_EQ(instance->load<std::uint32_t>(0, 0), 42u);
+        EXPECT_EQ(instance->load<std::uint32_t>(1, 0), 43u);
+        instance->exit();
+    }
 
     // Back to the browser: still sandboxed, its region intact.
     scheduler.switchTo(0);

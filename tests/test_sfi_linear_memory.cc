@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sfi/linear_memory.h"
-#include "sfi/multi_memory.h"
 #include "sfi/runtime.h"
 
 namespace
@@ -109,8 +108,10 @@ TEST(LinearMemory, InitialPagesBeyondTheMaximumThrow)
     hfi::vm::VirtualClock clock;
     hfi::vm::Mmu mmu(clock);
     hfi::core::HfiContext ctx(clock);
-    EXPECT_THROW(MultiMemorySandbox(mmu, ctx, 2, 4, 1),
-                 std::invalid_argument);
+    Sandbox sandbox(mmu, ctx, BackendKind::Hfi, paperCosts(BackendKind::Hfi));
+    const std::uint64_t heap = mmu.addressSpace().reservedBytes();
+    EXPECT_THROW(sandbox.addMemory(4, 1), std::invalid_argument);
+    EXPECT_EQ(mmu.addressSpace().reservedBytes(), heap);
 }
 
 TEST(LinearMemory, NewPagesAreZero)
