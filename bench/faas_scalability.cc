@@ -76,7 +76,6 @@ main()
         core::HfiContext ctx(clock);
         constexpr std::uint64_t kGiBPages = 16384;
         sfi::Sandbox instance(mmu, ctx, sfi::BackendKind::Hfi,
-                              sfi::paperCosts(sfi::BackendKind::Hfi),
                               {1, kGiBPages});
         for (int memory = 1; memory < 4; ++memory)
             instance.addMemory(1, kGiBPages);

@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 
 namespace
 {
@@ -29,24 +29,21 @@ teardownPerSandboxUs(sfi::BackendKind kind, sfi::ReclaimPolicy policy,
     vm::VirtualClock clock;
     vm::Mmu mmu(clock, 48); // 2000 x 8 GiB needs the wide VA
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = kind;
-    sfi::Runtime runtime(mmu, ctx, config);
+
+    // FaaS instances: Wasmtime reserves the full 4 GiB heap + 4 GiB
+    // guard per 32-bit memory regardless of use; HFI instances reserve
+    // only what the tenant's 1 MiB max heap needs, so their heaps are
+    // adjacent.
+    const sfi::SandboxOptions opts{
+        1, kind == sfi::BackendKind::GuardPages ? 65536u : 16u};
 
     constexpr int kSandboxes = 2000;
     std::vector<std::unique_ptr<sfi::Sandbox>> owned;
     std::vector<sfi::Sandbox *> raw;
     owned.reserve(kSandboxes);
     for (int i = 0; i < kSandboxes; ++i) {
-        // FaaS instances: Wasmtime reserves the full 4 GiB heap + 4 GiB
-        // guard per 32-bit memory regardless of use; HFI instances
-        // reserve only what the tenant's 1 MiB max heap needs, so their
-        // heaps are adjacent.
-        auto sandbox =
-            kind == sfi::BackendKind::GuardPages
-                ? runtime.createSandbox({1, 65536})
-                : runtime.createSandbox({1, 16});
-        if (!sandbox) {
+        auto sandbox = std::make_unique<sfi::Sandbox>(mmu, ctx, kind, opts);
+        if (!sandbox->valid()) {
             std::fprintf(stderr, "address space exhausted at %d\n", i);
             return -1;
         }
@@ -60,7 +57,7 @@ teardownPerSandboxUs(sfi::BackendKind kind, sfi::ReclaimPolicy policy,
     }
 
     const double t0 = clock.nowNs();
-    runtime.reclaim(raw, policy, batch);
+    sfi::reclaim(mmu, raw, policy, batch);
     return (clock.nowNs() - t0) / 1e3 / kSandboxes;
 }
 

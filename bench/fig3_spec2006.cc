@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "workloads/spec_like.h"
 
 namespace
@@ -33,9 +33,6 @@ runOne(const workloads::Workload &workload, sfi::BackendKind kind,
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = kind;
-    sfi::Runtime runtime(mmu, ctx, config);
     sfi::SandboxOptions opts;
     // SPEC-style runs size their heap once up front and then run long
     // (§6.1: "long-running applications that do not test HFI's fast
@@ -44,12 +41,12 @@ runOne(const workloads::Workload &workload, sfi::BackendKind kind,
     // dominate.
     opts.initialPages = 64;
     opts.icacheSensitivity = workload.icacheSensitivity;
-    auto sandbox = runtime.createSandbox(opts);
-    if (!sandbox)
+    sfi::Sandbox sandbox(mmu, ctx, kind, opts);
+    if (!sandbox.valid())
         return -1;
 
     const double t0 = clock.nowNs();
-    sandbox->invoke([&](sfi::Sandbox &s) { workload.run(s, scale, 1234); });
+    sandbox.invoke([&](sfi::Sandbox &s) { workload.run(s, scale, 1234); });
     return clock.nowNs() - t0;
 }
 

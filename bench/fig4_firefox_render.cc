@@ -22,7 +22,7 @@
 
 #include <cstdio>
 
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "workloads/font.h"
 #include "workloads/image.h"
 
@@ -31,18 +31,16 @@ namespace
 
 using namespace hfi;
 
-/** The wasm2c-in-Firefox cost configuration per backend. */
-sfi::RuntimeConfig
-firefoxConfig(sfi::BackendKind kind)
+/** The wasm2c-in-Firefox cost row per backend. */
+sfi::BackendCosts
+firefoxCosts(sfi::BackendKind kind)
 {
-    sfi::RuntimeConfig config;
-    config.backend = kind;
     // Dense decode loops saturate the AGU: the base-add / zext chain
     // costs that SPEC-style code hides become visible, and hmov keeps
     // a residue (DESIGN.md).
-    config.costs = sfi::paperCosts(kind);
-    config.costs->accessMilli += kind == sfi::BackendKind::Hfi ? 100 : 450;
-    return config;
+    sfi::BackendCosts costs = sfi::paperCosts(kind);
+    costs.accessMilli += kind == sfi::BackendKind::Hfi ? 100 : 450;
+    return costs;
 }
 
 /** One full image decode inside a fresh sandbox; returns virtual ms. */
@@ -52,27 +50,26 @@ decodeOnce(sfi::BackendKind kind, const workloads::image::EncodedImage &img)
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    sfi::Runtime runtime(mmu, ctx, firefoxConfig(kind));
 
     // The paper reports the median of 1000 warm runs: instance creation
     // is outside the measurement, but the per-decode memory_grow calls
     // (from the decoder's allocations) are inside it.
     sfi::SandboxOptions opts;
     opts.initialPages = 2; // 128 KiB before any memory_grow
-    auto sandbox = runtime.createSandbox(opts);
-    if (!sandbox)
+    sfi::Sandbox sandbox(mmu, ctx, kind, firefoxCosts(kind), opts);
+    if (!sandbox.valid())
         return -1;
     const double t0 = clock.nowNs();
 
     // One sandbox invocation per image row — the paper counts ~720x2
     // serialized enters/exits for a 1080-row image (§6.2).
     for (unsigned row = 0; row + 1 < img.height; ++row) {
-        sandbox->enter();
-        sandbox->exit();
+        sandbox.enter();
+        sandbox.exit();
     }
     // The decode itself (single pass; the band transitions above carry
     // the per-row transition cost).
-    sandbox->invoke([&](sfi::Sandbox &s) {
+    sandbox.invoke([&](sfi::Sandbox &s) {
         workloads::image::decodeSandboxed(s, img);
     });
     return (clock.nowNs() - t0) / 1e6;
@@ -84,12 +81,11 @@ fontOnce(sfi::BackendKind kind, const std::string &text)
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    sfi::Runtime runtime(mmu, ctx, firefoxConfig(kind));
-    auto sandbox = runtime.createSandbox({8, 1024});
-    if (!sandbox)
+    sfi::Sandbox sandbox(mmu, ctx, kind, firefoxCosts(kind), {8, 1024});
+    if (!sandbox.valid())
         return -1;
     const double t0 = clock.nowNs();
-    sandbox->invoke([&](sfi::Sandbox &s) {
+    sandbox.invoke([&](sfi::Sandbox &s) {
         workloads::font::renderPage(s, text, 800);
     });
     return (clock.nowNs() - t0) / 1e6;

@@ -28,9 +28,7 @@ throughput(nginx::SessionProtection protection, std::uint64_t file_bytes)
     mpk::MpkDomainManager mpk_mgr(mmu);
     syscall::MiniKernel kernel(clock);
 
-    nginx::ServerConfig config;
-    config.protection = protection;
-    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, config);
+    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, protection);
     server.addFile("/payload", file_bytes, 7);
     return server.serve("/payload", 400).throughputRps();
 }

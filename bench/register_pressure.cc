@@ -15,7 +15,7 @@
 
 #include <cstdio>
 
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "workloads/sightglass.h"
 
 namespace
@@ -29,19 +29,17 @@ runWithPressure(std::uint64_t pressure_milli)
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = sfi::BackendKind::GuardPages;
-    config.costs = sfi::paperCosts(config.backend);
-    config.costs->opPressureMilli = pressure_milli;
-    sfi::Runtime runtime(mmu, ctx, config);
-    auto sandbox = runtime.createSandbox({4, 256});
-    if (!sandbox)
+    sfi::BackendCosts costs = sfi::paperCosts(sfi::BackendKind::GuardPages);
+    costs.opPressureMilli = pressure_milli;
+    sfi::Sandbox sandbox(mmu, ctx, sfi::BackendKind::GuardPages, costs,
+                         {4, 256});
+    if (!sandbox.valid())
         return -1;
 
     // The interpreter-flavoured kernel (opcode dispatch over a big
     // switch) — the closest Sightglass shape to Spidermonkey.
     const double t0 = clock.nowNs();
-    sandbox->invoke(
+    sandbox.invoke(
         [](sfi::Sandbox &s) { workloads::sightglass::runSwitch(s, 4, 99); });
     return clock.nowNs() - t0;
 }

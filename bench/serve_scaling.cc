@@ -28,23 +28,14 @@
 
 #include "obs/trace.h"
 #include "serve/engine.h"
+#include "serve_handler.h"
 
 namespace
 {
 
 using namespace hfi;
 using namespace hfi::serve;
-
-/** ~76 us of handler work: stores plus metered compute. */
-Handler
-handlerWithOps(std::uint64_t ops)
-{
-    return [ops](sfi::Sandbox &s, std::uint32_t seed) {
-        for (int i = 0; i < 64; ++i)
-            s.store<std::uint32_t>(64 + (i % 64) * 4, seed + i);
-        s.chargeOps(ops);
-    };
-}
+using bench::handlerWithOps;
 
 EngineConfig
 baseConfig(unsigned workers, Scheme scheme)

@@ -47,24 +47,15 @@
 
 #include "obs/trace.h"
 #include "serve/engine.h"
+#include "serve_handler.h"
 
 namespace
 {
 
 using namespace hfi;
 using namespace hfi::serve;
+using bench::handlerWithOps;
 using Clock = std::chrono::steady_clock;
-
-/** ~76 us of handler work: stores plus metered compute. */
-Handler
-handlerWithOps(std::uint64_t ops)
-{
-    return [ops](sfi::Sandbox &s, std::uint32_t seed) {
-        for (int i = 0; i < 64; ++i)
-            s.store<std::uint32_t>(64 + (i % 64) * 4, seed + i);
-        s.chargeOps(ops);
-    };
-}
 
 /** The serve_faults fault-free cell (4 cores, warm pools, threadable),
     at 4x the request count: ~6 ms of host work per run, so scheduler

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "faas/latency.h"
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "workloads/faas_workloads.h"
 
 using namespace hfi;
@@ -26,17 +26,19 @@ main()
     vm::Mmu mmu(clock, 48);
     core::HfiContext ctx(clock);
 
-    sfi::RuntimeConfig config;
-    config.backend = sfi::BackendKind::Hfi; // guard pages elided,
-                                            // serialized transitions
-    sfi::Runtime runtime(mmu, ctx, config);
+    // HFI tenants: guard pages elided, serialized transitions.
+    constexpr sfi::BackendKind kKind = sfi::BackendKind::Hfi;
 
+    // §6.3.2: the free address space over one instance's footprint.
+    const std::uint64_t usable = mmu.addressSpace().usableBytes() -
+                                 mmu.addressSpace().reservedBytes();
     std::printf("Tenant capacity in this process (1 MiB instances): "
                 "%lu; with guard pages it would be %lu\n",
                 static_cast<unsigned long>(
-                    runtime.addressSpaceCapacity(1 << 20)),
-                static_cast<unsigned long>((mmu.addressSpace().usableBytes()) /
-                                           ((4ULL << 30) + (1 << 20))));
+                    usable / sfi::footprintBytes(kKind, 1 << 20)),
+                static_cast<unsigned long>(
+                    usable / sfi::footprintBytes(
+                                 sfi::BackendKind::GuardPages, 1 << 20)));
 
     // Serve a burst of requests: each one spins up a tenant instance,
     // transcodes an XML order document to JSON, and finishes.
@@ -48,8 +50,10 @@ main()
     const double start = clock.nowNs();
     for (int r = 0; r < kRequests; ++r) {
         const double t0 = clock.nowNs();
-        auto instance = runtime.createSandbox({1, 16});
-        if (!instance) {
+        auto instance =
+            std::make_unique<sfi::Sandbox>(mmu, ctx, kKind,
+                                           sfi::SandboxOptions{1, 16});
+        if (!instance->valid()) {
             std::printf("address space exhausted!\n");
             return 1;
         }
@@ -66,7 +70,7 @@ main()
         raw.push_back(instance.get());
         spent.push_back(std::move(instance));
         if (raw.size() == 64) {
-            runtime.reclaim(raw, sfi::ReclaimPolicy::Batched, 64);
+            sfi::reclaim(mmu, raw, sfi::ReclaimPolicy::Batched, 64);
             raw.clear();
             spent.clear();
         }

@@ -13,24 +13,10 @@
 
 #include <cstdio>
 
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "workloads/image.h"
 
 using namespace hfi;
-
-namespace
-{
-
-std::unique_ptr<sfi::Sandbox>
-makeSandbox(vm::Mmu &mmu, core::HfiContext &ctx, sfi::BackendKind kind)
-{
-    sfi::RuntimeConfig config;
-    config.backend = kind;
-    sfi::Runtime runtime(mmu, ctx, config);
-    return runtime.createSandbox({8, 1024});
-}
-
-} // namespace
 
 int
 main()
@@ -49,10 +35,10 @@ main()
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
         core::HfiContext ctx(clock);
-        auto sandbox = makeSandbox(mmu, ctx, kind);
+        sfi::Sandbox sandbox(mmu, ctx, kind, {8, 1024});
         std::uint64_t checksum = 0;
         const double t0 = clock.nowNs();
-        const bool ok = sandbox->invoke([&](sfi::Sandbox &s) {
+        const bool ok = sandbox.invoke([&](sfi::Sandbox &s) {
             checksum = workloads::image::decodeSandboxed(s, img);
         });
         std::printf("  %-13s ok=%d checksum=%016lx virtual time "
@@ -60,8 +46,8 @@ main()
                     sfi::backendKindName(kind), ok,
                     static_cast<unsigned long>(checksum),
                     (clock.nowNs() - t0) / 1e6,
-                    static_cast<unsigned long>(sandbox->stats().loads),
-                    static_cast<unsigned long>(sandbox->stats().stores));
+                    static_cast<unsigned long>(sandbox.stats().loads),
+                    static_cast<unsigned long>(sandbox.stats().stores));
     }
 
     std::printf("\nNow a malicious decoder run (it scribbles past its "
@@ -70,17 +56,17 @@ main()
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
         core::HfiContext ctx(clock);
-        auto sandbox = makeSandbox(mmu, ctx, kind);
+        sfi::Sandbox sandbox(mmu, ctx, kind, {8, 1024});
         // Plant a sentinel the wrap would corrupt.
-        sandbox->store<std::uint64_t>(64, 0xfeedfacecafebeefULL);
-        const bool ok = sandbox->invoke([&](sfi::Sandbox &s) {
+        sandbox.store<std::uint64_t>(64, 0xfeedfacecafebeefULL);
+        const bool ok = sandbox.invoke([&](sfi::Sandbox &s) {
             // "Compromised" decoder: writes far out of bounds.
             for (std::uint64_t off = 0; off < 4; ++off) {
                 s.store<std::uint64_t>((600ULL << 20) + off * 8 + 64,
                                        0x4141414141414141ULL);
             }
         });
-        const std::uint64_t sentinel = sandbox->load<std::uint64_t>(64);
+        const std::uint64_t sentinel = sandbox.load<std::uint64_t>(64);
         std::printf("  %-13s attack contained=%s, sentinel %s "
                     "(wrapped accesses: %lu)\n",
                     sfi::backendKindName(kind),
@@ -88,7 +74,7 @@ main()
                     sentinel == 0xfeedfacecafebeefULL ? "intact"
                                                       : "CORRUPTED",
                     static_cast<unsigned long>(
-                        sandbox->stats().wrappedAccesses));
+                        sandbox.stats().wrappedAccesses));
     }
     std::printf("\nPrecise traps are why the paper rules out masking for "
                 "Wasm (§2) — and why HFI's\nhmov keeps trap semantics "

@@ -31,9 +31,7 @@ main()
         core::HfiContext ctx(clock);
         mpk::MpkDomainManager mpk_mgr(mmu);
         syscall::MiniKernel kernel(clock);
-        nginx::ServerConfig config;
-        config.protection = protection;
-        nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, config);
+        nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, protection);
         server.addFile("/asset.bin", 32 * 1024, 3);
 
         const auto stats = server.serve("/asset.bin", 200);

@@ -5,15 +5,14 @@
 namespace hfi::core
 {
 
-HfiContext::HfiContext(vm::VirtualClock &clock, HfiCostParams costs)
-    : clock_(clock), costs_(costs)
+HfiContext::HfiContext(vm::VirtualClock &clock) : clock_(clock)
 {
 }
 
 void
 HfiContext::serialize()
 {
-    charge(costs_.serializeCycles);
+    charge(kHfiCosts.serializeCycles);
     ++stats_.serializations;
 }
 
@@ -26,10 +25,10 @@ HfiContext::regionUpdated(const HfiOutcome &out, unsigned n,
     if (out.serializes) {
         // Code-region updates (n == kNumRegions: all registers)
         // additionally flush pending memory operations.
-        charge(costs_.hybridRegionUpdateSerializeCycles);
+        charge(kHfiCosts.hybridRegionUpdateSerializeCycles);
         ++stats_.serializations;
         if (n == kNumRegions || regionKindOf(n) == RegionKind::Code)
-            charge(costs_.codeRegionFlushCycles);
+            charge(kHfiCosts.codeRegionFlushCycles);
     }
     ++stats_.regionUpdates;
     HFI_OBS_RECORD(trace_, event, clock_.nowNsFast(), n);
@@ -39,7 +38,7 @@ HfiContext::regionUpdated(const HfiOutcome &out, unsigned n,
 HfiResult
 HfiContext::setRegion(unsigned n, const Region &region)
 {
-    charge(costs_.setRegionCycles);
+    charge(kHfiCosts.setRegionCycles);
     return regionUpdated(state_.setRegion(n, region), n,
                          obs::EventType::RegionSet);
 }
@@ -47,7 +46,7 @@ HfiContext::setRegion(unsigned n, const Region &region)
 std::optional<Region>
 HfiContext::getRegion(unsigned n)
 {
-    charge(costs_.getRegionCycles);
+    charge(kHfiCosts.getRegionCycles);
     if (state_.regionAccess(n).trap != ExitReason::None)
         return std::nullopt;
     return state_.bank.region(n);
@@ -56,7 +55,7 @@ HfiContext::getRegion(unsigned n)
 HfiResult
 HfiContext::clearRegion(unsigned n)
 {
-    charge(costs_.clearRegionCycles);
+    charge(kHfiCosts.clearRegionCycles);
     return regionUpdated(state_.clearRegion(n), n,
                          obs::EventType::RegionClear);
 }
@@ -64,7 +63,7 @@ HfiContext::clearRegion(unsigned n)
 HfiResult
 HfiContext::clearAllRegions()
 {
-    charge(costs_.clearAllRegionsCycles);
+    charge(kHfiCosts.clearAllRegionsCycles);
     return regionUpdated(state_.clearAllRegions(), kNumRegions,
                          obs::EventType::RegionClear);
 }
@@ -72,12 +71,12 @@ HfiContext::clearAllRegions()
 HfiResult
 HfiContext::enter(const SandboxConfig &config)
 {
-    charge(costs_.enterCycles);
+    charge(kHfiCosts.enterCycles);
     const HfiOutcome out = state_.enter(config);
     if (out.serializes)
         serialize();
     if (out.switchedBanks) {
-        charge(costs_.switchBankCycles);
+        charge(kHfiCosts.switchBankCycles);
         ++stats_.bankSwitches;
     }
     lastConfig = config;
@@ -91,12 +90,12 @@ HfiContext::enter(const SandboxConfig &config)
 VAddr
 HfiContext::exit()
 {
-    charge(costs_.exitCycles);
+    charge(kHfiCosts.exitCycles);
     ++stats_.exits;
     const HfiOutcome out = state_.exit();
     lastExitSwitched_ = out.switchedBanks;
     if (out.switchedBanks) {
-        charge(costs_.switchBankCycles);
+        charge(kHfiCosts.switchBankCycles);
         ++stats_.bankSwitches;
     }
     if (out.serializes)
@@ -109,7 +108,7 @@ HfiContext::exit()
 HfiResult
 HfiContext::reenter()
 {
-    charge(costs_.reenterCycles);
+    charge(kHfiCosts.reenterCycles);
     if (!lastConfigValid || state_.bank.enabled)
         return HfiResult::Trap;
     return enter(lastConfig);
@@ -121,12 +120,12 @@ HfiContext::onSyscall()
     if (!state_.bank.enabled)
         return std::nullopt;
     // §4.4: one extra microcode cycle checks the is-hybrid flag.
-    charge(costs_.syscallCheckCycles);
+    charge(kHfiCosts.syscallCheckCycles);
     const HfiOutcome out = state_.syscall();
     if (out.handler == 0 && out.trap == ExitReason::None)
         return std::nullopt; // trusted code: syscalls go through
 
-    charge(costs_.syscallRedirectCycles);
+    charge(kHfiCosts.syscallRedirectCycles);
     if (out.serializes)
         serialize();
     ++stats_.syscallRedirects;
@@ -149,21 +148,21 @@ HfiContext::onFault(ExitReason reason)
 ExitReason
 HfiContext::readExitReasonMsr()
 {
-    charge(costs_.readMsrCycles);
+    charge(kHfiCosts.readMsrCycles);
     return state_.msr;
 }
 
 HfiRegisterFile
 HfiContext::xsave()
 {
-    charge(costs_.xsaveHfiCycles);
+    charge(kHfiCosts.xsaveHfiCycles);
     return state_.bank;
 }
 
 HfiResult
 HfiContext::xrstor(const HfiRegisterFile &file)
 {
-    charge(costs_.xrstorHfiCycles);
+    charge(kHfiCosts.xrstorHfiCycles);
     if (state_.regionsLocked()) {
         // §3.3.3: allowing a native sandbox to rewrite the HFI registers
         // would break sandboxing, so the instruction traps.
@@ -177,7 +176,7 @@ HfiContext::xrstor(const HfiRegisterFile &file)
 void
 HfiContext::kernelXrstor(const HfiRegisterFile &file)
 {
-    charge(costs_.xrstorHfiCycles);
+    charge(kHfiCosts.xrstorHfiCycles);
     state_.bank = file;
     HFI_OBS_RECORD(trace_, obs::EventType::KernelXrstor, clock_.nowNsFast(),
                    file.enabled);

@@ -3,7 +3,7 @@
  * HfiContext: one core's HFI extension as the trusted runtime drives it
  * (§3, §4.4). The state and rules are an HfiState, the model the
  * simulator executes too; HfiContext adds the instruction costs charged
- * to the VirtualClock (HfiCostParams, so experiments see the paper's
+ * to the VirtualClock (kHfiCosts, so experiments see the paper's
  * transition-cost structure), counters, trace events, hfi_reenter's
  * saved configuration, and xsave/xrstor (§3.3.3).
  */
@@ -39,7 +39,7 @@ enum class HfiResult
 class HfiContext
 {
   public:
-    explicit HfiContext(vm::VirtualClock &clock, HfiCostParams costs = {});
+    explicit HfiContext(vm::VirtualClock &clock);
 
     /** hfi_set_region. A trap is reported, not delivered. */
     HfiResult setRegion(unsigned n, const Region &region);
@@ -129,7 +129,6 @@ class HfiContext
     /** True if the last exit used the switch-on-exit path (for tests). */
     bool lastExitSwitched() const { return lastExitSwitched_; }
 
-    const HfiCostParams &costs() const { return costs_; }
     vm::VirtualClock &clock() { return clock_; }
 
     /** Cumulative instruction counts, for reporting. */
@@ -166,7 +165,6 @@ class HfiContext
                             obs::EventType event);
 
     vm::VirtualClock &clock_;
-    HfiCostParams costs_;
 
     HfiState state_;
 

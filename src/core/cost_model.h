@@ -8,7 +8,7 @@
  *
  *  - Serialized hfi_enter/hfi_exit cost ~30-60 cycles (§3.4, "based on the
  *    cost of similar serializing instructions"); we use 45 as the
- *    midpoint and expose it for sensitivity studies.
+ *    midpoint.
  *  - Unserialized enters/exits are "on the same order as a function call"
  *    (§1), i.e. low tens of cycles.
  *  - hfi_set_region "moves metadata from memory to HFI registers" (§6.4.2,
@@ -91,6 +91,9 @@ struct HfiCostParams
     /** Reading the exit-reason MSR (rdmsr-class, but user readable). */
     std::uint64_t readMsrCycles = 4;
 };
+
+/** The costs every HfiContext charges. */
+inline constexpr HfiCostParams kHfiCosts{};
 
 } // namespace hfi::core
 

@@ -8,7 +8,7 @@
  *
  *  - hfi::core    — the HFI ISA model (regions, context, checker)
  *  - hfi::vm      — virtual clock + memory-management substrate
- *  - hfi::sfi     — sandboxes, isolation backends, runtime, multi-memory
+ *  - hfi::sfi     — sandboxes, isolation backends, reclaim, multi-memory
  *  - hfi::sim     — the cycle-level core and program builder
  *  - hfi::os      — process scheduling with HFI xsave/xrstor
  *  - hfi::serve   — the multi-core sandbox serving engine
@@ -36,7 +36,6 @@
 #include "sfi/backend.h"
 #include "sfi/linear_memory.h"
 #include "sfi/lru_binder.h"
-#include "sfi/runtime.h"
 #include "sfi/sandbox.h"
 
 #include "sim/cpu_config.h"

@@ -3,8 +3,7 @@
 namespace hfi::mpk
 {
 
-MpkDomainManager::MpkDomainManager(vm::Mmu &mmu, MpkCostParams params)
-    : mmu(mmu), params_(params)
+MpkDomainManager::MpkDomainManager(vm::Mmu &mmu) : mmu(mmu)
 {
     keyUsed[0] = true; // the default key
 }
@@ -12,7 +11,7 @@ MpkDomainManager::MpkDomainManager(vm::Mmu &mmu, MpkCostParams params)
 std::optional<unsigned>
 MpkDomainManager::pkeyAlloc()
 {
-    mmu.clock().tick(mmu.clock().nsToCycles(params_.pkeySyscallNs));
+    mmu.clock().tick(mmu.clock().nsToCycles(kMpkCosts.pkeySyscallNs));
     for (unsigned k = 1; k < kNumPkeys; ++k) {
         if (!keyUsed[k]) {
             keyUsed[k] = true;
@@ -26,7 +25,7 @@ MpkDomainManager::pkeyAlloc()
 bool
 MpkDomainManager::pkeyFree(unsigned key)
 {
-    mmu.clock().tick(mmu.clock().nsToCycles(params_.pkeySyscallNs));
+    mmu.clock().tick(mmu.clock().nsToCycles(kMpkCosts.pkeySyscallNs));
     if (key == 0 || key >= kNumPkeys || !keyUsed[key])
         return false;
     keyUsed[key] = false;
@@ -58,7 +57,7 @@ MpkDomainManager::pkeyMprotect(vm::VAddr addr, std::uint64_t size,
 void
 MpkDomainManager::wrpkru(const std::array<PkeyRights, kNumPkeys> &rights)
 {
-    mmu.clock().tick(params_.wrpkruCycles);
+    mmu.clock().tick(kMpkCosts.wrpkruCycles);
     pkru = rights;
     ++wrpkrus;
 }

@@ -37,11 +37,12 @@ struct MpkCostParams
      *  depending on surrounding serialization; 48 matches ERIM's
      *  steady-state switch cost incl. the check sequence around it). */
     std::uint64_t wrpkruCycles = 48;
-    /** rdpkru. */
-    std::uint64_t rdpkruCycles = 6;
     /** pkey_alloc / pkey_free system calls (ring transition). */
     double pkeySyscallNs = 1800.0;
 };
+
+/** The costs every MpkDomainManager charges. */
+inline constexpr MpkCostParams kMpkCosts{};
 
 /** Per-key access bits in PKRU (true = disabled). */
 struct PkeyRights
@@ -58,7 +59,7 @@ struct PkeyRights
 class MpkDomainManager
 {
   public:
-    explicit MpkDomainManager(vm::Mmu &mmu, MpkCostParams params = {});
+    explicit MpkDomainManager(vm::Mmu &mmu);
 
     /**
      * pkey_alloc: allocate a protection key.
@@ -93,14 +94,12 @@ class MpkDomainManager
     unsigned keyAt(vm::VAddr addr) const;
 
     unsigned allocatedKeys() const { return allocated; }
-    const MpkCostParams &params() const { return params_; }
 
     /** Number of wrpkru executed (for the Fig 5 accounting). */
     std::uint64_t wrpkruCount() const { return wrpkrus; }
 
   private:
     vm::Mmu &mmu;
-    MpkCostParams params_;
     /** Allocation state; key 0 always allocated (the default key). */
     std::array<bool, kNumPkeys> keyUsed{};
     unsigned allocated = 1;

@@ -7,6 +7,26 @@
 namespace hfi::nginx
 {
 
+namespace
+{
+
+/** TLS record size: one crypto call (at least) per record. */
+constexpr std::uint64_t kRecordBytes = 16 * 1024;
+/**
+ * Protection-domain crossings per request that are independent of the
+ * payload (handshake-adjacent key derivations, MAC keys, IV setup —
+ * ERIM counts dozens for NGINX+OpenSSL).
+ */
+constexpr unsigned kFixedCryptoCalls = 28;
+/** Additional crossings per TLS record (encrypt + MAC). */
+constexpr unsigned kCallsPerRecord = 6;
+/** Event-loop + parsing + header cost per request, ns. */
+constexpr double kRequestFixedNs = 9500.0;
+/** ChaCha20 throughput in cycles per byte. */
+constexpr double kCryptoCyclesPerByte = 1.2;
+
+} // namespace
+
 const char *
 sessionProtectionName(SessionProtection p)
 {
@@ -20,14 +40,15 @@ sessionProtectionName(SessionProtection p)
 
 NginxServer::NginxServer(vm::Mmu &mmu, core::HfiContext &ctx,
                          mpk::MpkDomainManager &mpk,
-                         syscall::MiniKernel &kernel, ServerConfig config)
-    : mmu(mmu), ctx(ctx), mpk_(mpk), kernel(kernel), config_(config)
+                         syscall::MiniKernel &kernel,
+                         SessionProtection protection)
+    : mmu(mmu), ctx(ctx), mpk_(mpk), kernel(kernel), protection_(protection)
 {
     // Allocate the session-key page and protect it per the scheme.
     auto addr = mmu.mmap(vm::kPageSize, vm::PageProt::ReadWrite);
     keyAddr = addr.value_or(0);
 
-    if (config_.protection == SessionProtection::Mpk) {
+    if (protection_ == SessionProtection::Mpk) {
         if (auto key = mpk_.pkeyAlloc()) {
             mpkKey = *key;
             mpk_.pkeyMprotect(keyAddr, vm::kPageSize, mpkKey);
@@ -49,7 +70,7 @@ NginxServer::cryptoCall(std::uint64_t bytes)
 {
     auto &clock = mmu.clock();
 
-    switch (config_.protection) {
+    switch (protection_) {
       case SessionProtection::None:
         break;
       case SessionProtection::Hfi: {
@@ -77,9 +98,9 @@ NginxServer::cryptoCall(std::uint64_t bytes)
 
     // The cipher work itself (identical across schemes).
     clock.tick(static_cast<vm::Cycles>(
-        config_.cryptoCyclesPerByte * static_cast<double>(bytes)));
+        kCryptoCyclesPerByte * static_cast<double>(bytes)));
 
-    switch (config_.protection) {
+    switch (protection_) {
       case SessionProtection::None:
         break;
       case SessionProtection::Hfi:
@@ -106,20 +127,20 @@ NginxServer::serve(const std::string &path, std::uint64_t count)
 
     for (std::uint64_t r = 0; r < count; ++r) {
         // Event loop + request parse + response headers.
-        clock.tick(clock.nsToCycles(config_.requestFixedNs));
+        clock.tick(clock.nsToCycles(kRequestFixedNs));
 
         // Fixed key-handling crossings (handshake-adjacent work).
-        for (unsigned c = 0; c < config_.fixedCryptoCalls; ++c)
+        for (unsigned c = 0; c < kFixedCryptoCalls; ++c)
             cryptoCall(64);
 
         // Read and encrypt the payload record by record.
         const int fd = kernel.open(path);
         if (fd < 0)
             continue;
-        std::vector<std::uint8_t> record(config_.recordBytes);
+        std::vector<std::uint8_t> record(kRecordBytes);
         std::int64_t got;
         while ((got = kernel.read(fd, record.data(), record.size())) > 0) {
-            for (unsigned c = 1; c < config_.callsPerRecord; ++c)
+            for (unsigned c = 1; c < kCallsPerRecord; ++c)
                 cryptoCall(64); // MAC / IV bookkeeping crossings
             cryptoCall(static_cast<std::uint64_t>(got));
 

@@ -45,26 +45,6 @@ enum class SessionProtection
 
 const char *sessionProtectionName(SessionProtection p);
 
-/** Server cost/shape parameters. */
-struct ServerConfig
-{
-    SessionProtection protection = SessionProtection::None;
-    /** TLS record size: one crypto call (at least) per record. */
-    std::uint64_t recordBytes = 16 * 1024;
-    /**
-     * Protection-domain crossings per request that are independent of
-     * the payload (handshake-adjacent key derivations, MAC keys, IV
-     * setup — ERIM counts dozens for NGINX+OpenSSL).
-     */
-    unsigned fixedCryptoCalls = 28;
-    /** Additional crossings per TLS record (encrypt + MAC). */
-    unsigned callsPerRecord = 6;
-    /** Event-loop + parsing + header cost per request, ns. */
-    double requestFixedNs = 9500.0;
-    /** ChaCha20 throughput in cycles per byte. */
-    double cryptoCyclesPerByte = 1.2;
-};
-
 /** One scheme's Fig 5 measurement at one file size. */
 struct ServeStats
 {
@@ -89,7 +69,7 @@ class NginxServer
   public:
     NginxServer(vm::Mmu &mmu, core::HfiContext &ctx,
                 mpk::MpkDomainManager &mpk, syscall::MiniKernel &kernel,
-                ServerConfig config = {});
+                SessionProtection protection = SessionProtection::None);
 
     /** Publish a file of @p size bytes at @p path. */
     void addFile(const std::string &path, std::uint64_t size,
@@ -118,7 +98,7 @@ class NginxServer
     core::HfiContext &ctx;
     mpk::MpkDomainManager &mpk_;
     syscall::MiniKernel &kernel;
-    ServerConfig config_;
+    SessionProtection protection_;
 
     vm::VAddr keyAddr = 0;
     unsigned mpkKey = 0;

@@ -28,7 +28,7 @@
 namespace hfi::obs
 {
 
-/** Runtime gating categories (bitmask in TraceConfig::categories). */
+/** Run-time gating categories (bitmask in TraceConfig::categories). */
 enum Category : std::uint32_t
 {
     kCatSandbox = 1u << 0, ///< sandbox enter/exit, watchdog

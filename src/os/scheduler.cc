@@ -3,8 +3,7 @@
 namespace hfi::os
 {
 
-Scheduler::Scheduler(core::HfiContext &ctx, SchedulerCosts costs)
-    : ctx(ctx), costs_(costs)
+Scheduler::Scheduler(core::HfiContext &ctx) : ctx(ctx)
 {
 }
 
@@ -29,24 +28,21 @@ Scheduler::switchTo(int pid)
     if (pid < 0 || pid >= static_cast<int>(processes.size()))
         return false;
     auto &clock = ctx.clock();
-    clock.tick(clock.nsToCycles(costs_.contextSwitchNs));
+    clock.tick(clock.nsToCycles(kSchedulerCosts.contextSwitchNs));
     HFI_OBS_RECORD(trace_, obs::EventType::ContextSwitch, clock.nowNsFast(),
                    static_cast<std::uint64_t>(current),
                    static_cast<std::uint64_t>(pid));
 
-    if (costs_.saveHfiRegs) {
-        // xsave with save-hfi-regs: capture the outgoing process's HFI
-        // registers (§3.3.3)...
-        processes[current].hfiState = ctx.xsave();
-        // ...and restore the incoming one's through the *kernel's*
-        // xrstor. The ring-0 restore never traps — the user-mode
-        // xrstor would when the outgoing process was preempted inside
-        // a native sandbox, and taking that trap here used to leak the
-        // outgoing process's region state into the incoming one. The
-        // save/restore cycle costs from core/cost_model.h are charged
-        // on every switch.
-        ctx.kernelXrstor(processes[pid].hfiState);
-    }
+    // xsave with save-hfi-regs: capture the outgoing process's HFI
+    // registers (§3.3.3)...
+    processes[current].hfiState = ctx.xsave();
+    // ...and restore the incoming one's through the *kernel's* xrstor.
+    // The ring-0 restore never traps — the user-mode xrstor would when
+    // the outgoing process was preempted inside a native sandbox, and
+    // taking that trap here used to leak the outgoing process's region
+    // state into the incoming one. The save/restore cycle costs from
+    // core/cost_model.h are charged on every switch.
+    ctx.kernelXrstor(processes[pid].hfiState);
     current = pid;
     ++processes[pid].switchIns;
     ++totalSwitches_;
@@ -59,7 +55,7 @@ Scheduler::deliverFault(int pid)
     if (pid < 0 || pid >= static_cast<int>(processes.size()))
         return false;
     auto &clock = ctx.clock();
-    clock.tick(clock.nsToCycles(costs_.signalDeliveryNs));
+    clock.tick(clock.nsToCycles(kSchedulerCosts.signalDeliveryNs));
     ++signalsDelivered_;
     HFI_OBS_RECORD(trace_, obs::EventType::SignalDeliver, clock.nowNsFast(),
                    static_cast<std::uint64_t>(pid));

@@ -32,18 +32,19 @@ struct SchedulerCosts
     /** Ring transition + scheduler bookkeeping + GP xsave/xrstor, ns. */
     double contextSwitchNs = 1200.0;
     /**
-     * Incremental cost of the save-hfi-regs flag: 22 extra 64-bit
-     * registers through xsave/xrstor (§4's register budget). Charged
-     * through HfiContext's xsave/xrstor cycle costs.
-     */
-    bool saveHfiRegs = true;
-    /**
      * Signal-frame setup + delivery on top of the ordinary switch when
      * the kernel routes a fault to the trusted runtime (§3.3.2's
      * SIGSEGV path), ns.
      */
     double signalDeliveryNs = 850.0;
 };
+
+/**
+ * The costs every Scheduler charges. The save-hfi-regs flag's 22 extra
+ * 64-bit registers (§4's register budget) add HfiContext's xsave and
+ * xrstor cycles to every switch.
+ */
+inline constexpr SchedulerCosts kSchedulerCosts{};
 
 /** One process's saved context. */
 struct Process
@@ -64,7 +65,7 @@ struct Process
 class Scheduler
 {
   public:
-    Scheduler(core::HfiContext &ctx, SchedulerCosts costs = {});
+    explicit Scheduler(core::HfiContext &ctx);
 
     /** Create a process; the first one becomes current. */
     int createProcess(const std::string &name);
@@ -109,7 +110,6 @@ class Scheduler
 
   private:
     core::HfiContext &ctx;
-    SchedulerCosts costs_;
     std::vector<Process> processes;
     int current = -1;
     std::uint64_t totalSwitches_ = 0;

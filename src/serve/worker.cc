@@ -20,20 +20,10 @@ schemeName(Scheme s)
     return "?";
 }
 
-static sfi::RuntimeConfig
-runtimeConfig(const WorkerConfig &config)
-{
-    sfi::RuntimeConfig rc;
-    rc.backend = config.backend;
-    return rc;
-}
-
 Worker::Worker(unsigned index, const WorkerConfig &config,
                const Handler &handler, std::uint64_t engine_seed)
     : index_(index), config_(config), handler_(handler),
-      mmu_(clock_, config_.vaBits), ctx_(clock_),
-      runtime_(mmu_, ctx_, runtimeConfig(config_)),
-      sched_(ctx_)
+      mmu_(clock_, config_.vaBits), ctx_(clock_), sched_(ctx_)
 {
     serverPid = sched_.createProcess("server-core" + std::to_string(index));
     tenantPid = sched_.createProcess("tenant-core" + std::to_string(index));
@@ -203,7 +193,7 @@ Worker::flushRetired()
     raw.reserve(retired.size());
     for (const auto &s : retired)
         raw.push_back(s.get());
-    runtime_.reclaim(raw, sfi::ReclaimPolicy::Batched, retired.size());
+    sfi::reclaim(mmu_, raw, sfi::ReclaimPolicy::Batched, retired.size());
     ++stats_.reclaimBatches;
     retired.clear();
 }
@@ -211,16 +201,22 @@ Worker::flushRetired()
 std::unique_ptr<sfi::Sandbox>
 Worker::createInstance()
 {
-    auto s = runtime_.createSandbox(config_.sandboxOptions);
-    if (!s && !retired.empty()) {
+    auto create = [this] {
+        return std::make_unique<sfi::Sandbox>(mmu_, ctx_, config_.backend,
+                                              config_.sandboxOptions);
+    };
+    auto s = create();
+    if (!s->valid() && !retired.empty()) {
         // The arena is full, partly of retired instances waiting for a
         // full teardown batch: reclaim the partial batch now to free
         // their address space, and try once more.
+        s.reset();
         flushRetired();
-        s = runtime_.createSandbox(config_.sandboxOptions);
+        s = create();
     }
-    if (s)
-        ++stats_.instancesCreated;
+    if (!s->valid())
+        return nullptr;
+    ++stats_.instancesCreated;
     return s;
 }
 

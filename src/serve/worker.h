@@ -4,13 +4,14 @@
  *
  * A Worker owns a full per-core stack — VirtualClock, Mmu (its address-
  * space shard), HfiContext (per-core region registers and exit-reason
- * MSR, §3.3.3), sfi::Runtime, and an os::Scheduler — plus the shard of
- * the instance pool it serves requests from. Request dispatch goes
- * through the scheduler: switching onto the tenant process (and the
- * timer preemptions a long handler suffers) xsave/xrstors the HFI
- * register file with the §3.3.3 save-hfi-regs flag, so the OS-side cost
- * of HFI is charged on every context switch and the register state is
- * round-tripped while a sandbox is live.
+ * MSR, §3.3.3) and an os::Scheduler — plus the shard of the instance
+ * pool it serves requests from: sfi::Sandbox instances it creates over
+ * that Mmu and HfiContext. Request dispatch goes through the scheduler:
+ * switching onto the tenant process (and the timer preemptions a long
+ * handler suffers) xsave/xrstors the HFI register file with the §3.3.3
+ * save-hfi-regs flag, so the OS-side cost of HFI is charged on every
+ * context switch and the register state is round-tripped while a
+ * sandbox is live.
  *
  * The worker's clock only accumulates *busy* time; idle gaps are
  * handled arithmetically by the engine (begin = max(freeNs, arrival)),
@@ -34,7 +35,7 @@
 #include "os/scheduler.h"
 #include "serve/faults.h"
 #include "serve/request.h"
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "swivel/swivel.h"
 #include "vm/mmu.h"
 #include "vm/virtual_clock.h"
@@ -208,7 +209,6 @@ class Worker
     vm::VirtualClock clock_;
     vm::Mmu mmu_;
     core::HfiContext ctx_;
-    sfi::Runtime runtime_;
     os::Scheduler sched_;
     int serverPid = -1;
     int tenantPid = -1;

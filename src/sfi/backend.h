@@ -129,8 +129,8 @@ inline constexpr std::uint64_t kGuardBytes = 4ULL << 30;
 /**
  * Virtual-address-space bytes a memory of at most @p heap_bytes
  * reserves under @p kind (HFI: the heap alone, §6.3.2). The one
- * footprint rule: Backend::create and Runtime::addressSpaceCapacity
- * both use it.
+ * footprint rule: Backend::create reserves it, and the §6.3.2 capacity
+ * of an address space is its free bytes divided by it.
  */
 std::uint64_t footprintBytes(BackendKind kind, std::uint64_t heap_bytes);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace hfi::sfi
 {
@@ -10,7 +11,7 @@ namespace
 {
 
 /**
- * Runtime bookkeeping charged per memory_grow call in nanoseconds
+ * The runtime's bookkeeping charged per memory_grow call in nanoseconds
  * (instance table updates, libcall trampoline). Calibrated so the §6.1
  * grow microbenchmark lands on the paper's 370 ms HFI total.
  */
@@ -48,6 +49,12 @@ Sandbox::Sandbox(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
     // memory operations included (§6.1's whole-program 2.25%/2.40%).
     accessMilli = costs.accessMilli + icache + costs.opPressureMilli;
     opMilli = costs.opPressureMilli;
+}
+
+Sandbox::Sandbox(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
+                 SandboxOptions opts)
+    : Sandbox(mmu, ctx, kind, paperCosts(kind), opts)
+{
 }
 
 void
@@ -144,6 +151,38 @@ Sandbox::firstTouch(std::uint64_t page, std::uint64_t at,
     // Access the backing virtual address so the Mmu charges the fault
     // and marks residency for the teardown experiments.
     mmu_.access(backend_.baseAddress() + at, width, write);
+}
+
+void
+reclaim(vm::Mmu &mmu, const std::vector<Sandbox *> &sandboxes,
+        ReclaimPolicy policy, std::size_t batch_size)
+{
+    if (policy == ReclaimPolicy::Stock) {
+        // One madvise per instance, over its accessible memory.
+        for (Sandbox *s : sandboxes) {
+            mmu.madviseDontneed(s->backend().baseAddress(),
+                                s->memory().size());
+        }
+        return;
+    }
+
+    // Batched: one madvise per run of @p batch_size sandboxes, spanning
+    // from the lowest footprint to the highest — guard regions included.
+    if (batch_size == 0)
+        throw std::invalid_argument("reclaim: batch size 0");
+    for (std::size_t i = 0; i < sandboxes.size(); i += batch_size) {
+        const std::size_t end = std::min(i + batch_size, sandboxes.size());
+        std::uint64_t lo = UINT64_MAX;
+        std::uint64_t hi = 0;
+        for (std::size_t j = i; j < end; ++j) {
+            const auto &backend = sandboxes[j]->backend();
+            lo = std::min(lo, backend.baseAddress());
+            hi = std::max(hi,
+                          backend.baseAddress() + backend.reservedVaBytes());
+        }
+        if (lo < hi)
+            mmu.madviseDontneed(lo, hi - lo);
+    }
 }
 
 } // namespace hfi::sfi

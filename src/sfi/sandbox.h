@@ -28,6 +28,11 @@
  * Under HFI, memories 1..N-1 (addMemory, Wasm multi-memory) are bound
  * to a register and hmov-checked by the Backend on each access and
  * charged as heap accesses, with no inline path or first-touch fault.
+ *
+ * Sandboxes over one Mmu are placed first-fit, so consecutive instances
+ * are VA-adjacent, as in the Wasmtime integration of §5.1; reclaim()
+ * discards their memories with madvise(MADV_DONTNEED) under the two
+ * §6.3.1 policies.
  */
 
 #ifndef HFI_SFI_SANDBOX_H
@@ -126,7 +131,11 @@ class Sandbox
      * opts.maxPages.
      */
     Sandbox(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
-            const BackendCosts &costs, SandboxOptions opts = {});
+            const BackendCosts &costs, SandboxOptions opts);
+
+    /** A sandbox charging paperCosts(@p kind). */
+    Sandbox(vm::Mmu &mmu, core::HfiContext &ctx, BackendKind kind,
+            SandboxOptions opts = {});
 
     Sandbox(const Sandbox &) = delete;
     Sandbox &operator=(const Sandbox &) = delete;
@@ -426,6 +435,33 @@ class Sandbox
     /** Memories 1..N-1 (HFI multi-memory); empty for most instances. */
     std::vector<LinearMemory> extraMemories_;
 };
+
+/** How instance memories are reclaimed (§6.3.1). */
+enum class ReclaimPolicy
+{
+    /** One madvise(MADV_DONTNEED) per sandbox (25.7 µs each). */
+    Stock,
+    /**
+     * One madvise spanning each group of adjacent sandboxes. With HFI's
+     * guard-free layout the heaps are contiguous and batching wins
+     * (23.1 µs); with guard pages the kernel must walk the 8 GiB holes
+     * between heaps and batching loses (31.1 µs).
+     */
+    Batched,
+};
+
+/**
+ * Reclaim the memories of @p sandboxes through @p mmu.
+ *
+ * Stock discards each sandbox's accessible memory. Batched groups the
+ * sandboxes into runs of @p batch_size and reclaims each run with a
+ * single madvise spanning from the first footprint to the last,
+ * including whatever guard regions lie in between: exactly the cost
+ * HFI's guard elision removes. A Batched @p batch_size of 0 throws
+ * std::invalid_argument.
+ */
+void reclaim(vm::Mmu &mmu, const std::vector<Sandbox *> &sandboxes,
+             ReclaimPolicy policy, std::size_t batch_size = 32);
 
 } // namespace hfi::sfi
 

@@ -6,17 +6,17 @@ namespace hfi::swivel
 {
 
 SwivelEffect
-apply(const CodeProfile &profile, const SwivelCosts &costs)
+apply(const CodeProfile &profile)
 {
     SwivelEffect effect;
     effect.computeFactor =
         1.0 +
-        profile.branchesPerKiloOp * costs.perBranchCycles / 1000.0 +
-        profile.callsPerKiloOp * costs.perCallCycles / 1000.0;
+        profile.branchesPerKiloOp * kSwivelCosts.perBranchCycles / 1000.0 +
+        profile.callsPerKiloOp * kSwivelCosts.perCallCycles / 1000.0;
     effect.binaryBytes =
         static_cast<std::uint64_t>(
             std::llround(static_cast<double>(profile.codeBytes) *
-                         (1.0 + costs.codeBloat))) +
+                         (1.0 + kSwivelCosts.codeBloat))) +
         profile.dataBytes;
     return effect;
 }

@@ -42,7 +42,7 @@ struct CodeProfile
     std::uint64_t dataBytes = 0;
 };
 
-/** Tunable Swivel transform costs. */
+/** Swivel transform costs. */
 struct SwivelCosts
 {
     /**
@@ -57,6 +57,9 @@ struct SwivelCosts
     double codeBloat = 0.43;
 };
 
+/** The costs every Swivel-hardened workload pays. */
+inline constexpr SwivelCosts kSwivelCosts{};
+
 /** The effect of Swivel-hardening one workload. */
 struct SwivelEffect
 {
@@ -67,7 +70,7 @@ struct SwivelEffect
 };
 
 /** Apply the Swivel-SFI transform model to @p profile. */
-SwivelEffect apply(const CodeProfile &profile, const SwivelCosts &costs = {});
+SwivelEffect apply(const CodeProfile &profile);
 
 /** The Table 1 workload profiles (calibrated; see EXPERIMENTS.md). */
 CodeProfile xmlToJsonProfile();

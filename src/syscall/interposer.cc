@@ -7,9 +7,8 @@ namespace hfi::syscall
 {
 
 HfiInterposer::HfiInterposer(core::HfiContext &ctx,
-                             std::vector<std::uint32_t> allowed_nrs,
-                             InterposeCosts costs)
-    : ctx(ctx), allowed(std::move(allowed_nrs)), costs_(costs)
+                             std::vector<std::uint32_t> allowed_nrs)
+    : ctx(ctx), allowed(std::move(allowed_nrs))
 {
 }
 
@@ -23,7 +22,7 @@ HfiInterposer::onSyscall(const SeccompData &data)
     // ...the handler dispatches on the MSR-recorded cause and checks
     // its policy...
     ctx.readExitReasonMsr();
-    ctx.clock().tick(costs_.hfiHandlerCycles);
+    ctx.clock().tick(kInterposeCosts.hfiHandlerCycles);
     const bool ok =
         std::find(allowed.begin(), allowed.end(), data.nr) != allowed.end();
     // ...and resumes the sandbox.
@@ -32,9 +31,8 @@ HfiInterposer::onSyscall(const SeccompData &data)
 }
 
 SeccompInterposer::SeccompInterposer(vm::VirtualClock &clock,
-                                     std::vector<std::uint32_t> allowed_nrs,
-                                     InterposeCosts costs)
-    : clock(clock), filter_(makeAllowlistFilter(allowed_nrs)), costs_(costs)
+                                     std::vector<std::uint32_t> allowed_nrs)
+    : clock(clock), filter_(makeAllowlistFilter(allowed_nrs))
 {
 }
 
@@ -44,13 +42,13 @@ SeccompInterposer::onSyscall(const SeccompData &data)
     ++mediated_;
     const BpfResult res = runFilter(filter_, data);
     clock.tick(clock.nsToCycles(
-        costs_.seccompFixedNs +
-        costs_.bpfInsnNs * static_cast<double>(res.instructionsExecuted)));
+        kInterposeCosts.seccompFixedNs +
+        kInterposeCosts.bpfInsnNs *
+            static_cast<double>(res.instructionsExecuted)));
     return res.verdict == kSeccompRetAllow ? Verdict::Allow : Verdict::Deny;
 }
 
-MiniKernel::MiniKernel(vm::VirtualClock &clock, MiniKernelCosts costs)
-    : clock(clock), costs_(costs)
+MiniKernel::MiniKernel(vm::VirtualClock &clock) : clock(clock)
 {
 }
 
@@ -70,7 +68,7 @@ MiniKernel::addFile(const std::string &path, std::uint64_t size,
 int
 MiniKernel::open(const std::string &path)
 {
-    charge(costs_.syscallFixedNs + costs_.openLookupNs);
+    charge(kMiniKernelCosts.syscallFixedNs + kMiniKernelCosts.openLookupNs);
     const auto it = files.find(path);
     if (it == files.end())
         return -1;
@@ -82,14 +80,14 @@ MiniKernel::open(const std::string &path)
 std::int64_t
 MiniKernel::read(int fd, std::uint8_t *out, std::uint64_t len)
 {
-    charge(costs_.syscallFixedNs);
+    charge(kMiniKernelCosts.syscallFixedNs);
     const auto it = fds.find(fd);
     if (it == fds.end())
         return -1;
     OpenFile &file = it->second;
     const std::uint64_t avail = file.data->size() - file.offset;
     const std::uint64_t n = std::min(len, avail);
-    charge(costs_.readPerByteNs * static_cast<double>(n));
+    charge(kMiniKernelCosts.readPerByteNs * static_cast<double>(n));
     if (out && n)
         std::memcpy(out, file.data->data() + file.offset, n);
     file.offset += n;
@@ -99,7 +97,7 @@ MiniKernel::read(int fd, std::uint8_t *out, std::uint64_t len)
 bool
 MiniKernel::close(int fd)
 {
-    charge(costs_.syscallFixedNs + costs_.closeNs);
+    charge(kMiniKernelCosts.syscallFixedNs + kMiniKernelCosts.closeNs);
     return fds.erase(fd) != 0;
 }
 

@@ -56,6 +56,9 @@ struct InterposeCosts
     std::uint64_t hfiHandlerCycles = 14;
 };
 
+/** The costs both interposers charge. */
+inline constexpr InterposeCosts kInterposeCosts{};
+
 /**
  * Interposes using HFI's native-sandbox syscall redirect. The sandboxed
  * code's syscall decodes into a jump to the exit handler; the handler
@@ -65,8 +68,7 @@ class HfiInterposer
 {
   public:
     HfiInterposer(core::HfiContext &ctx,
-                  std::vector<std::uint32_t> allowed_nrs,
-                  InterposeCosts costs = {});
+                  std::vector<std::uint32_t> allowed_nrs);
 
     /** Mediate one syscall issued inside the (native) sandbox. */
     Verdict onSyscall(const SeccompData &data);
@@ -76,7 +78,6 @@ class HfiInterposer
   private:
     core::HfiContext &ctx;
     std::vector<std::uint32_t> allowed;
-    InterposeCosts costs_;
     std::uint64_t mediated_ = 0;
 };
 
@@ -85,8 +86,7 @@ class SeccompInterposer
 {
   public:
     SeccompInterposer(vm::VirtualClock &clock,
-                      std::vector<std::uint32_t> allowed_nrs,
-                      InterposeCosts costs = {});
+                      std::vector<std::uint32_t> allowed_nrs);
 
     Verdict onSyscall(const SeccompData &data);
 
@@ -96,15 +96,9 @@ class SeccompInterposer
   private:
     vm::VirtualClock &clock;
     std::vector<BpfInsn> filter_;
-    InterposeCosts costs_;
     std::uint64_t mediated_ = 0;
 };
 
-/**
- * A miniature kernel file layer for the §6.4.1 microbenchmark: an
- * in-memory set of files, open/read/close with realistic per-call
- * costs (ring transition, fd table work, page-cache copy per byte).
- */
 /** Per-call costs of the modeled kernel file layer. */
 struct MiniKernelCosts
 {
@@ -114,10 +108,18 @@ struct MiniKernelCosts
     double closeNs = 210.0;
 };
 
+/** The costs every MiniKernel charges. */
+inline constexpr MiniKernelCosts kMiniKernelCosts{};
+
+/**
+ * A miniature kernel file layer for the §6.4.1 microbenchmark: an
+ * in-memory set of files, open/read/close with realistic per-call
+ * costs (ring transition, fd table work, page-cache copy per byte).
+ */
 class MiniKernel
 {
   public:
-    explicit MiniKernel(vm::VirtualClock &clock, MiniKernelCosts costs = {});
+    explicit MiniKernel(vm::VirtualClock &clock);
 
     /** Create a file with @p size deterministic bytes. */
     void addFile(const std::string &path, std::uint64_t size,
@@ -142,7 +144,6 @@ class MiniKernel
     void charge(double ns) { clock.tick(clock.nsToCycles(ns)); }
 
     vm::VirtualClock &clock;
-    MiniKernelCosts costs_;
     std::map<std::string, std::vector<std::uint8_t>> files;
     struct OpenFile
     {

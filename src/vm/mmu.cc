@@ -3,8 +3,8 @@
 namespace hfi::vm
 {
 
-Mmu::Mmu(VirtualClock &clock, unsigned va_bits, MmuCostParams params)
-    : clock_(clock), space(va_bits), params_(params)
+Mmu::Mmu(VirtualClock &clock, unsigned va_bits)
+    : clock_(clock), space(va_bits)
 {
 }
 
@@ -12,7 +12,7 @@ std::optional<VAddr>
 Mmu::mmap(std::uint64_t size, PageProt prot, std::uint64_t align)
 {
     ++stats_.mmapCalls;
-    charge(params_.syscallFixedNs + params_.mmapReserveNs);
+    charge(kMmuCosts.syscallFixedNs + kMmuCosts.mmapReserveNs);
     size = alignUp(size, kPageSize);
     auto base = space.reserve(size, align);
     if (base)
@@ -24,8 +24,8 @@ bool
 Mmu::munmap(VAddr addr)
 {
     ++stats_.munmapCalls;
-    charge(params_.syscallFixedNs + params_.munmapFixedNs +
-           params_.munmapShootdownNs);
+    charge(kMmuCosts.syscallFixedNs + kMmuCosts.munmapFixedNs +
+           kMmuCosts.munmapShootdownNs);
     auto size = space.rangeAt(addr);
     if (!size || !space.release(addr))
         return false;
@@ -40,9 +40,9 @@ Mmu::mprotect(VAddr addr, std::uint64_t size, PageProt prot)
     const std::uint64_t pages =
         (alignUp(addr + size, kPageSize) - alignDown(addr, kPageSize)) /
         kPageSize;
-    charge(params_.syscallFixedNs + params_.mprotectFixedNs +
-           params_.mprotectShootdownNs +
-           params_.mprotectPerPageNs * static_cast<double>(pages));
+    charge(kMmuCosts.syscallFixedNs + kMmuCosts.mprotectFixedNs +
+           kMmuCosts.mprotectShootdownNs +
+           kMmuCosts.mprotectPerPageNs * static_cast<double>(pages));
     table.protect(alignDown(addr, kPageSize), pages * kPageSize, prot);
 }
 
@@ -59,10 +59,10 @@ Mmu::madviseDontneed(VAddr addr, std::uint64_t size)
         (alignUp(end, pmd_size) - alignDown(start, pmd_size)) / pmd_size;
     const std::uint64_t discarded = table.discard(start, end - start);
     stats_.pagesDiscarded += discarded;
-    charge(params_.syscallFixedNs + params_.madviseFixedNs +
-           params_.madvisePerResidentPageNs *
+    charge(kMmuCosts.syscallFixedNs + kMmuCosts.madviseFixedNs +
+           kMmuCosts.madvisePerResidentPageNs *
                static_cast<double>(discarded) +
-           params_.madvisePerWalkedPmdNs * static_cast<double>(pmds));
+           kMmuCosts.madvisePerWalkedPmdNs * static_cast<double>(pmds));
 }
 
 AccessResult
@@ -77,7 +77,7 @@ Mmu::access(VAddr addr, std::uint64_t size, bool write)
             return AccessResult::BadPermission;
         if (!table.isResident(probe)) {
             ++stats_.pageFaults;
-            charge(params_.pageFaultNs);
+            charge(kMmuCosts.pageFaultNs);
             table.touch(probe);
         }
         if (addr / kPageSize == (addr + size - 1) / kPageSize)
@@ -96,7 +96,7 @@ Mmu::fetch(VAddr addr)
         return AccessResult::BadPermission;
     if (!table.isResident(addr)) {
         ++stats_.pageFaults;
-        charge(params_.pageFaultNs);
+        charge(kMmuCosts.pageFaultNs);
         table.touch(addr);
     }
     return AccessResult::Ok;

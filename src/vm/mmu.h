@@ -10,8 +10,8 @@
  * and their costs (ring transition, VMA walking, per-page work, TLB
  * shootdown) are what HFI elides. The cost constants below are calibrated
  * so that the microbenchmarks land on the paper's absolute numbers
- * (25.7 µs stock teardown, ~166 µs per mprotect-grow, etc.); they are
- * documented per-constant and swappable for sensitivity studies.
+ * (25.7 µs stock teardown, ~166 µs per mprotect-grow, etc.) and are
+ * documented per-constant.
  */
 
 #ifndef HFI_VM_MMU_H
@@ -63,6 +63,9 @@ struct MmuCostParams
     double pageFaultNs = 1100.0; ///< minor fault on first touch
 };
 
+/** The costs every Mmu charges. */
+inline constexpr MmuCostParams kMmuCosts{};
+
 /** Aggregate syscall statistics, for tests and reporting. */
 struct MmuStats
 {
@@ -91,8 +94,7 @@ enum class AccessResult
 class Mmu
 {
   public:
-    Mmu(VirtualClock &clock, unsigned va_bits = 47,
-        MmuCostParams params = {});
+    Mmu(VirtualClock &clock, unsigned va_bits = 47);
 
     /**
      * Map @p size bytes anywhere, aligned to @p align, with protection
@@ -127,7 +129,6 @@ class Mmu
     AccessResult fetch(VAddr addr);
 
     const MmuStats &stats() const { return stats_; }
-    const MmuCostParams &params() const { return params_; }
     AddressSpace &addressSpace() { return space; }
     PageTable &pageTable() { return table; }
     VirtualClock &clock() { return clock_; }
@@ -138,7 +139,6 @@ class Mmu
     VirtualClock &clock_;
     AddressSpace space;
     PageTable table;
-    MmuCostParams params_;
     MmuStats stats_;
 };
 

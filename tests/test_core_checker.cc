@@ -250,6 +250,14 @@ struct HmovCase
     bool large;
 };
 
+/** Names each case by its fields, not by its (padded) bytes. */
+void
+PrintTo(const HmovCase &c, std::ostream *os)
+{
+    *os << "base=0x" << std::hex << c.base << " bound=0x" << c.bound
+        << std::dec << (c.large ? " large" : " small");
+}
+
 class HmovEquivalence : public ::testing::TestWithParam<HmovCase>
 {
 };

@@ -149,7 +149,7 @@ TEST_F(ContextTest, SerializedEnterChargesSerialization)
     const auto t0 = clock.now();
     ctx.enter(cfg);
     EXPECT_GE(clock.now() - t0,
-              ctx.costs().serializeCycles + ctx.costs().enterCycles);
+              kHfiCosts.serializeCycles + kHfiCosts.enterCycles);
     EXPECT_EQ(ctx.stats().serializations, 1u);
     ctx.exit();
     EXPECT_EQ(ctx.stats().serializations, 2u);

@@ -12,7 +12,7 @@
 #include "faas/latency.h"
 #include "nginx/server.h"
 #include "serve/engine.h"
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "swivel/swivel.h"
 #include "workloads/crypto.h"
 
@@ -148,9 +148,7 @@ class NginxTest : public ::testing::Test
         core::HfiContext ctx(clock);
         mpk::MpkDomainManager mpk_mgr(mmu);
         syscall::MiniKernel kernel(clock);
-        nginx::ServerConfig config;
-        config.protection = protection;
-        nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, config);
+        nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, protection);
         server.addFile("/index.bin", file_size, 7);
         return server.serve("/index.bin", requests);
     }
@@ -232,9 +230,8 @@ TEST_F(NginxTest, HfiProtectionSealsSessionKeys)
     core::HfiContext ctx(clock);
     mpk::MpkDomainManager mpk_mgr(mmu);
     syscall::MiniKernel kernel(clock);
-    nginx::ServerConfig config;
-    config.protection = nginx::SessionProtection::Hfi;
-    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, config);
+    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel,
+                              nginx::SessionProtection::Hfi);
     server.addFile("/f", 1024, 1);
     server.serve("/f", 1);
 
@@ -259,9 +256,8 @@ TEST_F(NginxTest, MpkProtectionSealsKeysOutsideDomain)
     core::HfiContext ctx(clock);
     mpk::MpkDomainManager mpk_mgr(mmu);
     syscall::MiniKernel kernel(clock);
-    nginx::ServerConfig config;
-    config.protection = nginx::SessionProtection::Mpk;
-    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, config);
+    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel,
+                              nginx::SessionProtection::Mpk);
     server.addFile("/f", 1024, 1);
     server.serve("/f", 1);
     // Outside the crypto domain (PKRU closed), the key page is sealed.

@@ -34,7 +34,7 @@
 #include "core/context.h"
 #include "serve/engine.h"
 #include "sfi/backend.h"
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "sim/kernels.h"
 #include "sim/pipeline.h"
 #include "spectre/attacker.h"
@@ -92,19 +92,16 @@ teardownPerSandboxUs(sfi::BackendKind kind, sfi::ReclaimPolicy policy,
     vm::VirtualClock clock;
     vm::Mmu mmu(clock, 48);
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = kind;
-    sfi::Runtime runtime(mmu, ctx, config);
+    const sfi::SandboxOptions opts{
+        1, kind == sfi::BackendKind::GuardPages ? 65536u : 16u};
 
     constexpr int kSandboxes = 2000;
     std::vector<std::unique_ptr<sfi::Sandbox>> owned;
     std::vector<sfi::Sandbox *> raw;
     owned.reserve(kSandboxes);
     for (int i = 0; i < kSandboxes; ++i) {
-        auto sandbox = kind == sfi::BackendKind::GuardPages
-                           ? runtime.createSandbox({1, 65536})
-                           : runtime.createSandbox({1, 16});
-        if (!sandbox)
+        auto sandbox = std::make_unique<sfi::Sandbox>(mmu, ctx, kind, opts);
+        if (!sandbox->valid())
             return -1;
         sandbox->invoke([](sfi::Sandbox &s) {
             for (std::uint64_t off = 0; off < 64 * 1024; off += 4096)
@@ -115,7 +112,7 @@ teardownPerSandboxUs(sfi::BackendKind kind, sfi::ReclaimPolicy policy,
     }
 
     const double t0 = clock.nowNs();
-    runtime.reclaim(raw, policy, batch);
+    sfi::reclaim(mmu, raw, policy, batch);
     return (clock.nowNs() - t0) / 1e3 / kSandboxes;
 }
 

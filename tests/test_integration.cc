@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "faas/latency.h"
 #include "nginx/server.h"
 #include "os/scheduler.h"
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "syscall/interposer.h"
 #include "workloads/faas_workloads.h"
 #include "workloads/font.h"
@@ -27,19 +29,23 @@ namespace
 
 using namespace hfi;
 
+/** An HFI sandbox over @p mmu and @p ctx; check valid() before use. */
+std::unique_ptr<sfi::Sandbox>
+hfiSandbox(vm::Mmu &mmu, core::HfiContext &ctx, sfi::SandboxOptions opts)
+{
+    return std::make_unique<sfi::Sandbox>(mmu, ctx, sfi::BackendKind::Hfi,
+                                          opts);
+}
+
 TEST(Integration, RendererHostsFontAndImageSandboxes)
 {
     // One "renderer" process, two library sandboxes, interleaved calls.
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = sfi::BackendKind::Hfi;
-    sfi::Runtime runtime(mmu, ctx, config);
-
-    auto font_sandbox = runtime.createSandbox({8, 512});
-    auto image_sandbox = runtime.createSandbox({8, 512});
-    ASSERT_TRUE(font_sandbox && image_sandbox);
+    auto font_sandbox = hfiSandbox(mmu, ctx, {8, 512});
+    auto image_sandbox = hfiSandbox(mmu, ctx, {8, 512});
+    ASSERT_TRUE(font_sandbox->valid() && image_sandbox->valid());
 
     const std::string text = workloads::font::makeTestText(500, 3);
     const auto pixels = workloads::image::makeTestImage(96, 64, 9);
@@ -77,20 +83,16 @@ TEST(Integration, FaasTenantsAreIsolatedAndReclaimed)
     vm::VirtualClock clock;
     vm::Mmu mmu(clock, 48);
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = sfi::BackendKind::Hfi;
-    sfi::Runtime runtime(mmu, ctx, config);
-
     // Tenant A writes a "secret" into its heap; tenant B (same slot
     // reused) must not observe it through its own sandbox.
-    auto tenant_a = runtime.createSandbox({1, 16});
-    ASSERT_TRUE(tenant_a);
+    auto tenant_a = hfiSandbox(mmu, ctx, {1, 16});
+    ASSERT_TRUE(tenant_a->valid());
     tenant_a->invoke([](sfi::Sandbox &s) {
         s.store<std::uint64_t>(0, 0x5ec2e7);
     });
 
-    auto tenant_b = runtime.createSandbox({1, 16});
-    ASSERT_TRUE(tenant_b);
+    auto tenant_b = hfiSandbox(mmu, ctx, {1, 16});
+    ASSERT_TRUE(tenant_b->valid());
     std::uint64_t seen = 1;
     tenant_b->invoke([&](sfi::Sandbox &s) {
         seen = s.load<std::uint64_t>(0); // B's own zeroed heap
@@ -105,8 +107,8 @@ TEST(Integration, FaasTenantsAreIsolatedAndReclaimed)
     std::vector<std::unique_ptr<sfi::Sandbox>> spent;
     std::vector<sfi::Sandbox *> raw;
     for (int i = 0; i < 16; ++i) {
-        auto tenant = runtime.createSandbox({1, 16});
-        ASSERT_TRUE(tenant);
+        auto tenant = hfiSandbox(mmu, ctx, {1, 16});
+        ASSERT_TRUE(tenant->valid());
         tenant->invoke([&](sfi::Sandbox &s) {
             const std::string xml = workloads::faas::makeXmlDocument(
                 5, static_cast<std::uint32_t>(i));
@@ -117,7 +119,7 @@ TEST(Integration, FaasTenantsAreIsolatedAndReclaimed)
         spent.push_back(std::move(tenant));
     }
     const auto calls = mmu.stats().madviseCalls;
-    runtime.reclaim(raw, sfi::ReclaimPolicy::Batched, 16);
+    sfi::reclaim(mmu, raw, sfi::ReclaimPolicy::Batched, 16);
     EXPECT_EQ(mmu.stats().madviseCalls, calls + 1);
 }
 
@@ -133,11 +135,8 @@ TEST(Integration, ScheduledProcessesKeepDistinctSandboxWorlds)
     (void)browser;
 
     // The browser process sets up a sandbox with its font heap...
-    sfi::RuntimeConfig config;
-    config.backend = sfi::BackendKind::Hfi;
-    sfi::Runtime runtime(mmu, ctx, config);
-    auto font_sandbox = runtime.createSandbox({4, 64});
-    ASSERT_TRUE(font_sandbox);
+    auto font_sandbox = hfiSandbox(mmu, ctx, {4, 64});
+    ASSERT_TRUE(font_sandbox->valid());
     font_sandbox->enter(); // browser is mid-sandbox when preempted
 
     // ...and gets preempted by the FaaS process.
@@ -150,8 +149,8 @@ TEST(Integration, ScheduledProcessesKeepDistinctSandboxWorlds)
     // The FaaS process runs its own multi-memory instance, and tears it
     // down before it is switched out.
     {
-        auto instance = runtime.createSandbox({1, 16});
-        ASSERT_TRUE(instance);
+        auto instance = hfiSandbox(mmu, ctx, {1, 16});
+        ASSERT_TRUE(instance->valid());
         ASSERT_TRUE(instance->addMemory(1, 16));
         instance->enter();
         instance->store<std::uint32_t>(0, 0, 42);
@@ -178,9 +177,8 @@ TEST(Integration, NativeServerMediatesEverything)
     mpk::MpkDomainManager mpk_mgr(mmu);
     syscall::MiniKernel kernel(clock);
 
-    nginx::ServerConfig config;
-    config.protection = nginx::SessionProtection::Hfi;
-    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel, config);
+    nginx::NginxServer server(mmu, ctx, mpk_mgr, kernel,
+                              nginx::SessionProtection::Hfi);
     server.addFile("/site/index.html", 8192, 5);
 
     const auto stats = server.serve("/site/index.html", 25);
@@ -211,10 +209,7 @@ TEST(Integration, WholeStackDeterminism)
         vm::VirtualClock clock;
         vm::Mmu mmu(clock);
         core::HfiContext ctx(clock);
-        sfi::RuntimeConfig config;
-        config.backend = sfi::BackendKind::Hfi;
-        sfi::Runtime runtime(mmu, ctx, config);
-        auto sandbox = runtime.createSandbox({4, 64});
+        auto sandbox = hfiSandbox(mmu, ctx, {4, 64});
         std::uint64_t sum = 0;
         sandbox->invoke([&](sfi::Sandbox &s) {
             const auto img = workloads::image::makeTestImage(64, 64, 1);

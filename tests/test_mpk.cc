@@ -101,7 +101,7 @@ TEST_F(MpkTest, WrpkruIsUserLevelCheap)
     const auto t0 = clock.now();
     mgr.switchToDomain(0);
     const auto cost = clock.now() - t0;
-    EXPECT_EQ(cost, mgr.params().wrpkruCycles);
+    EXPECT_EQ(cost, kMpkCosts.wrpkruCycles);
     EXPECT_EQ(mgr.wrpkruCount(), 1u);
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/checker.h"
 #include "os/scheduler.h"
 
@@ -118,22 +120,39 @@ TEST_F(SchedulerTest, YieldRoundRobins)
 
 TEST_F(SchedulerTest, SwitchChargesKernelAndXsaveCosts)
 {
-    sched.createProcess("a");
+    // Every switch, whichever way it is reached and whatever state the
+    // outgoing process is in, charges the kernel's flat switch time plus
+    // one xsave and one xrstor of the HFI register file: the
+    // save-hfi-regs flag is never skipped.
+    const vm::Cycles per_switch =
+        clock.nsToCycles(kSchedulerCosts.contextSwitchNs) +
+        core::kHfiCosts.xsaveHfiCycles + core::kHfiCosts.xrstorHfiCycles;
+    const int a = sched.createProcess("a");
     const int b = sched.createProcess("b");
-    const auto t0 = clock.now();
-    sched.switchTo(b);
-    const auto with_hfi = clock.now() - t0;
+    sched.createProcess("c");
 
-    // Without the save-hfi-regs flag the switch is cheaper.
-    core::HfiContext plain_ctx(clock);
-    SchedulerCosts costs;
-    costs.saveHfiRegs = false;
-    Scheduler plain(plain_ctx, costs);
-    plain.createProcess("a");
-    const int pb = plain.createProcess("b");
-    const auto t1 = clock.now();
-    plain.switchTo(pb);
-    EXPECT_LT(clock.now() - t1, with_hfi);
+    auto t0 = clock.now();
+    ASSERT_TRUE(sched.switchTo(b));
+    EXPECT_EQ(clock.now() - t0, per_switch);
+
+    // Preempted inside a native sandbox, b's registers are still saved.
+    core::SandboxConfig cfg;
+    cfg.isHybrid = false;
+    ctx.enter(cfg);
+    t0 = clock.now();
+    EXPECT_EQ(sched.yield(), 2);
+    EXPECT_EQ(clock.now() - t0, per_switch);
+
+    t0 = clock.now();
+    ASSERT_TRUE(sched.switchTo(sched.currentPid()));
+    EXPECT_EQ(clock.now() - t0, per_switch);
+
+    t0 = clock.now();
+    ASSERT_TRUE(sched.deliverFault(a));
+    EXPECT_EQ(clock.now() - t0,
+              clock.nsToCycles(kSchedulerCosts.signalDeliveryNs) +
+                  per_switch);
+    EXPECT_EQ(sched.totalSwitches(), 4u);
 }
 
 TEST_F(SchedulerTest, NativeSandboxStateSurvivesSwitchRoundTrip)
@@ -181,11 +200,10 @@ TEST_F(SchedulerTest, SwitchChargesExactXsaveXrstorCosts)
     const int b = sched.createProcess("b");
     const auto t0 = clock.now();
     sched.switchTo(b);
-    const core::HfiCostParams costs;
-    const SchedulerCosts sched_costs;
     EXPECT_EQ(clock.now() - t0,
-              clock.nsToCycles(sched_costs.contextSwitchNs) +
-                  costs.xsaveHfiCycles + costs.xrstorHfiCycles);
+              clock.nsToCycles(kSchedulerCosts.contextSwitchNs) +
+                  core::kHfiCosts.xsaveHfiCycles +
+                  core::kHfiCosts.xrstorHfiCycles);
 }
 
 TEST_F(SchedulerTest, SwitchCountIsTracked)
@@ -212,8 +230,11 @@ TEST_F(SchedulerTest, ManyProcessesNoOnChipStateGrowth)
     // Create many processes, each with a distinct region, and verify
     // every one round-trips.
     std::vector<int> pids;
-    for (int i = 0; i < 64; ++i)
-        pids.push_back(sched.createProcess("p" + std::to_string(i)));
+    for (int i = 0; i < 64; ++i) {
+        std::string name = "p";
+        name += std::to_string(i);
+        pids.push_back(sched.createProcess(name));
+    }
     for (int pid : pids) {
         sched.switchTo(pid);
         ctx.setRegion(2, core::Region{region(0x10000ULL * (pid + 1))});

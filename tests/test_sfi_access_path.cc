@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/checker.h"
-#include "sfi/runtime.h"
 #include "sfi/sandbox.h"
 
 namespace
@@ -234,9 +233,7 @@ struct World
 {
     World(BackendKind kind, const SandboxOptions &opts)
     {
-        RuntimeConfig config;
-        config.backend = kind;
-        sandbox = Runtime(mmu, ctx, config).createSandbox(opts);
+        sandbox = std::make_unique<Sandbox>(mmu, ctx, kind, opts);
     }
 
     vm::VirtualClock clock;
@@ -345,7 +342,7 @@ class AccessPathDifferential
     {
         World subject(GetParam(), opts);
         World reference(GetParam(), opts);
-        ASSERT_TRUE(subject.sandbox && reference.sandbox);
+        ASSERT_TRUE(subject.sandbox->valid() && reference.sandbox->valid());
         Sandbox &s = *subject.sandbox;
         ReferencePath ref(*reference.sandbox, opts);
 
@@ -429,35 +426,33 @@ TEST(AccessPathSpans, AcceptedSpanChargesAsManyAccesses)
     vm::VirtualClock clock;
     vm::Mmu mmu{clock};
     core::HfiContext ctx{clock};
-    RuntimeConfig config;
-    config.backend = BackendKind::BoundsCheck;
-    auto span = Runtime(mmu, ctx, config).createSandbox({2, 4});
-    auto loop = Runtime(mmu, ctx, config).createSandbox({2, 4});
-    ASSERT_TRUE(span && loop);
+    Sandbox span(mmu, ctx, BackendKind::BoundsCheck, {2, 4});
+    Sandbox loop(mmu, ctx, BackendKind::BoundsCheck, {2, 4});
+    ASSERT_TRUE(span.valid() && loop.valid());
 
     std::uint32_t src[3000];
     for (std::uint32_t i = 0; i < 3000; ++i)
         src[i] = i * 2654435761u;
     // 12000 bytes from offset 100: three page edges, one span.
     const auto c0 = clock.now();
-    span->storeN(100, src, 3000);
-    span->flushCharge();
+    span.storeN(100, src, 3000);
+    span.flushCharge();
     const auto spanCycles = clock.now() - c0;
     const auto c1 = clock.now();
     for (std::uint32_t i = 0; i < 3000; ++i)
-        loop->store<std::uint32_t>(100 + i * 4, src[i]);
-    loop->flushCharge();
+        loop.store<std::uint32_t>(100 + i * 4, src[i]);
+    loop.flushCharge();
     EXPECT_EQ(spanCycles, clock.now() - c1);
-    EXPECT_EQ(span->stats().stores, 3000u);
+    EXPECT_EQ(span.stats().stores, 3000u);
 
     std::uint32_t back[3000] = {};
-    span->loadN(100, back, 3000);
+    span.loadN(100, back, 3000);
     EXPECT_EQ(std::memcmp(back, src, sizeof(src)), 0);
-    EXPECT_EQ(span->stats().loads, 3000u);
+    EXPECT_EQ(span.stats().loads, 3000u);
 
     // An empty span touches nothing, even out of bounds.
-    span->loadN<std::uint64_t>(1ULL << 40, nullptr, 0);
-    EXPECT_EQ(span->stats().loads, 3000u);
+    span.loadN<std::uint64_t>(1ULL << 40, nullptr, 0);
+    EXPECT_EQ(span.stats().loads, 3000u);
 }
 
 TEST(AccessPathSpans, RefusedCheckedSpanTouchesAndChargesNothing)
@@ -468,11 +463,8 @@ TEST(AccessPathSpans, RefusedCheckedSpanTouchesAndChargesNothing)
         vm::VirtualClock clock;
         vm::Mmu mmu{clock};
         core::HfiContext ctx{clock};
-        RuntimeConfig config;
-        config.backend = kind;
-        Runtime runtime(mmu, ctx, config);
-        auto s = runtime.createSandbox({1, 4});
-        ASSERT_TRUE(s);
+        Sandbox s(mmu, ctx, kind, {1, 4});
+        ASSERT_TRUE(s.valid());
 
         // Three pages in bounds and one element past the end: refused
         // whole, as are a store straddling the end and an empty span.
@@ -480,32 +472,32 @@ TEST(AccessPathSpans, RefusedCheckedSpanTouchesAndChargesNothing)
         const std::size_t n = 3 * vm::kPageSize / 4;
         const std::uint64_t faults = mmu.stats().pageFaults;
         const vm::Cycles c0 = clock.now();
-        EXPECT_EQ(s->checkedSpan(at, 4, n + 1, false), nullptr);
-        EXPECT_EQ(s->checkedSpan(kWasmPageSize - 4, 8, 1, true), nullptr);
-        EXPECT_EQ(s->checkedSpan(at, 4, 0, false), nullptr);
-        s->flushCharge();
+        EXPECT_EQ(s.checkedSpan(at, 4, n + 1, false), nullptr);
+        EXPECT_EQ(s.checkedSpan(kWasmPageSize - 4, 8, 1, true), nullptr);
+        EXPECT_EQ(s.checkedSpan(at, 4, 0, false), nullptr);
+        s.flushCharge();
         EXPECT_EQ(mmu.stats().pageFaults, faults);
         EXPECT_EQ(clock.now(), c0);
-        EXPECT_EQ(s->stats().loads + s->stats().stores, 0u);
-        EXPECT_EQ(s->stats().wrappedAccesses, 0u);
+        EXPECT_EQ(s.stats().loads + s.stats().stores, 0u);
+        EXPECT_EQ(s.stats().wrappedAccesses, 0u);
 
         // Accepted, the same span is paged in and still uncharged; charged
         // as n stores it costs what n store<uint32_t> calls cost.
         const vm::Cycles c1 = clock.now();
-        EXPECT_EQ(s->checkedSpan(at, 4, n, true), s->memory().data() + at);
+        EXPECT_EQ(s.checkedSpan(at, 4, n, true), s.memory().data() + at);
         EXPECT_EQ(mmu.stats().pageFaults, faults + 3);
-        EXPECT_EQ(s->stats().stores, 0u);
-        s->chargeAccesses(n, true);
-        s->flushCharge();
-        EXPECT_EQ(s->stats().stores, n);
+        EXPECT_EQ(s.stats().stores, 0u);
+        s.chargeAccesses(n, true);
+        s.flushCharge();
+        EXPECT_EQ(s.stats().stores, n);
         const vm::Cycles spanCycles = clock.now() - c1;
 
-        auto loop = runtime.createSandbox({1, 4});
-        ASSERT_TRUE(loop);
+        Sandbox loop(mmu, ctx, kind, {1, 4});
+        ASSERT_TRUE(loop.valid());
         const vm::Cycles c2 = clock.now();
         for (std::size_t i = 0; i < n; ++i)
-            loop->store<std::uint32_t>(at + i * 4, 0);
-        loop->flushCharge();
+            loop.store<std::uint32_t>(at + i * 4, 0);
+        loop.flushCharge();
         EXPECT_EQ(spanCycles, clock.now() - c2);
     }
 }
@@ -518,9 +510,8 @@ class HfiLiveRegister : public ::testing::Test
     std::unique_ptr<Sandbox>
     make()
     {
-        RuntimeConfig config;
-        config.backend = BackendKind::Hfi;
-        return Runtime(mmu, ctx, config).createSandbox({1, 8});
+        return std::make_unique<Sandbox>(mmu, ctx, BackendKind::Hfi,
+                                         SandboxOptions{1, 8});
     }
 
     static core::ExitReason
@@ -537,7 +528,7 @@ class HfiLiveRegister : public ::testing::Test
 TEST_F(HfiLiveRegister, ClearedRegionTrapsUntilRebound)
 {
     auto s = make();
-    ASSERT_TRUE(s);
+    ASSERT_TRUE(s->valid());
     s->store<std::uint32_t>(128, 7);
     ASSERT_EQ(ctx.clearRegion(core::kFirstExplicitRegion + 0),
               core::HfiResult::Ok);
@@ -554,7 +545,7 @@ TEST_F(HfiLiveRegister, ClearedRegionTrapsUntilRebound)
 TEST_F(HfiLiveRegister, SwappedRegisterFileTrapsUntilRebound)
 {
     auto s = make();
-    ASSERT_TRUE(s);
+    ASSERT_TRUE(s->valid());
     s->store<std::uint64_t>(64, 0xabcdef);
     // Another process's (empty) HFI state is context-switched in.
     ctx.kernelXrstor(core::HfiRegisterFile{});
@@ -568,7 +559,7 @@ TEST_F(HfiLiveRegister, SwappedRegisterFileTrapsUntilRebound)
 TEST_F(HfiLiveRegister, ShrunkRegionTrapsPastItsNewBound)
 {
     auto s = make();
-    ASSERT_TRUE(s);
+    ASSERT_TRUE(s->valid());
     ASSERT_EQ(s->memoryGrow(1), 1);
     s->store<std::uint8_t>(kWasmPageSize + 3, 1);
     // A narrower region in the same register takes effect at once.

@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "sfi/runtime.h"
 #include "sfi/sandbox.h"
 
 namespace
@@ -155,9 +154,11 @@ class LifecycleReuse : public ::testing::TestWithParam<BackendKind>
     std::unique_ptr<Sandbox>
     create(std::uint64_t pages)
     {
-        RuntimeConfig config;
-        config.backend = GetParam();
-        return Runtime(mmu, ctx, config).createSandbox({pages, kMaxPages});
+        auto s = std::make_unique<Sandbox>(mmu, ctx, GetParam(),
+                                           SandboxOptions{pages, kMaxPages});
+        if (!s->valid())
+            s.reset();
+        return s;
     }
 
     /** Run step @p step on @p s; a trap ends only that step. */

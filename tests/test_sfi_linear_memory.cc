@@ -10,12 +10,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sfi/linear_memory.h"
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 
 namespace
 {
@@ -74,16 +75,14 @@ TEST(LinearMemory, SandboxGrowByAWrappingDeltaFails)
         hfi::vm::VirtualClock clock;
         hfi::vm::Mmu mmu(clock);
         hfi::core::HfiContext ctx(clock);
-        RuntimeConfig config;
-        config.backend = kind;
-        auto s = Runtime(mmu, ctx, config).createSandbox({4, 64});
-        ASSERT_TRUE(s);
+        Sandbox s(mmu, ctx, kind, {4, 64});
+        ASSERT_TRUE(s.valid());
         // 4 + delta wraps to 1.
-        EXPECT_EQ(s->memoryGrow(std::numeric_limits<std::uint64_t>::max() - 2),
+        EXPECT_EQ(s.memoryGrow(std::numeric_limits<std::uint64_t>::max() - 2),
                   -1);
-        EXPECT_EQ(s->memory().pages(), 4u);
-        s->store<std::uint8_t>(4 * kWasmPageSize - 1, 1);
-        EXPECT_EQ(s->load<std::uint8_t>(4 * kWasmPageSize - 1), 1u);
+        EXPECT_EQ(s.memory().pages(), 4u);
+        s.store<std::uint8_t>(4 * kWasmPageSize - 1, 1);
+        EXPECT_EQ(s.load<std::uint8_t>(4 * kWasmPageSize - 1), 1u);
     }
 }
 
@@ -99,16 +98,13 @@ TEST(LinearMemory, InitialPagesBeyondTheMaximumThrow)
         hfi::vm::VirtualClock clock;
         hfi::vm::Mmu mmu(clock);
         hfi::core::HfiContext ctx(clock);
-        RuntimeConfig config;
-        config.backend = kind;
-        EXPECT_THROW(Runtime(mmu, ctx, config).createSandbox({4, 1}),
-                     std::invalid_argument);
+        EXPECT_THROW(Sandbox(mmu, ctx, kind, {4, 1}), std::invalid_argument);
         EXPECT_EQ(mmu.addressSpace().reservedBytes(), 0u);
     }
     hfi::vm::VirtualClock clock;
     hfi::vm::Mmu mmu(clock);
     hfi::core::HfiContext ctx(clock);
-    Sandbox sandbox(mmu, ctx, BackendKind::Hfi, paperCosts(BackendKind::Hfi));
+    Sandbox sandbox(mmu, ctx, BackendKind::Hfi);
     const std::uint64_t heap = mmu.addressSpace().reservedBytes();
     EXPECT_THROW(sandbox.addMemory(4, 1), std::invalid_argument);
     EXPECT_EQ(mmu.addressSpace().reservedBytes(), heap);
@@ -283,9 +279,8 @@ struct World
 {
     explicit World(BackendKind kind)
     {
-        RuntimeConfig config;
-        config.backend = kind;
-        sandbox = Runtime(mmu, ctx, config).createSandbox({4, 64});
+        sandbox = std::make_unique<Sandbox>(mmu, ctx, kind,
+                                            SandboxOptions{4, 64});
     }
 
     /** Destroy the sandbox; @return the store its memory gave up. */
@@ -320,7 +315,7 @@ TEST(ReusedStore, ZeroAfterSandboxStore)
     for (BackendKind kind : kAllKinds) {
         SCOPED_TRACE(backendKindName(kind));
         World w(kind);
-        ASSERT_TRUE(w.sandbox);
+        ASSERT_TRUE(w.sandbox->valid());
         w.sandbox->store<std::uint8_t>(0, 1);
         w.sandbox->store<std::uint64_t>(kPage - 4, ~0ULL);
         expectReusedStoreReadsZero(w.destroy());
@@ -332,7 +327,7 @@ TEST(ReusedStore, ZeroAfterStoreNAndCheckedSpan)
     for (BackendKind kind : kAllKinds) {
         SCOPED_TRACE(backendKindName(kind));
         World w(kind);
-        ASSERT_TRUE(w.sandbox);
+        ASSERT_TRUE(w.sandbox->valid());
         const std::uint32_t words[2] = {0x11111111, 0x22222222};
         w.sandbox->storeN(kPage - 6, words, 2);
         EXPECT_EQ(w.sandbox->memory().load<std::uint16_t>(kPage), 0x2222u);
@@ -351,7 +346,7 @@ TEST(ReusedStore, ZeroAfterStoreAcrossAGrownEnd)
     for (BackendKind kind : kAllKinds) {
         SCOPED_TRACE(backendKindName(kind));
         World w(kind);
-        ASSERT_TRUE(w.sandbox);
+        ASSERT_TRUE(w.sandbox->valid());
         const std::uint64_t old_size = w.sandbox->memory().size();
         w.sandbox->store<std::uint8_t>(old_size - 1, 1);
         ASSERT_EQ(w.sandbox->memoryGrow(1),
@@ -366,7 +361,7 @@ TEST(ReusedStore, ZeroAfterMaskWrappedStore)
 {
     // Past the bound the mask wraps the store back to page 0's end.
     World w(BackendKind::Mask);
-    ASSERT_TRUE(w.sandbox);
+    ASSERT_TRUE(w.sandbox->valid());
     const std::uint64_t size = w.sandbox->memory().size();
     w.sandbox->store<std::uint64_t>(size + kPage - 4, ~0ULL);
     EXPECT_EQ(w.sandbox->stats().wrappedAccesses, 1u);
@@ -385,10 +380,9 @@ TEST(ReusedStore, SandboxMarksOnlyWhatItsAccessesCanReach)
         hfi::vm::VirtualClock clock;
         hfi::vm::Mmu mmu(clock);
         hfi::core::HfiContext ctx(clock);
-        RuntimeConfig config;
-        config.backend = kind;
-        auto s = Runtime(mmu, ctx, config).createSandbox({1, 4});
-        ASSERT_TRUE(s);
+        auto s = std::make_unique<Sandbox>(mmu, ctx, kind,
+                                           SandboxOptions{1, 4});
+        ASSERT_TRUE(s->valid());
         const std::vector<std::uint8_t> payload(256, 7);
         s->storeN(64, payload.data(), payload.size());
         EXPECT_EQ(s->memory().dirtyEnd(), 2 * kPage);

@@ -39,7 +39,7 @@ class MultiMemoryTest : public ::testing::Test
              std::uint64_t max_pages = 16)
     {
         auto sandbox = std::make_unique<Sandbox>(
-            mmu, ctx, BackendKind::Hfi, paperCosts(BackendKind::Hfi),
+            mmu, ctx, BackendKind::Hfi,
             SandboxOptions{initial_pages, max_pages});
         if (!sandbox->valid())
             return nullptr;
@@ -199,7 +199,7 @@ TEST_F(MultiMemoryTest, AddMemoryIsHfiOnly)
     for (BackendKind kind : {BackendKind::GuardPages, BackendKind::BoundsCheck,
                              BackendKind::Mask}) {
         SCOPED_TRACE(backendKindName(kind));
-        Sandbox sandbox(mmu, ctx, kind, paperCosts(kind), {1, 16});
+        Sandbox sandbox(mmu, ctx, kind, {1, 16});
         ASSERT_TRUE(sandbox.valid());
         const std::uint64_t reserved = mmu.addressSpace().reservedBytes();
         EXPECT_THROW(sandbox.addMemory(1, 16), std::invalid_argument);
@@ -210,8 +210,7 @@ TEST_F(MultiMemoryTest, AddMemoryIsHfiOnly)
 TEST_F(MultiMemoryTest, AccessesAreChargedLikeHeapAccesses)
 {
     SandboxOptions opts{1, 16, /*icacheSensitivity*/ 100};
-    Sandbox sandbox(mmu, ctx, BackendKind::Hfi, paperCosts(BackendKind::Hfi),
-                    opts);
+    Sandbox sandbox(mmu, ctx, BackendKind::Hfi, opts);
     ASSERT_TRUE(sandbox.addMemory(1, 16));
     // Page the heap in and bind memory 1, so only the charge differs.
     ASSERT_TRUE(sandbox.invoke([](Sandbox &s) {

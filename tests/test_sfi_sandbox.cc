@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sfi/runtime.h"
+#include <memory>
+
 #include "sfi/sandbox.h"
 
 namespace
@@ -21,10 +22,10 @@ class SandboxTest : public ::testing::Test
     std::unique_ptr<Sandbox>
     make(BackendKind kind, SandboxOptions opts = {})
     {
-        RuntimeConfig config;
-        config.backend = kind;
-        Runtime runtime(mmu, ctx, config);
-        return runtime.createSandbox(opts);
+        auto s = std::make_unique<Sandbox>(mmu, ctx, kind, opts);
+        if (!s->valid())
+            s.reset();
+        return s;
     }
 
     vm::VirtualClock clock;

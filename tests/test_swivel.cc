@@ -67,15 +67,4 @@ TEST(Swivel, Table1BinarySizesMatchPaperShape)
     EXPECT_NEAR(apply(templatedHtmlProfile()).binaryBytes / mib, 4.2, 0.15);
 }
 
-TEST(Swivel, CostKnobsPropagate)
-{
-    CodeProfile profile{"p", 100.0, 0.0, 1 << 20, 0};
-    SwivelCosts cheap;
-    cheap.perBranchCycles = 0.5;
-    SwivelCosts dear;
-    dear.perBranchCycles = 4.0;
-    EXPECT_LT(apply(profile, cheap).computeFactor,
-              apply(profile, dear).computeFactor);
-}
-
 } // namespace

@@ -24,11 +24,11 @@ TEST(Umbrella, RuntimeSurfaceReachable)
     hfi::vm::VirtualClock clock;
     hfi::vm::Mmu mmu(clock);
     hfi::core::HfiContext ctx(clock);
-    hfi::sfi::Runtime runtime(mmu, ctx, {});
-    auto sandbox = runtime.createSandbox({1, 4});
-    ASSERT_TRUE(sandbox);
-    sandbox->store<std::uint32_t>(0, 7);
-    EXPECT_EQ(sandbox->load<std::uint32_t>(0), 7u);
+    hfi::sfi::Sandbox sandbox(mmu, ctx, hfi::sfi::BackendKind::GuardPages,
+                              {1, 4});
+    ASSERT_TRUE(sandbox.valid());
+    sandbox.store<std::uint32_t>(0, 7);
+    EXPECT_EQ(sandbox.load<std::uint32_t>(0), 7u);
 }
 
 TEST(Umbrella, SimSurfaceReachable)

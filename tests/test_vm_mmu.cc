@@ -95,7 +95,7 @@ TEST_F(MmuTest, SyscallCostsAdvanceVirtualTime)
     mmu.mmap(1 << 20, PageProt::None);
     const double t1 = clock.nowNs();
     EXPECT_NEAR(t1 - t0,
-                mmu.params().syscallFixedNs + mmu.params().mmapReserveNs,
+                kMmuCosts.syscallFixedNs + kMmuCosts.mmapReserveNs,
                 1.0);
 }
 
@@ -111,7 +111,7 @@ TEST_F(MmuTest, MprotectCostScalesWithPages)
     const double big_grow = clock.nowNs() - t1;
     EXPECT_GT(big_grow, one_grow);
     EXPECT_NEAR(big_grow - one_grow,
-                240 * mmu.params().mprotectPerPageNs, 1.0);
+                240 * kMmuCosts.mprotectPerPageNs, 1.0);
 }
 
 TEST_F(MmuTest, HeapGrowthCalibration)

@@ -12,7 +12,7 @@
 #include <cstring>
 #include <vector>
 
-#include "sfi/runtime.h"
+#include "sfi/sandbox.h"
 #include "workloads/crypto.h"
 #include "workloads/faas_workloads.h"
 #include "workloads/font.h"
@@ -31,13 +31,13 @@ std::unique_ptr<sfi::Sandbox>
 makeSandbox(vm::Mmu &mmu, core::HfiContext &ctx, sfi::BackendKind kind,
             unsigned icache = 0)
 {
-    sfi::RuntimeConfig config;
-    config.backend = kind;
-    sfi::Runtime runtime(mmu, ctx, config);
     sfi::SandboxOptions opts;
     opts.initialPages = 4;
     opts.icacheSensitivity = icache;
-    return runtime.createSandbox(opts);
+    auto sandbox = std::make_unique<sfi::Sandbox>(mmu, ctx, kind, opts);
+    if (!sandbox->valid())
+        sandbox.reset();
+    return sandbox;
 }
 
 class WorkloadFixture : public ::testing::Test
@@ -559,14 +559,11 @@ classifyObserved(Classifier classify, sfi::BackendKind kind,
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
-    sfi::RuntimeConfig config;
-    config.backend = kind;
-    sfi::Runtime runtime(mmu, ctx, config);
     sfi::SandboxOptions opts;
     opts.initialPages = stale_pages ? 8 : 4;
     opts.maxPages = 64;
-    auto sandbox = runtime.createSandbox(opts);
-    EXPECT_TRUE(sandbox);
+    auto sandbox = std::make_unique<sfi::Sandbox>(mmu, ctx, kind, opts);
+    EXPECT_TRUE(sandbox->valid());
     const auto img = image::makeTestImage(side, side, 7);
     sandbox->memory().writeBytes(64, img.data(), img.size());
 
@@ -583,8 +580,9 @@ classifyObserved(Classifier classify, sfi::BackendKind kind,
     };
     std::unique_ptr<sfi::Sandbox> smaller;
     if (stale_pages) {
-        smaller = runtime.createSandbox({stale_pages, stale_pages});
-        EXPECT_TRUE(smaller);
+        smaller = std::make_unique<sfi::Sandbox>(
+            mmu, ctx, kind, sfi::SandboxOptions{stale_pages, stale_pages});
+        EXPECT_TRUE(smaller->valid());
         body(*sandbox);
         sandbox->exit();
     } else {
