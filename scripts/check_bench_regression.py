@@ -4,11 +4,13 @@
 Usage: check_bench_regression.py BASELINE.json FRESH.json
 
 Fails (exit 1) when a geomean throughput in FRESH drops more than
-MAX_REGRESSION below BASELINE. The threshold is deliberately wide — 25%
-— because both files are measured on whatever host happens to run them:
-shared CI runners show double-digit run-to-run variance, and the gate
-exists to catch algorithmic regressions (which show up as 2x-10x drops),
-not to police single-digit noise. Improvements never fail; they just
+MAX_REGRESSION below BASELINE, or when FRESH lacks a geomean the
+baseline has or reports it as zero or negative. The threshold is
+deliberately wide — 25% — because both files are measured on whatever
+host happens to run them: shared CI runners show double-digit
+run-to-run variance, and the gate exists to catch algorithmic
+regressions (which show up as 2x-10x drops), not to police
+single-digit noise. Improvements never fail; they just
 mean the committed baseline is stale and worth refreshing.
 """
 
@@ -47,9 +49,14 @@ def main() -> int:
     for key in KEYS:
         base = baseline.get(key)
         now = fresh.get(key)
-        if not base or not now:
+        if not base:
             # A baseline from before the metric existed can't gate it.
-            print(f"{key}: missing ({base!r} -> {now!r}), skipping")
+            print(f"{key}: not in baseline ({base!r}), skipping")
+            continue
+        if not isinstance(now, (int, float)) or now <= 0:
+            # A bench that measured nothing must not pass as "no drop".
+            print(f"{key}: fresh value {now!r} is missing or not positive FAIL")
+            failed = True
             continue
         ratio = now / base
         status = "OK"

@@ -1,19 +1,7 @@
 #include "sim/branch_predictor.h"
 
-#include <bit>
-
 namespace hfi::sim
 {
-
-BranchPredictor::BranchPredictor(PredictorConfig config)
-    : config_(config), pht(config.phtEntries, 1), btb(config.btbEntries),
-      rsb(config.rsbDepth, 0)
-{
-    if (std::has_single_bit(pht.size()))
-        phtMask_ = pht.size() - 1;
-    if (std::has_single_bit(btb.size()))
-        btbMask_ = btb.size() - 1;
-}
 
 bool
 BranchPredictor::predictDirection(std::uint64_t pc) const
@@ -31,26 +19,10 @@ BranchPredictor::updateDirection(std::uint64_t pc, bool taken)
         --counter;
 }
 
-std::uint64_t
-BranchPredictor::predictTarget(std::uint64_t pc) const
-{
-    const BtbEntry &entry = btb[btbIndex(pc)];
-    return entry.valid && entry.pc == pc ? entry.target : 0;
-}
-
-void
-BranchPredictor::updateTarget(std::uint64_t pc, std::uint64_t target)
-{
-    BtbEntry &entry = btb[btbIndex(pc)];
-    entry.valid = true;
-    entry.pc = pc;
-    entry.target = target;
-}
-
 void
 BranchPredictor::pushReturn(std::uint64_t addr)
 {
-    rsb[rsbTop % rsb.size()] = addr;
+    rsb[rsbTop % kRsbDepth] = addr;
     ++rsbTop;
 }
 
@@ -60,7 +32,7 @@ BranchPredictor::popReturn()
     if (rsbTop == 0)
         return 0;
     --rsbTop;
-    return rsb[rsbTop % rsb.size()];
+    return rsb[rsbTop % kRsbDepth];
 }
 
 } // namespace hfi::sim

@@ -1,7 +1,8 @@
 /**
  * @file
- * Branch prediction: a 2-bit-counter PHT for conditional direction, a
- * BTB for taken/indirect targets, and an RSB for returns.
+ * Branch prediction: a 2-bit-counter PHT for conditional direction and
+ * an RSB for returns. Direct targets need no BTB: the program's targets
+ * are predecoded, and the ISA has no indirect branch.
  *
  * The PHT is what the Spectre-PHT attack trains (§5.3): the attacker
  * runs the victim's bounds check in-bounds repeatedly, driving the
@@ -12,24 +13,22 @@
 #ifndef HFI_SIM_BRANCH_PREDICTOR_H
 #define HFI_SIM_BRANCH_PREDICTOR_H
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 namespace hfi::sim
 {
 
-/** Predictor geometry. */
-struct PredictorConfig
-{
-    unsigned phtEntries = 4096;
-    unsigned btbEntries = 512;
-    unsigned rsbDepth = 16;
-};
-
 class BranchPredictor
 {
   public:
-    explicit BranchPredictor(PredictorConfig config = {});
+    static constexpr std::size_t kPhtEntries = 4096;
+    static constexpr std::size_t kRsbDepth = 16;
+    static_assert(std::has_single_bit(kPhtEntries) &&
+                  std::has_single_bit(kRsbDepth));
+
+    BranchPredictor() { pht.fill(1); }
 
     /** Predict a conditional branch's direction at @p pc. */
     bool predictDirection(std::uint64_t pc) const;
@@ -37,55 +36,22 @@ class BranchPredictor
     /** Update the PHT with the resolved direction. */
     void updateDirection(std::uint64_t pc, bool taken);
 
-    /**
-     * Predicted target for a taken/indirect branch at @p pc.
-     * @return 0 when the BTB has no entry (fetch then stalls until
-     *         resolution rather than following garbage).
-     */
-    std::uint64_t predictTarget(std::uint64_t pc) const;
-
-    void updateTarget(std::uint64_t pc, std::uint64_t target);
-
     /** Push a return address (call). */
     void pushReturn(std::uint64_t addr);
 
     /** Pop the predicted return address (0 when empty). */
     std::uint64_t popReturn();
 
-    std::uint64_t mispredicts() const { return mispredicts_; }
-    void countMispredict() { ++mispredicts_; }
-
   private:
-    std::size_t
-    phtIndex(std::uint64_t pc) const
+    static std::size_t
+    phtIndex(std::uint64_t pc)
     {
-        return phtMask_ ? ((pc >> 2) & phtMask_)
-                        : ((pc >> 2) % pht.size());
+        return (pc >> 2) & (kPhtEntries - 1);
     }
 
-    std::size_t
-    btbIndex(std::uint64_t pc) const
-    {
-        return btbMask_ ? ((pc >> 2) & btbMask_)
-                        : ((pc >> 2) % btb.size());
-    }
-
-    PredictorConfig config_;
-    std::vector<std::uint8_t> pht; ///< 2-bit saturating counters
-    struct BtbEntry
-    {
-        bool valid = false;
-        std::uint64_t pc = 0;
-        std::uint64_t target = 0;
-    };
-    std::vector<BtbEntry> btb;
-    std::vector<std::uint64_t> rsb;
+    std::array<std::uint8_t, kPhtEntries> pht; ///< 2-bit saturating counters
+    std::array<std::uint64_t, kRsbDepth> rsb{};
     std::size_t rsbTop = 0;
-    std::uint64_t mispredicts_ = 0;
-    /** Index masks when the table sizes are powers of two (0 = use the
-     *  modulo fallback). Same indices either way. */
-    std::size_t phtMask_ = 0;
-    std::size_t btbMask_ = 0;
 };
 
 } // namespace hfi::sim

@@ -1,21 +1,24 @@
 #include "sim/cache.h"
 
 #include <bit>
+#include <stdexcept>
 
 namespace hfi::sim
 {
 
 Cache::Cache(CacheConfig config)
     : config_(config),
-      sets(static_cast<unsigned>(config.sizeBytes /
-                                 (config.ways * config.lineBytes))),
-      lines(static_cast<std::size_t>(sets) * config.ways)
+      sets(config.ways * config.lineBytes == 0
+               ? 0
+               : static_cast<unsigned>(config.sizeBytes /
+                                       (config.ways * config.lineBytes)))
 {
-    if (std::has_single_bit(config_.lineBytes) && std::has_single_bit(sets)) {
-        pow2_ = true;
-        lineShift_ = static_cast<unsigned>(std::countr_zero(config_.lineBytes));
-        setShift_ = static_cast<unsigned>(std::countr_zero(sets));
-    }
+    if (!std::has_single_bit(config_.lineBytes) || !std::has_single_bit(sets))
+        throw std::invalid_argument(
+            "Cache: line size and set count must be powers of two");
+    lines.resize(static_cast<std::size_t>(sets) * config_.ways);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(config_.lineBytes));
+    setShift_ = static_cast<unsigned>(std::countr_zero(sets));
 }
 
 CacheAccess

@@ -1,7 +1,9 @@
 /**
  * @file
  * A set-associative cache with true-LRU replacement, used for the L1
- * instruction and data caches (Table 2: 32 KiB, 8-way, 64 B lines).
+ * instruction and data caches (Table 2: 32 KiB, 8-way, 64 B lines) and
+ * for the dtb (one fully-associative set whose lines are 4 KiB pages;
+ * see kDtbConfig).
  *
  * Two properties matter beyond hit/miss timing:
  *
@@ -42,6 +44,11 @@ struct CacheAccess
 class Cache
 {
   public:
+    /**
+     * @throws std::invalid_argument unless lineBytes and the set count
+     *         (sizeBytes / (ways * lineBytes)) are powers of two, so
+     *         every index is a shift and a mask.
+     */
     explicit Cache(CacheConfig config = {});
 
     /**
@@ -83,18 +90,17 @@ class Cache
 
     std::uint64_t lineFor(std::uint64_t addr) const
     {
-        return pow2_ ? addr >> lineShift_ : addr / config_.lineBytes;
+        return addr >> lineShift_;
     }
 
     unsigned setOf(std::uint64_t line) const
     {
-        return pow2_ ? static_cast<unsigned>(line & (sets - 1))
-                     : static_cast<unsigned>(line % sets);
+        return static_cast<unsigned>(line & (sets - 1));
     }
 
     std::uint64_t tagOf(std::uint64_t line) const
     {
-        return pow2_ ? line >> setShift_ : line / sets;
+        return line >> setShift_;
     }
 
     CacheConfig config_;
@@ -104,9 +110,6 @@ class Cache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 
-    /** Shift/mask index math when geometry is power-of-two (it is for
-     *  every configured cache; the division path is the fallback). */
-    bool pow2_ = false;
     unsigned lineShift_ = 0;
     unsigned setShift_ = 0;
 

@@ -8,14 +8,15 @@
  * | INT regfile | 186 regs       | IQ           | 97 entries     |
  * | LQ/SQ       | 64/36 entries  | Int ALU      | 4, Mult 1      |
  * | ROB         | 224 entries    |              |                |
+ *
+ * The pipeline counts cycles and never converts them to time, so the
+ * 3.3 GHz clock is not a setting.
  */
 
 #ifndef HFI_SIM_CPU_CONFIG_H
 #define HFI_SIM_CPU_CONFIG_H
 
-#include "sim/branch_predictor.h"
 #include "sim/cache.h"
-#include "sim/tlb.h"
 
 namespace hfi::sim
 {
@@ -23,8 +24,6 @@ namespace hfi::sim
 /** Structural and latency parameters of the modeled core. */
 struct CpuConfig
 {
-    std::uint64_t freqMhz = 3300;
-
     unsigned fetchBytes = 16;
     unsigned decodeWidth = 5;
     unsigned issueWidth = 8;
@@ -49,9 +48,15 @@ struct CpuConfig
 
     CacheConfig icache{32 * 1024, 8, 64, 1, 12};
     CacheConfig dcache{32 * 1024, 8, 64, 4, 80};
-    TlbConfig dtb{};
-    PredictorConfig predictor{};
 };
+
+/**
+ * The dtb of Figure 1: one fully-associative set of 64 ways whose
+ * "lines" are 4 KiB pages. A hit costs nothing beyond the lookup that
+ * runs in parallel with the data-region check (§4.2); a miss pays a
+ * 20-cycle page walk.
+ */
+inline constexpr CacheConfig kDtbConfig{64 * 4096, 64, 4096, 0, 20};
 
 } // namespace hfi::sim
 

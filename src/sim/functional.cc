@@ -55,11 +55,11 @@ FunctionalCore::runReference(const Program &program, ArchState &state,
             state.hfi.trap(fetch_check.reason);
             break;
         }
-        const Inst *inst = program.fetch(state.pc, &fetchHint);
-        if (!inst)
+        const std::size_t index = program.fetchIndex(state.pc, &fetchHint);
+        if (index == Program::kNoInst)
             break; // ran off the program: invalid opcode
-        const ExecInfo info =
-            FunctionalCore::executeOn(*inst, state.pc, state, view);
+        const ExecInfo info = FunctionalCore::executeOn(
+            program.instructions()[index], state.pc, state, view);
         ++steps;
         if (info.faulted) {
             state.hfi.trap(info.faultReason);
@@ -180,10 +180,11 @@ FunctionalCore::run(const Program &program, ArchState &state,
                 state.hfi.trap(fetch_check.reason);
                 return steps;
             }
-            const Inst *ref = program.fetch(state.pc, &fetchHint);
-            if (!ref)
+            const std::size_t ref = program.fetchIndex(state.pc, &fetchHint);
+            if (ref == Program::kNoInst)
                 return steps; // ran off the program: invalid opcode
-            const ExecInfo info = executeOn(*ref, state.pc, state, view);
+            const ExecInfo info = executeOn(program.instructions()[ref],
+                                            state.pc, state, view);
             ++steps;
             if (info.faulted) {
                 state.hfi.trap(info.faultReason);
@@ -194,70 +195,28 @@ FunctionalCore::run(const Program &program, ArchState &state,
             continue;
         }
 
-    op_Add:
-        regs[inst->rd] =
-            regs[inst->ra] +
-            (inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs[inst->rb]);
-        HFI_SIM_NEXT;
-    op_Sub:
-        regs[inst->rd] =
-            regs[inst->ra] -
-            (inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs[inst->rb]);
-        HFI_SIM_NEXT;
-    op_Mul:
-        regs[inst->rd] =
-            regs[inst->ra] *
-            (inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs[inst->rb]);
-        HFI_SIM_NEXT;
-    op_And:
-        regs[inst->rd] =
-            regs[inst->ra] &
-            (inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs[inst->rb]);
-        HFI_SIM_NEXT;
-    op_Or:
-        regs[inst->rd] =
-            regs[inst->ra] |
-            (inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs[inst->rb]);
-        HFI_SIM_NEXT;
-    op_Xor:
-        regs[inst->rd] =
-            regs[inst->ra] ^
-            (inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs[inst->rb]);
-        HFI_SIM_NEXT;
-    op_Shl:
-        regs[inst->rd] =
-            regs[inst->ra]
-            << ((inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                              : regs[inst->rb]) &
-                63);
-        HFI_SIM_NEXT;
-    op_Shr:
-        regs[inst->rd] =
-            regs[inst->ra] >>
-            ((inst->useImm ? static_cast<std::uint64_t>(inst->imm)
-                           : regs[inst->rb]) &
-             63);
-        HFI_SIM_NEXT;
-    op_Mov:
-        regs[inst->rd] = regs[inst->ra];
-        HFI_SIM_NEXT;
-    op_Movi:
-        regs[inst->rd] = static_cast<std::uint64_t>(inst->imm);
-        HFI_SIM_NEXT;
+    // Each handler computes its result with the detail:: helper that
+    // executeOn calls; the constant opcode folds the helper's switch.
+#define HFI_SIM_ALU(op)                                                      \
+    op_##op:                                                                 \
+        regs[inst->rd] = detail::aluResult(Opcode::op, *inst, regs);         \
+        HFI_SIM_NEXT
+    HFI_SIM_ALU(Add);
+    HFI_SIM_ALU(Sub);
+    HFI_SIM_ALU(Mul);
+    HFI_SIM_ALU(And);
+    HFI_SIM_ALU(Or);
+    HFI_SIM_ALU(Xor);
+    HFI_SIM_ALU(Shl);
+    HFI_SIM_ALU(Shr);
+    HFI_SIM_ALU(Mov);
+    HFI_SIM_ALU(Movi);
+#undef HFI_SIM_ALU
     op_Nop:
         HFI_SIM_NEXT;
 
     op_Load: {
-        std::uint64_t addr =
-            regs[inst->ra] + static_cast<std::uint64_t>(inst->imm);
-        if (inst->useIndex)
-            addr += regs[inst->rb] * inst->scale;
+        const std::uint64_t addr = detail::dataAddress(*inst, regs);
         const core::CheckResult check = core::AccessChecker::checkData(
             state.hfi.bank, addr, inst->width, false);
         if (!check.ok)
@@ -266,10 +225,7 @@ FunctionalCore::run(const Program &program, ArchState &state,
         HFI_SIM_NEXT;
     }
     op_Store: {
-        std::uint64_t addr =
-            regs[inst->ra] + static_cast<std::uint64_t>(inst->imm);
-        if (inst->useIndex)
-            addr += regs[inst->rb] * inst->scale;
+        const std::uint64_t addr = detail::dataAddress(*inst, regs);
         const core::CheckResult check = core::AccessChecker::checkData(
             state.hfi.bank, addr, inst->width, true);
         if (!check.ok)
@@ -280,15 +236,9 @@ FunctionalCore::run(const Program &program, ArchState &state,
     op_HmovLoad: {
         if (!state.hfi.bank.enabled)
             goto op_slow; // invalid opcode outside HFI mode
-        core::HmovOperands ops;
-        ops.index = inst->useIndex
-                        ? static_cast<std::int64_t>(regs[inst->rb])
-                        : 0;
-        ops.scale = inst->scale;
-        ops.displacement = inst->imm;
-        ops.width = inst->width;
         const core::HmovResult res = core::AccessChecker::checkHmov(
-            state.hfi.bank, inst->region, ops, false);
+            state.hfi.bank, inst->region, detail::hmovOperands(*inst, regs),
+            false);
         if (!res.ok)
             HFI_SIM_FAULT(res.reason);
         regs[inst->rd] = view.load(res.address, inst->width);
@@ -297,41 +247,25 @@ FunctionalCore::run(const Program &program, ArchState &state,
     op_HmovStore: {
         if (!state.hfi.bank.enabled)
             goto op_slow;
-        core::HmovOperands ops;
-        ops.index = inst->useIndex
-                        ? static_cast<std::int64_t>(regs[inst->rb])
-                        : 0;
-        ops.scale = inst->scale;
-        ops.displacement = inst->imm;
-        ops.width = inst->width;
         const core::HmovResult res = core::AccessChecker::checkHmov(
-            state.hfi.bank, inst->region, ops, true);
+            state.hfi.bank, inst->region, detail::hmovOperands(*inst, regs),
+            true);
         if (!res.ok)
             HFI_SIM_FAULT(res.reason);
         view.store(res.address, regs[inst->rd], inst->width);
         HFI_SIM_NEXT;
     }
 
-    op_Beq:
-        if (static_cast<std::int64_t>(regs[inst->ra]) ==
-            static_cast<std::int64_t>(regs[inst->rb]))
-            goto take_branch;
-        HFI_SIM_NEXT;
-    op_Bne:
-        if (static_cast<std::int64_t>(regs[inst->ra]) !=
-            static_cast<std::int64_t>(regs[inst->rb]))
-            goto take_branch;
-        HFI_SIM_NEXT;
-    op_Blt:
-        if (static_cast<std::int64_t>(regs[inst->ra]) <
-            static_cast<std::int64_t>(regs[inst->rb]))
-            goto take_branch;
-        HFI_SIM_NEXT;
-    op_Bge:
-        if (static_cast<std::int64_t>(regs[inst->ra]) >=
-            static_cast<std::int64_t>(regs[inst->rb]))
-            goto take_branch;
-        HFI_SIM_NEXT;
+#define HFI_SIM_BRANCH(op)                                                   \
+    op_##op:                                                                 \
+        if (detail::branchTaken(Opcode::op, *inst, regs))                    \
+            goto take_branch;                                                \
+        HFI_SIM_NEXT
+    HFI_SIM_BRANCH(Beq);
+    HFI_SIM_BRANCH(Bne);
+    HFI_SIM_BRANCH(Blt);
+    HFI_SIM_BRANCH(Bge);
+#undef HFI_SIM_BRANCH
     op_Jmp:
     take_branch: {
         const std::size_t t = program.targetIndexOf(index);

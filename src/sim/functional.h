@@ -92,9 +92,85 @@ struct ExecInfo
     bool isFlush = false;
 };
 
-/** Implementation helpers for FunctionalCore::executeOn. */
+/**
+ * Implementation helpers for FunctionalCore::executeOn. Each opcode's
+ * data semantics are defined here once: executeOn and the threaded
+ * handlers of FunctionalCore::run both call these.
+ */
 namespace detail
 {
+
+using RegFile = std::array<std::uint64_t, kNumRegs>;
+
+/**
+ * The value ALU opcode @p op (Add through Movi) writes to inst.rd: the
+ * second operand is imm when useImm, else rb. @p op is inst.op; a
+ * threaded handler passes it as a constant, so the switch folds away.
+ */
+inline std::uint64_t
+aluResult(Opcode op, const Inst &inst, const RegFile &regs)
+{
+    const std::uint64_t a = regs[inst.ra];
+    const std::uint64_t b =
+        inst.useImm ? static_cast<std::uint64_t>(inst.imm) : regs[inst.rb];
+    switch (op) {
+      case Opcode::Add: return a + b;
+      case Opcode::Sub: return a - b;
+      case Opcode::Mul: return a * b;
+      case Opcode::Div: return b ? a / b : 0;
+      case Opcode::And: return a & b;
+      case Opcode::Or: return a | b;
+      case Opcode::Xor: return a ^ b;
+      case Opcode::Shl: return a << (b & 63);
+      case Opcode::Shr: return a >> (b & 63);
+      case Opcode::Mov: return a;
+      case Opcode::Movi: return static_cast<std::uint64_t>(inst.imm);
+      default: return 0; // not an ALU opcode
+    }
+}
+
+/** Load/Store effective address: ra + imm, plus rb * scale when
+ *  useIndex. */
+inline std::uint64_t
+dataAddress(const Inst &inst, const RegFile &regs)
+{
+    std::uint64_t addr = regs[inst.ra] + static_cast<std::uint64_t>(inst.imm);
+    if (inst.useIndex)
+        addr += regs[inst.rb] * inst.scale;
+    return addr;
+}
+
+/** The operands an hmov hands the region check: ra is ignored, the
+ *  region base replaces it (§3.2). */
+inline core::HmovOperands
+hmovOperands(const Inst &inst, const RegFile &regs)
+{
+    core::HmovOperands ops;
+    ops.index = inst.useIndex ? static_cast<std::int64_t>(regs[inst.rb]) : 0;
+    ops.scale = inst.scale;
+    ops.displacement = inst.imm;
+    ops.width = inst.width;
+    return ops;
+}
+
+/**
+ * Whether conditional branch @p op (Beq through Bge) is taken: a
+ * signed compare of ra against rb. @p op is inst.op, passed separately
+ * for the same reason as in aluResult.
+ */
+inline bool
+branchTaken(Opcode op, const Inst &inst, const RegFile &regs)
+{
+    const auto a = static_cast<std::int64_t>(regs[inst.ra]);
+    const auto b = static_cast<std::int64_t>(regs[inst.rb]);
+    switch (op) {
+      case Opcode::Beq: return a == b;
+      case Opcode::Bne: return a != b;
+      case Opcode::Blt: return a < b;
+      case Opcode::Bge: return a >= b;
+      default: return false; // not a conditional branch
+    }
+}
 
 /** Build the region value hfi_set_region writes, from the descriptor
  *  registers (base in ra, bound/mask in rb) and permission bits. */
@@ -122,9 +198,7 @@ regionFromDescriptor(unsigned region_number, std::uint64_t base,
  * applies the outcome, Pipeline::willSerialize reads its verdict.
  */
 inline core::HfiOutcome
-hfiTransition(const Inst &inst,
-              const std::array<std::uint64_t, kNumRegs> &regs,
-              core::HfiState &hfi)
+hfiTransition(const Inst &inst, const RegFile &regs, core::HfiState &hfi)
 {
     switch (inst.op) {
       case Opcode::HfiEnter: {
@@ -173,9 +247,6 @@ class FunctionalCore
         info.nextPc = pc + inst.length;
     
         auto &regs = state.regs;
-        const std::uint64_t ra = regs[inst.ra];
-        const std::uint64_t rb_or_imm =
-            inst.useImm ? static_cast<std::uint64_t>(inst.imm) : regs[inst.rb];
     
         auto fault = [&](core::ExitReason reason) {
             info.faulted = true;
@@ -190,28 +261,23 @@ class FunctionalCore
         };
     
         switch (inst.op) {
-          case Opcode::Add: regs[inst.rd] = ra + rb_or_imm; break;
-          case Opcode::Sub: regs[inst.rd] = ra - rb_or_imm; break;
-          case Opcode::Mul: regs[inst.rd] = ra * rb_or_imm; break;
+          case Opcode::Add:
+          case Opcode::Sub:
+          case Opcode::Mul:
           case Opcode::Div:
-            regs[inst.rd] = rb_or_imm ? ra / rb_or_imm : 0;
-            break;
-          case Opcode::And: regs[inst.rd] = ra & rb_or_imm; break;
-          case Opcode::Or: regs[inst.rd] = ra | rb_or_imm; break;
-          case Opcode::Xor: regs[inst.rd] = ra ^ rb_or_imm; break;
-          case Opcode::Shl: regs[inst.rd] = ra << (rb_or_imm & 63); break;
-          case Opcode::Shr: regs[inst.rd] = ra >> (rb_or_imm & 63); break;
-          case Opcode::Mov: regs[inst.rd] = ra; break;
+          case Opcode::And:
+          case Opcode::Or:
+          case Opcode::Xor:
+          case Opcode::Shl:
+          case Opcode::Shr:
+          case Opcode::Mov:
           case Opcode::Movi:
-            regs[inst.rd] = static_cast<std::uint64_t>(inst.imm);
+            regs[inst.rd] = detail::aluResult(inst.op, inst, regs);
             break;
     
           case Opcode::Load:
           case Opcode::Store: {
-            std::uint64_t addr =
-                ra + static_cast<std::uint64_t>(inst.imm);
-            if (inst.useIndex)
-                addr += regs[inst.rb] * inst.scale;
+            const std::uint64_t addr = detail::dataAddress(inst, regs);
             info.isMem = true;
             info.isWrite = inst.op == Opcode::Store;
             info.memAddr = addr;
@@ -235,20 +301,14 @@ class FunctionalCore
             info.isMem = true;
             info.isWrite = inst.op == Opcode::HmovStore;
             info.memWidth = inst.width;
-            core::HmovOperands ops;
-            ops.index = inst.useIndex
-                            ? static_cast<std::int64_t>(regs[inst.rb])
-                            : 0;
-            ops.scale = inst.scale;
-            ops.displacement = inst.imm;
-            ops.width = inst.width;
             if (!state.hfi.bank.enabled) {
                 // hmov outside HFI mode is an invalid opcode.
                 fault(core::ExitReason::HardwareFault);
                 break;
             }
             const core::HmovResult res = core::AccessChecker::checkHmov(
-                state.hfi.bank, inst.region, ops, info.isWrite);
+                state.hfi.bank, inst.region, detail::hmovOperands(inst, regs),
+                info.isWrite);
             if (!res.ok) {
                 fault(res.reason);
                 break;
@@ -264,20 +324,12 @@ class FunctionalCore
           case Opcode::Beq:
           case Opcode::Bne:
           case Opcode::Blt:
-          case Opcode::Bge: {
+          case Opcode::Bge:
             info.isBranch = true;
-            const auto a = static_cast<std::int64_t>(ra);
-            const auto b = static_cast<std::int64_t>(regs[inst.rb]);
-            switch (inst.op) {
-              case Opcode::Beq: info.branchTaken = a == b; break;
-              case Opcode::Bne: info.branchTaken = a != b; break;
-              case Opcode::Blt: info.branchTaken = a < b; break;
-              default: info.branchTaken = a >= b; break;
-            }
+            info.branchTaken = detail::branchTaken(inst.op, inst, regs);
             if (info.branchTaken)
                 info.nextPc = inst.target;
             break;
-          }
           case Opcode::Jmp:
             info.isBranch = true;
             info.branchTaken = true;
@@ -327,7 +379,7 @@ class FunctionalCore
             // clflush: evicts the line; no data moves, no HFI data check
             // (the address reveals nothing the attacker does not control).
             info.isFlush = true;
-            info.memAddr = ra + static_cast<std::uint64_t>(inst.imm);
+            info.memAddr = regs[inst.ra] + static_cast<std::uint64_t>(inst.imm);
             break;
     
           case Opcode::Halt:

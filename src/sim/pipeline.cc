@@ -57,7 +57,7 @@ Pipeline::SpecMemView::store(std::uint64_t addr, std::uint64_t value,
 
 Pipeline::Pipeline(Program program, CpuConfig config)
     : program(std::move(program)), config_(config), icache_(config.icache),
-      dcache_(config.dcache), dtb_(config.dtb), predictor_(config.predictor),
+      dcache_(config.dcache), dtb_(kDtbConfig),
       aluFree(config.intAluCount, 0), mulFree(config.intMultCount, 0),
       memFree(config.memPortCount, 0)
 {
@@ -391,7 +391,7 @@ Pipeline::dispatchStage()
             // dtb lookup and HFI check run in parallel (§4.2); the
             // dcache access proceeds — speculatively — because the
             // check passed.
-            const TlbAccess t = dtb_.access(info.memAddr);
+            const CacheAccess t = dtb_.access(info.memAddr);
             if (is_load) {
                 const CacheAccess c = dcache_.access(info.memAddr);
                 latency = t.latency + c.latency;
@@ -542,7 +542,6 @@ Pipeline::resolveStage()
 
         if (e.mispredicted) {
             ++stats_.mispredicts;
-            predictor_.countMispredict();
             // Recover state and redirect fetch down the correct path.
             const Snapshot &s = snapshots_[slot];
             specState = s.state;

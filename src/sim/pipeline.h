@@ -49,7 +49,6 @@
 #include "sim/functional.h"
 #include "sim/memory.h"
 #include "sim/program.h"
-#include "sim/tlb.h"
 
 namespace hfi::sim
 {
@@ -124,8 +123,7 @@ class Pipeline
 
     Cache &dcache() { return dcache_; }
     Cache &icache() { return icache_; }
-    Tlb &dtb() { return dtb_; }
-    BranchPredictor &predictor() { return predictor_; }
+    Cache &dtb() { return dtb_; }
     const PipelineStats &stats() const { return stats_; }
     const CpuConfig &config() const { return config_; }
 
@@ -323,7 +321,7 @@ class Pipeline
 
     Cache icache_;
     Cache dcache_;
-    Tlb dtb_;
+    Cache dtb_;
     BranchPredictor predictor_;
 
     // Fixed ring buffers (replacing std::deque/std::vector churn).

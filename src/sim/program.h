@@ -103,7 +103,8 @@ class Program
     }
 
     /**
-     * Instruction fetch with a caller-held sequential hint.
+     * Index of the instruction starting at @p addr (kNoInst if none),
+     * with a caller-held sequential hint.
      *
      * @p hint is the index the caller expects to fetch next (typically
      * last index + 1, maintained by the caller across calls). When the
@@ -112,24 +113,6 @@ class Program
      * otherwise (taken branch, call, return) it falls back to the dense
      * offset table. On success *hint is updated to index + 1 so the
      * next sequential fetch hits again.
-     */
-    const Inst *
-    fetch(std::uint64_t addr, std::size_t *hint) const
-    {
-        std::size_t index = *hint;
-        if (index >= insts.size() || addrs[index] != addr) {
-            index = indexAt(addr);
-            if (index == kNoInst)
-                return nullptr;
-        }
-        *hint = index + 1;
-        return &insts[index];
-    }
-
-    /**
-     * Index-returning variant of fetch(), for callers that also want
-     * the instruction's µop/address side-table entries. Returns kNoInst
-     * when no instruction starts at @p addr.
      */
     std::size_t
     fetchIndex(std::uint64_t addr, std::size_t *hint) const

@@ -17,21 +17,14 @@
 #include <gtest/gtest.h>
 
 #include "core/checker.h"
+#include "splitmix.h"
 
 namespace
 {
 
 using namespace hfi::core;
 
-/** splitmix64: deterministic, seedable, no <random> heft. */
-std::uint64_t
-nextRand(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
+using hfi::test::nextRandom;
 
 /** A well-formed large region: 64 KiB-aligned base and bound. */
 ExplicitDataRegion
@@ -39,17 +32,18 @@ randomLargeRegion(std::uint64_t &rng)
 {
     ExplicitDataRegion r;
     r.isLargeRegion = true;
-    r.baseAddress = (nextRand(rng) % (kLargeRegionMaxBound / kLargeRegionGrain)) *
-                    kLargeRegionGrain;
+    r.baseAddress =
+        (nextRandom(rng) % (kLargeRegionMaxBound / kLargeRegionGrain)) *
+        kLargeRegionGrain;
     // Bias toward smallish regions so the end is actually reachable
     // with plausible offsets; sometimes go huge.
     const std::uint64_t grains =
-        (nextRand(rng) % 8 == 0)
-            ? nextRand(rng) % (kLargeRegionMaxBound / kLargeRegionGrain)
-            : nextRand(rng) % 1024;
+        (nextRandom(rng) % 8 == 0)
+            ? nextRandom(rng) % (kLargeRegionMaxBound / kLargeRegionGrain)
+            : nextRandom(rng) % 1024;
     r.bound = grains * kLargeRegionGrain;
-    r.permRead = nextRand(rng) % 4 != 0;
-    r.permWrite = nextRand(rng) % 4 != 0;
+    r.permRead = nextRandom(rng) % 4 != 0;
+    r.permWrite = nextRandom(rng) % 4 != 0;
     return r;
 }
 
@@ -60,20 +54,20 @@ randomSmallRegion(std::uint64_t &rng)
     ExplicitDataRegion r;
     r.isLargeRegion = false;
     const std::uint64_t bound =
-        (nextRand(rng) % 8 == 0) ? nextRand(rng) % kSmallRegionMaxBound
-                                 : nextRand(rng) % 65536;
+        (nextRandom(rng) % 8 == 0) ? nextRandom(rng) % kSmallRegionMaxBound
+                                   : nextRandom(rng) % 65536;
     r.bound = bound;
-    const std::uint64_t high = nextRand(rng) << 32;
-    if (bound != 0 && nextRand(rng) % 4 == 0) {
+    const std::uint64_t high = nextRandom(rng) << 32;
+    if (bound != 0 && nextRandom(rng) % 4 == 0) {
         // End exactly on a 4 GiB boundary — allowed, and the case where
         // the comparator must keep its carry bit to admit the top bytes.
         r.baseAddress = high + (kSmallRegionMaxBound - bound);
     } else {
         const std::uint64_t room = kSmallRegionMaxBound - bound;
-        r.baseAddress = high + (room ? nextRand(rng) % room : 0);
+        r.baseAddress = high + (room ? nextRandom(rng) % room : 0);
     }
-    r.permRead = nextRand(rng) % 4 != 0;
-    r.permWrite = nextRand(rng) % 4 != 0;
+    r.permRead = nextRandom(rng) % 4 != 0;
+    r.permWrite = nextRandom(rng) % 4 != 0;
     return r;
 }
 
@@ -89,18 +83,18 @@ HmovOperands
 randomOperands(std::uint64_t &rng, const ExplicitDataRegion &region)
 {
     HmovOperands ops;
-    ops.scale = kScales[nextRand(rng) % 4];
-    ops.width = kWidths[nextRand(rng) % 7];
-    switch (nextRand(rng) % 8) {
+    ops.scale = kScales[nextRandom(rng) % 4];
+    ops.width = kWidths[nextRandom(rng) % 7];
+    switch (nextRandom(rng) % 8) {
     case 0: // uniform small offset
-        ops.index = static_cast<std::int64_t>(nextRand(rng) % 4096);
-        ops.displacement = static_cast<std::int64_t>(nextRand(rng) % 4096);
+        ops.index = static_cast<std::int64_t>(nextRandom(rng) % 4096);
+        ops.displacement = static_cast<std::int64_t>(nextRandom(rng) % 4096);
         break;
     case 1: { // boundary straddle: land the access on the region's end
         const std::uint64_t target =
             region.bound > ops.width
-                ? region.bound - ops.width + (nextRand(rng) % 5) - 2
-                : nextRand(rng) % 8;
+                ? region.bound - ops.width + (nextRandom(rng) % 5) - 2
+                : nextRandom(rng) % 8;
         ops.index =
             static_cast<std::int64_t>(target / ops.scale);
         ops.displacement =
@@ -108,34 +102,34 @@ randomOperands(std::uint64_t &rng, const ExplicitDataRegion &region)
         break;
     }
     case 2: // negative operands must trap identically
-        ops.index = -static_cast<std::int64_t>(1 + nextRand(rng) % 1024);
-        ops.displacement = static_cast<std::int64_t>(nextRand(rng) % 4096);
+        ops.index = -static_cast<std::int64_t>(1 + nextRandom(rng) % 1024);
+        ops.displacement = static_cast<std::int64_t>(nextRandom(rng) % 4096);
         break;
     case 3:
-        ops.index = static_cast<std::int64_t>(nextRand(rng) % 4096);
+        ops.index = static_cast<std::int64_t>(nextRandom(rng) % 4096);
         ops.displacement =
-            -static_cast<std::int64_t>(1 + nextRand(rng) % 1024);
+            -static_cast<std::int64_t>(1 + nextRandom(rng) % 1024);
         break;
     case 4: // scale / add overflow of the offset computation
-        ops.index = static_cast<std::int64_t>(nextRand(rng) >> 1);
-        ops.displacement = static_cast<std::int64_t>(nextRand(rng) >> 1);
+        ops.index = static_cast<std::int64_t>(nextRandom(rng) >> 1);
+        ops.displacement = static_cast<std::int64_t>(nextRandom(rng) >> 1);
         break;
     case 5: // offsets around the 32-bit comparator width
         ops.index = static_cast<std::int64_t>(
-            (kSmallRegionMaxBound >> (nextRand(rng) % 2)) / ops.scale +
-            (nextRand(rng) % 9) - 4);
-        ops.displacement = static_cast<std::int64_t>(nextRand(rng) % 4);
+            (kSmallRegionMaxBound >> (nextRandom(rng) % 2)) / ops.scale +
+            (nextRandom(rng) % 9) - 4);
+        ops.displacement = static_cast<std::int64_t>(nextRandom(rng) % 4);
         break;
     case 6: // inside the region, anywhere
         ops.index = static_cast<std::int64_t>(
-            region.bound ? nextRand(rng) % region.bound : 0);
+            region.bound ? nextRandom(rng) % region.bound : 0);
         ops.displacement = 0;
         ops.scale = 1;
         break;
     default: // wild 48-bit offsets (large-region scale)
         ops.index =
-            static_cast<std::int64_t>(nextRand(rng) & 0xffffffffffffULL);
-        ops.displacement = static_cast<std::int64_t>(nextRand(rng) % 65536);
+            static_cast<std::int64_t>(nextRandom(rng) & 0xffffffffffffULL);
+        ops.displacement = static_cast<std::int64_t>(nextRandom(rng) % 65536);
         break;
     }
     return ops;
@@ -148,20 +142,20 @@ TEST(CheckerFuzz, HardwareCheckMatchesNaiveOnWellFormedRegions)
     bank.enabled = true;
 
     for (int iter = 0; iter < 200'000; ++iter) {
-        const bool large = nextRand(rng) % 2 == 0;
+        const bool large = nextRandom(rng) % 2 == 0;
         const ExplicitDataRegion region =
             large ? randomLargeRegion(rng) : randomSmallRegion(rng);
         ASSERT_TRUE(region.wellFormed());
-        const unsigned slot = static_cast<unsigned>(nextRand(rng) % 4);
+        const unsigned slot = static_cast<unsigned>(nextRandom(rng) % 4);
         bank.setRegion(kFirstExplicitRegion + slot, region);
 
         // Mostly hit the configured slot; sometimes a cleared one or an
         // out-of-range index, which must trap identically too.
         unsigned probe = slot;
-        if (nextRand(rng) % 16 == 0)
-            probe = static_cast<unsigned>(nextRand(rng) % 6);
+        if (nextRandom(rng) % 16 == 0)
+            probe = static_cast<unsigned>(nextRandom(rng) % 6);
         const HmovOperands ops = randomOperands(rng, region);
-        const bool write = nextRand(rng) % 2 == 0;
+        const bool write = nextRandom(rng) % 2 == 0;
 
         const HmovResult hw =
             AccessChecker::checkHmov(bank, probe, ops, write);

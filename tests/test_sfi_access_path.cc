@@ -25,6 +25,7 @@
 
 #include "core/checker.h"
 #include "sfi/sandbox.h"
+#include "splitmix.h"
 
 namespace
 {
@@ -32,15 +33,7 @@ namespace
 using namespace hfi;
 using namespace hfi::sfi;
 
-/** splitmix64: the stream generator's RNG. */
-std::uint64_t
-nextRandom(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
+using hfi::test::nextRandom;
 
 /** Call @p f with a value of the unsigned type that is @p width wide. */
 template <typename F>

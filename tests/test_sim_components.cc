@@ -1,16 +1,21 @@
 /**
  * @file
- * Tests for the µ-architectural components: cache (LRU, flush, the
- * non-perturbing probe the Spectre measurement uses), TLB, and the
- * branch predictors (2-bit PHT training — the attack's lever — BTB,
- * and RSB).
+ * Tests for the µ-architectural components: the cache (LRU, flush, the
+ * non-perturbing probe the Spectre measurement uses) in both its L1
+ * and its dtb geometry, and the branch predictor (2-bit PHT training —
+ * the attack's lever — and RSB).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <stdexcept>
+
 #include "sim/branch_predictor.h"
 #include "sim/cache.h"
-#include "sim/tlb.h"
+#include "sim/cpu_config.h"
+#include "splitmix.h"
 
 namespace
 {
@@ -101,33 +106,103 @@ TEST(Cache, FlushAll)
     EXPECT_FALSE(cache.contains(0x2000));
 }
 
-TEST(Tlb, MissFillsHitRefreshes)
+TEST(Cache, RejectsNonPowerOfTwoGeometry)
 {
-    Tlb tlb;
-    EXPECT_FALSE(tlb.access(0x1234).hit);
-    EXPECT_TRUE(tlb.access(0x1000).hit); // same 4 KiB page
-    EXPECT_FALSE(tlb.access(0x2000).hit);
-    EXPECT_EQ(tlb.hits(), 1u);
-    EXPECT_EQ(tlb.misses(), 2u);
+    // 48 B lines.
+    EXPECT_THROW(Cache(CacheConfig{48 * 8 * 64, 8, 48, 4, 80}),
+                 std::invalid_argument);
+    // 64 B lines in 8 ways, but 48 sets.
+    EXPECT_THROW(Cache(CacheConfig{48 * 8 * 64, 8, 64, 4, 80}),
+                 std::invalid_argument);
+    // No sets at all.
+    EXPECT_THROW(Cache(CacheConfig{64, 8, 64, 4, 80}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(Cache{CacheConfig{}});
+    EXPECT_NO_THROW(Cache{kDtbConfig});
 }
 
-TEST(Tlb, CapacityEviction)
+TEST(Dtb, MissFillsHitRefreshes)
 {
-    TlbConfig config;
-    config.entries = 4;
-    Tlb tlb(config);
-    for (std::uint64_t p = 0; p < 5; ++p)
-        tlb.access(p << 12);
-    EXPECT_FALSE(tlb.contains(0));           // LRU evicted
-    EXPECT_TRUE(tlb.contains(4ULL << 12));
+    Cache dtb(kDtbConfig);
+    const auto miss = dtb.access(0x1234);
+    EXPECT_FALSE(miss.hit);
+    EXPECT_EQ(miss.latency, 20u); // page walk
+    const auto hit = dtb.access(0x1000); // same 4 KiB page
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.latency, 0u); // hidden behind the parallel lookup
+    EXPECT_FALSE(dtb.access(0x2000).hit);
+    EXPECT_EQ(dtb.hits(), 1u);
+    EXPECT_EQ(dtb.misses(), 2u);
 }
 
-TEST(Tlb, FlushAll)
+TEST(Dtb, CapacityEviction)
 {
-    Tlb tlb;
-    tlb.access(0x5000);
-    tlb.flushAll();
-    EXPECT_FALSE(tlb.contains(0x5000));
+    Cache dtb(kDtbConfig);
+    const std::uint64_t entries = kDtbConfig.ways;
+    for (std::uint64_t p = 0; p <= entries; ++p)
+        dtb.access(p << 12);
+    EXPECT_FALSE(dtb.contains(0)); // LRU evicted
+    EXPECT_TRUE(dtb.contains(1ULL << 12));
+    EXPECT_TRUE(dtb.contains(entries << 12));
+}
+
+TEST(Dtb, FlushAll)
+{
+    Cache dtb(kDtbConfig);
+    dtb.access(0x5000);
+    dtb.flushAll();
+    EXPECT_FALSE(dtb.contains(0x5000));
+}
+
+TEST(Dtb, MatchesListLruReference)
+{
+    // The dtb geometry is the one fully-associative Cache: one set, so
+    // every page competes for the same 64 ways. A most-recent-first
+    // list is the obviously correct LRU; drive both with one seeded
+    // stream over more pages than ways, with immediate repeats so the
+    // MRU filter, scan hits and evictions all occur.
+    Cache dtb(kDtbConfig);
+    const std::size_t ways = kDtbConfig.ways;
+    std::list<std::uint64_t> lru; // front = most recently used page
+    std::uint64_t rng = 0xd7b0'2026'1019ULL;
+    std::uint64_t page = 0;
+    std::uint64_t repeats = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t evictions = 0;
+    for (int i = 0; i < 10'000; ++i) {
+        if (hfi::test::nextRandom(rng) % 4 == 0)
+            ++repeats;
+        else
+            page = hfi::test::nextRandom(rng) % 96;
+        const std::uint64_t addr =
+            (page << 12) | (hfi::test::nextRandom(rng) & 0xfff);
+
+        const auto it = std::find(lru.begin(), lru.end(), page);
+        const bool expect_hit = it != lru.end();
+        if (expect_hit) {
+            lru.erase(it);
+            ++hits;
+        } else if (lru.size() == ways) {
+            lru.pop_back();
+            ++evictions;
+        }
+        lru.push_front(page);
+
+        const CacheAccess got = dtb.access(addr);
+        ASSERT_EQ(got.hit, expect_hit) << "access " << i;
+        ASSERT_EQ(got.latency, expect_hit ? kDtbConfig.hitLatency
+                                          : kDtbConfig.missLatency);
+    }
+    EXPECT_EQ(dtb.hits(), hits);
+    EXPECT_EQ(dtb.misses(), 10'000 - hits);
+    for (std::uint64_t p = 0; p < 96; ++p)
+        EXPECT_EQ(dtb.contains(p << 12),
+                  std::find(lru.begin(), lru.end(), p) != lru.end())
+            << "page " << p;
+    // The stream exercised every path it was built for.
+    EXPECT_GT(repeats, 1000u);
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(hits - repeats, 1000u); // hits found by the way scan
 }
 
 TEST(Predictor, PhtTrainsTowardTaken)
@@ -160,17 +235,6 @@ TEST(Predictor, PhtIsTheSpectreTrainingLever)
     EXPECT_FALSE(bp.predictDirection(branch_pc));
 }
 
-TEST(Predictor, BtbStoresTargetsPerPc)
-{
-    BranchPredictor bp;
-    EXPECT_EQ(bp.predictTarget(0x400100), 0u);
-    bp.updateTarget(0x400100, 0x500000);
-    EXPECT_EQ(bp.predictTarget(0x400100), 0x500000u);
-    // A different PC (same set) must not alias to a wrong prediction.
-    bp.updateTarget(0x400100 + 4 * 512, 0x600000);
-    EXPECT_EQ(bp.predictTarget(0x400100), 0u); // evicted, not aliased
-}
-
 TEST(Predictor, RsbLifo)
 {
     BranchPredictor bp;
@@ -183,16 +247,16 @@ TEST(Predictor, RsbLifo)
 
 TEST(Predictor, RsbWrapsAtDepth)
 {
-    PredictorConfig config;
-    config.rsbDepth = 4;
-    BranchPredictor bp(config);
-    for (std::uint64_t i = 1; i <= 6; ++i)
+    BranchPredictor bp;
+    const std::uint64_t depth = BranchPredictor::kRsbDepth;
+    for (std::uint64_t i = 1; i <= depth + 2; ++i)
         bp.pushReturn(i * 0x100);
-    // The two oldest entries were overwritten.
-    EXPECT_EQ(bp.popReturn(), 0x600u);
-    EXPECT_EQ(bp.popReturn(), 0x500u);
-    EXPECT_EQ(bp.popReturn(), 0x400u);
-    EXPECT_EQ(bp.popReturn(), 0x300u);
+    // The newest `depth` returns pop in LIFO order...
+    for (std::uint64_t i = depth + 2; i > 2; --i)
+        EXPECT_EQ(bp.popReturn(), i * 0x100);
+    // ...and the two oldest were overwritten by the two newest.
+    EXPECT_EQ(bp.popReturn(), (depth + 2) * 0x100);
+    EXPECT_EQ(bp.popReturn(), (depth + 1) * 0x100);
 }
 
 } // namespace

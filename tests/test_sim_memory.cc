@@ -16,20 +16,13 @@
 #include <map>
 
 #include "sim/memory.h"
+#include "splitmix.h"
 
 namespace
 {
 
 using hfi::sim::SimMemory;
-
-std::uint64_t
-nextRand(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
+using hfi::test::nextRandom;
 
 /** Byte-wise little-endian reference memory: zero before first write. */
 class ReferenceMemory
@@ -65,16 +58,16 @@ constexpr unsigned kWidths[] = {1, 2, 4, 8};
 std::uint64_t
 randomAddr(std::uint64_t &rng)
 {
-    const std::uint64_t page = nextRand(rng) % 8; // few pages: lots of reuse
-    switch (nextRand(rng) % 4) {
+    const std::uint64_t page = nextRandom(rng) % 8; // few pages: lots of reuse
+    switch (nextRandom(rng) % 4) {
     case 0: // straddle candidates: the last 8 bytes of a page
         return page * SimMemory::kPageBytes + SimMemory::kPageBytes -
-               1 - (nextRand(rng) % 8);
+               1 - (nextRandom(rng) % 8);
     case 1: // page start
-        return page * SimMemory::kPageBytes + (nextRand(rng) % 8);
+        return page * SimMemory::kPageBytes + (nextRandom(rng) % 8);
     default:
         return page * SimMemory::kPageBytes +
-               (nextRand(rng) % SimMemory::kPageBytes);
+               (nextRandom(rng) % SimMemory::kPageBytes);
     }
 }
 
@@ -86,9 +79,9 @@ TEST(SimMemoryProperty, MatchesByteWiseReferenceUnderMixedWidths)
 
     for (int iter = 0; iter < 300'000; ++iter) {
         const std::uint64_t addr = randomAddr(rng);
-        const unsigned width = kWidths[nextRand(rng) % 4];
-        if (nextRand(rng) % 2 == 0) {
-            const std::uint64_t value = nextRand(rng);
+        const unsigned width = kWidths[nextRandom(rng) % 4];
+        if (nextRandom(rng) % 2 == 0) {
+            const std::uint64_t value = nextRandom(rng);
             mem.write(addr, value, width);
             ref.write(addr, value, width);
         } else {
@@ -141,7 +134,7 @@ TEST(SimMemoryProperty, WriteBytesMatchesByteLoop)
     std::uint64_t rng = 0x77aa'2026'0805ULL;
     std::uint8_t blob[10000];
     for (auto &b : blob)
-        b = static_cast<std::uint8_t>(nextRand(rng));
+        b = static_cast<std::uint8_t>(nextRandom(rng));
 
     SimMemory mem;
     const std::uint64_t base = SimMemory::kPageBytes - 1234; // straddles 3 pages

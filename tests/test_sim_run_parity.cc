@@ -160,18 +160,19 @@ TEST(RunParity, DenseFetchIndexAgreesWithAddressMap)
     EXPECT_EQ(prog.indexAt(prog.base() - 1), Program::kNoInst);
     EXPECT_EQ(prog.indexAt(prog.end()), Program::kNoInst);
 
-    // The hinted fetch returns the same instruction as at() whether the
-    // hint is right, wrong, or out of range.
+    // The hinted fetch resolves the same instruction as at() whether
+    // the hint is right, wrong, or out of range.
     for (std::size_t wrong_hint : {std::size_t{0}, std::size_t{2},
                                    std::size_t{999}}) {
         std::size_t hint = wrong_hint;
-        const Inst *viaHint = prog.fetch(prog.base(), &hint);
-        ASSERT_NE(viaHint, nullptr);
-        EXPECT_EQ(viaHint, prog.at(prog.base()));
+        const std::size_t viaHint = prog.fetchIndex(prog.base(), &hint);
+        ASSERT_NE(viaHint, Program::kNoInst);
+        EXPECT_EQ(&prog.instructions()[viaHint], prog.at(prog.base()));
         EXPECT_EQ(hint, 1u); // primed for the next sequential fetch
     }
     std::size_t hint = 7;
-    EXPECT_EQ(prog.fetch(prog.base() + 1, &hint), nullptr);
+    EXPECT_EQ(prog.fetchIndex(prog.base() + 1, &hint), Program::kNoInst);
+    EXPECT_EQ(hint, 7u); // a failed fetch leaves the hint alone
 }
 
 TEST(RunParity, PredecodedBranchTargets)
