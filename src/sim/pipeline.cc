@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace hfi::sim
 {
@@ -61,17 +64,36 @@ Pipeline::Pipeline(Program program, CpuConfig config)
       aluFree(config.intAluCount, 0), mulFree(config.intMultCount, 0),
       memFree(config.memPortCount, 0)
 {
-    decode_.resize(std::bit_ceil(
-        std::max<std::size_t>(config_.decodeQueueDepth, 1)));
+    // A zero count stalls the core or leaves a µop no unit, as does a
+    // fetchBytes below an instruction's length. Latencies may be 0.
+    unsigned longest = 1;
+    for (const Inst &inst : this->program.instructions())
+        longest = std::max<unsigned>(longest, inst.length);
+    const std::pair<unsigned, const char *> counts[] = {
+        {config.fetchBytes / longest, "fetchBytes"},
+        {config.decodeWidth, "decodeWidth"},
+        {config.issueWidth, "issueWidth"},
+        {config.commitWidth, "commitWidth"},
+        {config.robSize, "robSize"}, {config.lqSize, "lqSize"},
+        {config.sqSize, "sqSize"},
+        {config.decodeQueueDepth, "decodeQueueDepth"},
+        {config.intAluCount, "intAluCount"},
+        {config.intMultCount, "intMultCount"},
+        {config.memPortCount, "memPortCount"}};
+    for (const auto &[value, name] : counts) {
+        if (value == 0)
+            throw std::invalid_argument(std::string("CpuConfig::") + name +
+                                        " is too small");
+    }
+
+    decode_.resize(std::bit_ceil(std::size_t{config_.decodeQueueDepth}));
     decodeMask_ = decode_.size() - 1;
 
-    const std::size_t rob_cap =
-        std::bit_ceil(std::max<std::size_t>(config_.robSize, 1));
-    rob_.resize(rob_cap);
-    snapshots_.resize(rob_cap);
-    robMask_ = rob_cap - 1;
+    rob_.resize(std::bit_ceil(std::size_t{config_.robSize}));
+    wholeStates_.resize(rob_.size());
+    robMask_ = rob_.size() - 1;
 
-    stores_.resize(std::bit_ceil(std::max<std::size_t>(config_.sqSize, 1)));
+    stores_.resize(std::bit_ceil(std::size_t{config_.sqSize}));
     storeMask_ = stores_.size() - 1;
 
     issueRing_.resize(std::size_t{1} << 10);
@@ -102,20 +124,6 @@ Pipeline::willSerialize(const Inst &inst) const
       }
       default:
         return false;
-    }
-}
-
-void
-Pipeline::issueBump(std::uint64_t t)
-{
-    if (t - cycle >= issueRing_.size())
-        growIssueRing(t);
-    IssueSlot &s = issueRing_[t & issueMask_];
-    if (s.cycle == t) {
-        ++s.count;
-    } else {
-        s.cycle = t;
-        s.count = 1;
     }
 }
 
@@ -179,32 +187,6 @@ Pipeline::allocateIssue(std::uint64_t earliest, const MicroOp &uop,
     issueBump(t);
     *unit_latency = latency;
     return t;
-}
-
-void
-Pipeline::fileResolve(std::size_t slot)
-{
-    if (rob_[slot].completeCycle - cycle >= resolveLists_.size())
-        growResolveRing(rob_[slot].completeCycle);
-    linkResolve(slot);
-}
-
-void
-Pipeline::linkResolve(std::size_t slot)
-{
-    RobEntry &e = rob_[slot];
-    ResolveList &l = resolveLists_[e.completeCycle & resolveMask_];
-    // A list holds one cycle's entries, in program order.
-    assert(l.tail == kNoSlot ||
-           (rob_[l.tail].completeCycle == e.completeCycle &&
-            rob_[l.tail].seq < e.seq));
-    e.resolveNext = kNoSlot;
-    e.resolvePrev = l.tail;
-    if (l.tail == kNoSlot)
-        l.head = static_cast<std::uint32_t>(slot);
-    else
-        rob_[l.tail].resolveNext = static_cast<std::uint32_t>(slot);
-    l.tail = static_cast<std::uint32_t>(slot);
 }
 
 void
@@ -308,6 +290,11 @@ Pipeline::dispatchStage()
         const FetchedInst f = decodeAt(0);
         const Inst &inst = *f.inst;
         const MicroOp &uop = uops[f.index];
+        const std::size_t slot = robSlot(robCount_);
+        RobEntry &e = rob_[slot];
+        const UndoRecord undo{specState.pc, specState.regs[uop.dest],
+                              regReadyAt[uop.dest], poisonMask_, uop.dest,
+                              (uop.flags & MicroOp::kWritesState) != 0};
 
         // Decode-stage code-region check (§4.1): out-of-region
         // instructions become faulting NOPs and never execute,
@@ -319,9 +306,9 @@ Pipeline::dispatchStage()
             const core::CheckResult fetch_check =
                 core::AccessChecker::checkFetch(specState.hfi.bank, f.pc);
             if (!fetch_check.ok) {
-                const std::size_t slot = robSlot(robCount_);
-                RobEntry &e = rob_[slot];
                 e = RobEntry{};
+                e.undo = undo;
+                e.undo.wholeState = false; // it never executes
                 e.inst = f.inst;
                 e.pc = f.pc;
                 e.seq = seqCounter++;
@@ -330,7 +317,6 @@ Pipeline::dispatchStage()
                 e.info.faultReason = fetch_check.reason;
                 e.info.nextPc = f.pc;
                 e.completeCycle = cycle + 1;
-                snapshots_[slot].state = specState;
                 fileResolve(slot);
                 ++robCount_;
                 popDecodeFront();
@@ -340,15 +326,10 @@ Pipeline::dispatchStage()
             }
         }
 
-        if (willSerialize(inst) && robCount_ != 0)
-            break; // drain before a serializing instruction
-
+        if (dispatchBlocked(inst, uop))
+            break;
         const bool is_load = (uop.flags & MicroOp::kIsLoad) != 0;
         const bool is_store = (uop.flags & MicroOp::kIsStore) != 0;
-        if (is_load && loadsInFlight >= config_.lqSize)
-            break;
-        if (is_store && storeCount_ >= config_.sqSize)
-            break;
 
         // Poison gating (§4.1): if any input register descends from a
         // faulted access, this instruction will never actually issue,
@@ -359,8 +340,13 @@ Pipeline::dispatchStage()
         // The entry is written field by field, in place: its slot is
         // free, and SpecMemView reads only the store queue.
         const std::uint64_t seq = seqCounter++;
-        const std::size_t slot = robSlot(robCount_);
-        RobEntry &e = rob_[slot];
+        e.undo = undo;
+        if (undo.wholeState) {
+            // Execution may change the HFI bank: keep the whole state
+            // to undo, and re-prove the fetch-check elision.
+            wholeStates_[slot] = specState;
+            fetchCheckDirty_ = true;
+        }
         SpecMemView view(*this, seq);
         e.info = FunctionalCore::executeOn(inst, f.pc, specState, view);
         const ExecInfo &info = e.info;
@@ -455,25 +441,9 @@ Pipeline::dispatchStage()
         }
 
         e.mispredicted = !info.faulted && info.nextPc != f.predictedNext;
-        if (e.mispredicted) {
-            // Only mispredicts are ever restored from, so only they pay
-            // the (ArchState-sized) snapshot copy.
-            Snapshot &s = snapshots_[slot];
-            s.state = specState;
-            s.regReady = regReadyAt;
-            s.poison = poisonMask_;
-        } else if (info.halted || info.faulted) {
-            snapshots_[slot].state = specState;
-        }
-
         fileResolve(slot);
         ++robCount_;
         popDecodeFront();
-
-        // Execution may have changed the HFI bank: re-prove the
-        // fetch-check elision before the next decode-stage check.
-        if (uop.flags & MicroOp::kBankOp)
-            fetchCheckDirty_ = true;
 
         // hmov's prefix byte behaves like a length-changing prefix in
         // the predecoder: it occupies an extra decode slot (the Skylake
@@ -496,6 +466,12 @@ Pipeline::squashAfter(std::size_t rob_index)
     for (std::size_t i = robCount_; i-- > rob_index + 1;) {
         const std::size_t slot = robSlot(i);
         const RobEntry &e = rob_[slot];
+        // A serializing µop enters an empty ROB and blocks dispatch
+        // until it commits: cpuid's r12/r13 ready times need no undo.
+        assert(!e.info.serializes);
+        undo(slot, specState);
+        regReadyAt[e.undo.dest] = e.undo.ready;
+        poisonMask_ = e.undo.poison;
         ++stats_.squashed;
         if (e.info.faulted)
             ++stats_.hfiFaultsSuppressed;
@@ -542,13 +518,10 @@ Pipeline::resolveStage()
 
         if (e.mispredicted) {
             ++stats_.mispredicts;
-            // Recover state and redirect fetch down the correct path.
-            const Snapshot &s = snapshots_[slot];
-            specState = s.state;
-            regReadyAt = s.regReady;
-            poisonMask_ = s.poison;
-            fetchCheckDirty_ = true;
+            // Undo the wrong path and redirect fetch down the right one.
             squashAfter((slot - robHead_) & robMask_);
+            assert(specState.pc == e.info.nextPc);
+            fetchCheckDirty_ = true;
             decodeHead_ = 0;
             decodeCount_ = 0;
             fetchPc = e.info.nextPc;
@@ -559,8 +532,8 @@ Pipeline::resolveStage()
     }
 }
 
-void
-Pipeline::commitStage(PipelineResult &result, bool *done)
+bool
+Pipeline::commitStage()
 {
     unsigned budget = config_.commitWidth;
     while (budget > 0 && robCount_ != 0) {
@@ -569,15 +542,11 @@ Pipeline::commitStage(PipelineResult &result, bool *done)
             break;
 
         if (e.info.faulted) {
-            // Younger entries dispatched past the trap never commit:
-            // install the faulting entry's snapshot, then the trap.
-            archState = snapshots_[robHead_].state;
-            archState.hfi.trap(e.info.faultReason);
-            result.faulted = true;
-            result.faultReason = e.info.faultReason;
-            result.faultPc = e.pc;
-            *done = true;
-            return;
+            // The stop undoes it and every younger entry, then traps.
+            result_.faulted = true;
+            result_.faultReason = e.info.faultReason;
+            result_.faultPc = e.pc;
+            return true;
         }
 
         if (e.isStore && storeCount_ != 0 && storeAt(0).seq == e.seq) {
@@ -593,21 +562,19 @@ Pipeline::commitStage(PipelineResult &result, bool *done)
         if (serializePending && serializeSeq == e.seq)
             serializePending = false;
 
-        const bool halted = e.info.halted;
-        if (halted)
-            archState = snapshots_[robHead_].state;
         robHead_ = (robHead_ + 1) & robMask_;
         --robCount_;
         ++stats_.committed;
         --budget;
 
-        if (halted) {
-            result.halted = true;
-            *done = true;
-            return;
+        if (e.info.halted) {
+            result_.halted = true;
+            return true;
         }
     }
+    return false;
 }
+
 
 bool
 Pipeline::quietCycle()
@@ -627,14 +594,7 @@ Pipeline::quietCycle()
         if (!fetchCheckElidable())
             return false; // per-address check mode: treat as active
         const FetchedInst &f = decodeAt(0);
-        const MicroOp &uop = program.microOps()[f.index];
-        const bool blocked =
-            (willSerialize(*f.inst) && robCount_ != 0) ||
-            ((uop.flags & MicroOp::kIsLoad) != 0 &&
-             loadsInFlight >= config_.lqSize) ||
-            ((uop.flags & MicroOp::kIsStore) != 0 &&
-             storeCount_ >= config_.sqSize);
-        if (!blocked)
+        if (!dispatchBlocked(*f.inst, program.microOps()[f.index]))
             return false;
     }
     // Fetch would deliver bytes?
@@ -691,27 +651,22 @@ template <bool EventDriven>
 PipelineResult
 Pipeline::runLoop(std::uint64_t max_cycles)
 {
-    PipelineResult result;
-    specState = archState;
-    fetchPc = archState.pc;
-    fetchHalted = false;
-    fetchStallUntil = 0;
-    fetchCheckDirty_ = true;
+    if (cycle == 0) {
+        // The first run starts the machine; a later one resumes it.
+        specState = archState;
+        fetchPc = archState.pc;
+    }
     HFI_OBS_STMT(profile_ = PipelineProfile{});
 
-    bool done = false;
-    while (!done && cycle < max_cycles) {
+    // Run to a halt, a fault, the cycle budget, or a frozen machine:
+    // fetch ran off the program with nothing left in flight.
+    while (!result_.halted && !result_.faulted && cycle < max_cycles &&
+           !(fetchHalted && decodeCount_ == 0 && robCount_ == 0)) {
         if constexpr (EventDriven) {
             if (quietCycle()) {
                 unsigned source = 3;
                 const std::uint64_t next = nextEventCycle(&source);
-                if (next == UINT64_MAX) {
-                    // Frozen machine (fetch halted, nothing in flight):
-                    // the reference loop ticks exactly once more, then
-                    // takes the ran-off-the-end break below.
-                    ++cycle;
-                    break;
-                }
+                assert(next != UINT64_MAX); // only a frozen machine
                 // Every skipped cycle is a proven no-op for all four
                 // stages; land exactly on the next active one (clamped
                 // so a distant event still honours max_cycles).
@@ -726,26 +681,24 @@ Pipeline::runLoop(std::uint64_t max_cycles)
         }
         if constexpr (EventDriven)
             HFI_OBS_STMT(++profile_.activeCycles);
-        commitStage(result, &done);
-        if (done)
+        if (commitStage())
             break;
         resolveStage();
         dispatchStage();
         fetchStage();
         ++cycle;
-
-        if (fetchHalted && decodeCount_ == 0 && robCount_ == 0)
-            break; // ran off the end of the program
     }
 
-    result.cycles = cycle;
-    result.instructions = stats_.committed;
-    // A halt or fault installed archState at commit. Otherwise the run
-    // drained the ROB (specState is the committed state) or stopped at
-    // the cycle budget with work still in flight.
-    if (!result.halted && !result.faulted)
-        archState = specState;
-    return result;
+    // Every stop leaves the committed state: specState with each
+    // in-flight entry undone, youngest first; a fault then traps.
+    archState = specState;
+    for (std::size_t i = robCount_; i-- > 0;)
+        undo(robSlot(i), archState);
+    if (result_.faulted)
+        archState.hfi.trap(result_.faultReason);
+    result_.cycles = cycle;
+    result_.instructions = stats_.committed;
+    return result_;
 }
 
 PipelineResult

@@ -21,9 +21,10 @@
  *    invariant.
  *  - Speculative stores sit in the store queue and drain to memory at
  *    commit; younger loads forward from them byte-wise.
- *  - A mispredicted branch squashes younger entries at resolution,
- *    restores the register/HFI state snapshot taken at the branch, and
- *    redirects fetch after a refill penalty.
+ *  - Each ROB entry records what its dispatch overwrote. A mispredict
+ *    undoes the younger entries, youngest first, and redirects fetch
+ *    after a refill penalty; every stop (halt, fault or cycle budget)
+ *    undoes what is in flight, so state() is the committed prefix.
  *  - Serializing instructions (cpuid, serialized hfi_enter/hfi_exit,
  *    region updates inside a hybrid sandbox) drain the ROB before
  *    dispatch and add a flush cost — §3.4's 30-60-cycle price.
@@ -39,6 +40,7 @@
 #define HFI_SIM_PIPELINE_H
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -101,13 +103,15 @@ class Pipeline
     /** The program is copied: the pipeline owns its code image. */
     explicit Pipeline(Program program, CpuConfig config = {});
 
-    /** Architectural input state (set registers before run()). */
+    /** Committed state after any stop; set registers before the first
+        run. */
     ArchState &state() { return archState; }
 
     SimMemory &memory() { return mem; }
 
     /**
-     * Run until Halt, a committed fault, or @p max_cycles.
+     * Run until Halt, a committed fault, or @p max_cycles (cumulative: a
+     * later call resumes a cut run; after a halt or fault it is a no-op).
      *
      * Event-driven: cycles in which no stage can act are skipped by
      * advancing the clock straight to the next event. Cycle-for-cycle
@@ -143,12 +147,18 @@ class Pipeline
     /** "No ROB slot": the end of a resolve list. */
     static constexpr std::uint32_t kNoSlot = ~0u;
 
-    /**
-     * One in-flight instruction. Recovery snapshots live out-of-line in
-     * `snapshots_`, indexed by ROB slot: inlining the two HFI register
-     * banks here made every entry ~1.7 KB, and the per-cycle resolve
-     * scan a walk over hundreds of KB.
-     */
+    /** What dispatching one entry overwrote; see undo(). */
+    struct UndoRecord
+    {
+        std::uint64_t pc = 0;
+        std::uint64_t value = 0; ///< old regs[dest]
+        std::uint64_t ready = 0; ///< old regReadyAt[dest]
+        std::uint16_t poison = 0;
+        std::uint8_t dest = 0;
+        bool wholeState = false; ///< restore wholeStates_[slot] instead
+    };
+
+    /** One in-flight instruction. */
     struct RobEntry
     {
         const Inst *inst = nullptr;
@@ -157,6 +167,7 @@ class Pipeline
         std::uint64_t predictedNext = 0;
         std::uint64_t completeCycle = 0;
         ExecInfo info{};
+        UndoRecord undo{};
         /** Neighbours (ROB slots) in the resolve list of completeCycle;
             meaningful only while the entry is unresolved. */
         std::uint32_t resolveNext = kNoSlot;
@@ -166,20 +177,6 @@ class Pipeline
         bool isLoad = false;
         bool isStore = false;
         bool condBranch = false;
-    };
-
-    /**
-     * Redirect-recovery state, one slot per ROB slot. Written in full
-     * only for mispredicted entries — the resolve stage restores
-     * exclusively at a mispredict. A halting or faulting entry keeps
-     * just `state`, the architectural state once it retires (before the
-     * trap's retirement effects), which commit installs as archState.
-     */
-    struct Snapshot
-    {
-        ArchState state{};
-        std::array<std::uint64_t, kNumRegs> regReady{};
-        std::uint16_t poison = 0;
     };
 
     /**
@@ -229,7 +226,8 @@ class Pipeline
         std::uint32_t tail = kNoSlot;
     };
 
-    void commitStage(PipelineResult &result, bool *done);
+    /** Retire up to commitWidth entries; true at a halt or a fault. */
+    bool commitStage();
     void resolveStage();
     void dispatchStage();
     void fetchStage();
@@ -240,11 +238,23 @@ class Pipeline
     /** True when no stage can change any modeled state this cycle. */
     bool quietCycle();
 
-    /** Next cycle at which some stage becomes able to act, UINT64_MAX
-     *  when the machine is permanently idle. Valid only when quiet.
+    /** Dispatch gates on the decode-queue head: a serializing µop waits
+        for an empty ROB, a load or a store for a free LQ or SQ slot. */
+    bool
+    dispatchBlocked(const Inst &inst, const MicroOp &uop) const
+    {
+        return (willSerialize(inst) && robCount_ != 0) ||
+               ((uop.flags & MicroOp::kIsLoad) != 0 &&
+                loadsInFlight >= config_.lqSize) ||
+               ((uop.flags & MicroOp::kIsStore) != 0 &&
+                storeCount_ >= config_.sqSize);
+    }
+
+    /** Next cycle at which some stage becomes able to act. Valid only
+     *  when quiet and not frozen.
      *  @p source_out (may be null) receives which wake-up source won
      *  the min: 0 commit-eligible front, 1 next resolution, 2 fetch-
-     *  stall expiry, 3 none (frozen machine). */
+     *  stall expiry, 3 none. */
     std::uint64_t nextEventCycle(unsigned *source_out = nullptr) const;
 
     /** Would dispatching @p inst on specState serialize? Its own
@@ -254,15 +264,63 @@ class Pipeline
     /** Earliest issue cycle respecting slots + a unit of @p uop's kind. */
     std::uint64_t allocateIssue(std::uint64_t earliest, const MicroOp &uop,
                                 unsigned *unit_latency);
-    void issueBump(std::uint64_t t);
+
+    // issueBump, fileResolve, linkResolve, undo and dispatchBlocked run
+    // per µop: they are defined in the class so that GCC inlines them.
+    void
+    issueBump(std::uint64_t t)
+    {
+        if (t - cycle >= issueRing_.size())
+            growIssueRing(t);
+        IssueSlot &s = issueRing_[t & issueMask_];
+        if (s.cycle == t) {
+            ++s.count;
+        } else {
+            s.cycle = t;
+            s.count = 1;
+        }
+    }
     void growIssueRing(std::uint64_t t);
 
     void squashAfter(std::size_t rob_index);
 
+    /** Roll @p state back over ROB slot @p slot's dispatch. */
+    void
+    undo(std::size_t slot, ArchState &state) const
+    {
+        const UndoRecord &u = rob_[slot].undo;
+        if (u.wholeState)
+            state = wholeStates_[slot];
+        state.pc = u.pc;
+        state.regs[u.dest] = u.value;
+    }
+
     /** File ROB slot @p slot for resolution at its completeCycle. */
-    void fileResolve(std::size_t slot);
+    void
+    fileResolve(std::size_t slot)
+    {
+        if (rob_[slot].completeCycle - cycle >= resolveLists_.size())
+            growResolveRing(rob_[slot].completeCycle);
+        linkResolve(slot);
+    }
     /** Append @p slot to its list (the ring already spans it). */
-    void linkResolve(std::size_t slot);
+    void
+    linkResolve(std::size_t slot)
+    {
+        RobEntry &e = rob_[slot];
+        ResolveList &l = resolveLists_[e.completeCycle & resolveMask_];
+        // A list holds one cycle's entries, in program order.
+        assert(l.tail == kNoSlot ||
+               (rob_[l.tail].completeCycle == e.completeCycle &&
+                rob_[l.tail].seq < e.seq));
+        e.resolveNext = kNoSlot;
+        e.resolvePrev = l.tail;
+        if (l.tail == kNoSlot)
+            l.head = static_cast<std::uint32_t>(slot);
+        else
+            rob_[l.tail].resolveNext = static_cast<std::uint32_t>(slot);
+        l.tail = static_cast<std::uint32_t>(slot);
+    }
     void growResolveRing(std::uint64_t at);
 
     /** True iff an entry resolves this cycle. */
@@ -315,8 +373,7 @@ class Pipeline
     CpuConfig config_;
 
     SimMemory mem;
-    ArchState archState;  ///< committed architectural state (set when a
-                          ///< run ends: by commit at a halt or a fault)
+    ArchState archState;  ///< committed state, set at every stop
     ArchState specState;  ///< dispatch-time speculative state
 
     Cache icache_;
@@ -331,7 +388,7 @@ class Pipeline
     std::size_t decodeMask_ = 0;
 
     std::vector<RobEntry> rob_;
-    std::vector<Snapshot> snapshots_; ///< parallel to rob_ slots
+    std::vector<ArchState> wholeStates_; ///< by ROB slot; see UndoRecord
     std::size_t robHead_ = 0;
     std::size_t robCount_ = 0;
     std::size_t robMask_ = 0;
@@ -379,7 +436,7 @@ class Pipeline
     std::uint64_t resolveMask_ = 0;
 
     /** Cached fetchCoversProgram verdict + its dirty bit (set after any
-     *  dispatch that can touch the bank, recovery, and run start). */
+     *  dispatch that can touch the bank, and by recovery). */
     bool fetchCheckUniform_ = false;
     bool fetchCheckDirty_ = true;
 
@@ -394,6 +451,7 @@ class Pipeline
     bool serializePending = false;
     std::uint64_t serializeSeq = 0;
 
+    PipelineResult result_; ///< halt/fault outcome; cycles and count at stop
     PipelineStats stats_;
     PipelineProfile profile_;
 };

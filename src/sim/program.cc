@@ -95,11 +95,15 @@ decodeMicroOp(const Inst &inst)
       case Opcode::HfiSetRegion:
       case Opcode::HfiClearRegion:
       case Opcode::Syscall:
-        u.flags |= MicroOp::kBankOp;
+      case Opcode::Cpuid:
+        u.flags |= MicroOp::kWritesState;
         break;
       default:
         break;
     }
+    u.dest = (u.flags & MicroOp::kWritesRd) ? inst.rd
+             : inst.op == Opcode::Call     ? kLinkReg
+                                           : 0;
 
     switch (inst.op) {
       case Opcode::Mul:

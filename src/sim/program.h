@@ -43,7 +43,7 @@ struct MicroOp
         kUnlaminated = 1u << 3, ///< index + 32-bit displacement ld/st
         kWritesRd = 1u << 4,    ///< writes rd when not faulted
         kIsControl = 1u << 5,   ///< branches, jmp, call, ret
-        kBankOp = 1u << 6,      ///< execution may mutate the HFI bank
+        kWritesState = 1u << 6, ///< may write HfiState or several regs
     };
 
     /** Issue-unit class. */
@@ -70,6 +70,7 @@ struct MicroOp
     std::uint8_t unit = kUnitAlu;
     std::uint8_t ctrl = kCtrlNone;
     std::uint8_t flags = 0;
+    std::uint8_t dest = 0; ///< register written: rd, Call's link, or 0
 };
 
 /** An assembled program: instructions with resolved byte addresses. */

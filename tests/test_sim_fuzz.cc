@@ -5,12 +5,18 @@
  * reproducible) must produce bit-identical architectural state on both.
  *
  * This is the property that keeps the timing model honest: branch
- * prediction, speculative execution, squash/recovery, store-to-load
- * forwarding, and HFI state snapshots may change *when* things happen,
- * never *what* happens.
+ * prediction, speculative execution, squash and undo, store-to-load
+ * forwarding may change *when* things happen, never *what* happens.
+ * It holds at every stop, not just the last: each program is also cut
+ * at fifteen cycle budgets, where state() must be the functional
+ * executor's state at the committed count, and resuming the cut run
+ * must reproduce the uncut one counter for counter.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
 
 #include "sim/pipeline.h"
 
@@ -196,10 +202,45 @@ generate(std::uint64_t seed, bool with_hfi)
     return b.build();
 }
 
-/** Run @p prog both ways and compare all architectural outputs. */
+using Loop = PipelineResult (Pipeline::*)(std::uint64_t);
+
+/** A run's cycles, committed count and every PipelineStats counter. */
+std::array<std::uint64_t, 10>
+countersOf(const PipelineResult &res, const PipelineStats &s)
+{
+    return {res.cycles, res.instructions, s.fetched, s.dispatched,
+            s.committed, s.squashed, s.mispredicts, s.serializations,
+            s.hfiDataChecks, s.hfiFaultsSuppressed};
+}
+
+/**
+ * @p pipe's committed state equals the functional executor's @p ref and
+ * @p ref_mem: registers, pc, the whole HfiState and the data window.
+ */
+void
+expectCommitted(Pipeline &pipe, const ArchState &ref, const SimMemory &ref_mem)
+{
+    const ArchState &state = pipe.state();
+    EXPECT_EQ(state.regs, ref.regs);
+    EXPECT_EQ(state.pc, ref.pc);
+    EXPECT_TRUE(state.hfi == ref.hfi);
+    for (std::uint64_t off = 0; off < kDataBytes; off += 8) {
+        ASSERT_EQ(pipe.memory().read(kDataBase + off, 8),
+                  ref_mem.read(kDataBase + off, 8))
+            << "offset 0x" << std::hex << off;
+    }
+}
+
+/**
+ * Run @p prog both ways and compare all architectural outputs; then cut
+ * the pipeline at k/16 of its cycles (k = 1..15) under both loops. Each
+ * cut must leave the functional executor's state at the committed
+ * count, and resuming it must reproduce the uncut run exactly.
+ */
 void
 compareRuns(std::uint64_t seed, bool with_hfi, const CpuConfig &config = {})
 {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const Program prog = generate(seed, with_hfi);
 
     SimMemory ref_mem;
@@ -207,29 +248,35 @@ compareRuns(std::uint64_t seed, bool with_hfi, const CpuConfig &config = {})
     ref_state.pc = prog.base();
     const std::uint64_t steps =
         FunctionalCore::run(prog, ref_state, ref_mem, 2'000'000);
-    ASSERT_LT(steps, 2'000'000u) << "seed " << seed << " did not halt";
+    ASSERT_LT(steps, 2'000'000u) << "did not halt";
 
     Pipeline pipe(prog, config);
     const auto res = pipe.run(50'000'000);
-    ASSERT_TRUE(res.halted || res.faulted) << "seed " << seed;
+    ASSERT_TRUE(res.halted || res.faulted);
 
     // Committed architectural state, not just memory: a halt or fault
     // must leave nothing of the instructions dispatched behind it.
-    const ArchState &state = pipe.state();
-    EXPECT_EQ(state.regs, ref_state.regs) << "seed " << seed;
-    EXPECT_EQ(state.pc, ref_state.pc) << "seed " << seed;
-    EXPECT_EQ(state.hfi.bank.enabled, ref_state.hfi.bank.enabled) << "seed " << seed;
-    EXPECT_EQ(state.hfi.msr, ref_state.hfi.msr) << "seed " << seed;
-    for (unsigned r = 0; r < 10; ++r) {
-        EXPECT_EQ(pipe.memory().read(kDataBase + 0x8000 + r * 8, 8),
-                  ref_mem.read(kDataBase + 0x8000 + r * 8, 8))
-            << "seed " << seed << " register r" << r;
-    }
-    // Compare the whole data window.
-    for (std::uint64_t off = 0; off < kDataBytes; off += 8) {
-        ASSERT_EQ(pipe.memory().read(kDataBase + off, 8),
-                  ref_mem.read(kDataBase + off, 8))
-            << "seed " << seed << " offset 0x" << std::hex << off;
+    expectCommitted(pipe, ref_state, ref_mem);
+
+    for (std::uint64_t k = 1; k < 16; ++k) {
+        for (const Loop loop : {&Pipeline::run, &Pipeline::runReference}) {
+            SCOPED_TRACE("cut at " + std::to_string(k) + "/16, " +
+                         (loop == &Pipeline::run ? "run" : "runReference"));
+            Pipeline cut(prog, config);
+            const PipelineResult part = (cut.*loop)(res.cycles * k / 16);
+            ASSERT_FALSE(part.halted || part.faulted);
+            SimMemory prefix_mem;
+            ArchState prefix;
+            prefix.pc = prog.base();
+            FunctionalCore::run(prog, prefix, prefix_mem, part.instructions);
+            expectCommitted(cut, prefix, prefix_mem);
+
+            const PipelineResult whole = (cut.*loop)(50'000'000);
+            EXPECT_EQ(whole.halted, res.halted);
+            EXPECT_EQ(countersOf(whole, cut.stats()),
+                      countersOf(res, pipe.stats()));
+            expectCommitted(cut, ref_state, ref_mem);
+        }
     }
 }
 
@@ -288,10 +335,7 @@ timingOf(const CpuConfig &config)
             const auto res = pipe.run(50'000'000);
             EXPECT_TRUE(res.halted || res.faulted) << "seed " << seed;
             const PipelineStats &s = pipe.stats();
-            for (const std::uint64_t v :
-                 {res.cycles, res.instructions, s.fetched, s.dispatched,
-                  s.committed, s.squashed, s.mispredicts, s.serializations,
-                  s.hfiDataChecks, s.hfiFaultsSuppressed})
+            for (const std::uint64_t v : countersOf(res, s))
                 pin.digest = fnv(pin.digest, v);
             pin.cycles += res.cycles;
             pin.dispatched += s.dispatched;

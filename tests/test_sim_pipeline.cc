@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
 #include "sim/kernels.h"
 #include "sim/pipeline.h"
 
@@ -471,6 +475,86 @@ TEST(Pipeline, HmovTimingIsNotSlowerThanPlainLoad)
     const auto hmov_cycles = measure(true);
     const auto mov_cycles = measure(false);
     EXPECT_LE(hmov_cycles, mov_cycles + 8);
+}
+
+/**
+ * One row per CpuConfig field. Every width, depth and unit count must be
+ * at least 1 and is rejected by name at construction; a zero latency is
+ * legal and the program runs to its halt. A field added to CpuConfig
+ * fails the size guard until it gets a row here.
+ */
+TEST(Pipeline, CpuConfigValidatedPerField)
+{
+    static_assert(sizeof(CpuConfig) ==
+                      16 * sizeof(unsigned) + 2 * sizeof(CacheConfig),
+                  "a CpuConfig field without a row below");
+    struct Row
+    {
+        void (*set)(CpuConfig &);
+        const char *error; ///< what the message names; nullptr: legal
+    };
+    const Row rows[] = {
+        {[](CpuConfig &c) { c.fetchBytes = 0; }, "CpuConfig::fetchBytes"},
+        {[](CpuConfig &c) { c.decodeWidth = 0; }, "CpuConfig::decodeWidth"},
+        {[](CpuConfig &c) { c.issueWidth = 0; }, "CpuConfig::issueWidth"},
+        {[](CpuConfig &c) { c.commitWidth = 0; }, "CpuConfig::commitWidth"},
+        {[](CpuConfig &c) { c.robSize = 0; }, "CpuConfig::robSize"},
+        {[](CpuConfig &c) { c.lqSize = 0; }, "CpuConfig::lqSize"},
+        {[](CpuConfig &c) { c.sqSize = 0; }, "CpuConfig::sqSize"},
+        {[](CpuConfig &c) { c.decodeQueueDepth = 0; }, "CpuConfig::decodeQueueDepth"},
+        {[](CpuConfig &c) { c.intAluCount = 0; }, "CpuConfig::intAluCount"},
+        {[](CpuConfig &c) { c.intMultCount = 0; }, "CpuConfig::intMultCount"},
+        {[](CpuConfig &c) { c.memPortCount = 0; }, "CpuConfig::memPortCount"},
+        {[](CpuConfig &c) { c.aluLatency = 0; }, nullptr},
+        {[](CpuConfig &c) { c.mulLatency = 0; }, nullptr},
+        {[](CpuConfig &c) { c.divLatency = 0; }, nullptr},
+        {[](CpuConfig &c) { c.redirectPenalty = 0; }, nullptr},
+        {[](CpuConfig &c) { c.serializeFlushCycles = 0; }, nullptr},
+        // Cache geometry is Cache's to check (a 48-byte line).
+        {[](CpuConfig &c) { c.icache.lineBytes = 48; }, "Cache:"},
+        {[](CpuConfig &c) { c.dcache.lineBytes = 48; }, "Cache:"},
+    };
+
+    // Every unit class, the LQ and SQ, a mispredict and a serialization.
+    ProgramBuilder b;
+    b.movi(1, 0x5000).movi(2, 7).movi(3, 0);
+    b.label("loop");
+    b.mul(4, 2, 2);
+    b.emit(Inst{Opcode::Div, 5, 4, 2});
+    b.store(5, 1, 0, 8);
+    b.load(6, 1, 0, 8);
+    b.addi(3, 3, 1);
+    b.blt(3, 2, "loop");
+    b.cpuid();
+    b.halt();
+    const Program prog = b.build();
+
+    for (std::size_t r = 0; r < std::size(rows); ++r) {
+        SCOPED_TRACE("row " + std::to_string(r));
+        CpuConfig config;
+        rows[r].set(config);
+        if (!rows[r].error) {
+            Pipeline pipe(prog, config);
+            const PipelineResult res = pipe.run(100'000);
+            EXPECT_TRUE(res.halted);
+            EXPECT_EQ(pipe.state().regs[6], 7u);
+            continue;
+        }
+        try {
+            Pipeline pipe(prog, config);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(rows[r].error),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // fetchBytes must also cover the longest instruction, or fetch
+    // waits for it forever.
+    CpuConfig narrow;
+    narrow.fetchBytes = 4; // movi is 5 bytes
+    EXPECT_THROW(Pipeline(prog, narrow), std::invalid_argument);
 }
 
 } // namespace

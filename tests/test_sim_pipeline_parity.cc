@@ -12,10 +12,14 @@
  * memory). These tests drive both loops over the whole Fig 2 kernel
  * suite in both protection renderings, over truncated runs cut at many
  * max_cycles budgets (pinning the skip logic's interaction with the
- * cycle limit), and over fault paths.
+ * cycle limit), and over fault paths. A cut run must also leave state()
+ * at its committed prefix, and resume to exactly the uncut run.
  */
 
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <string>
 
 #include "sim/kernels.h"
 #include "sim/pipeline.h"
@@ -26,11 +30,81 @@ namespace
 using namespace hfi;
 using namespace hfi::sim;
 
+using Stage = void (*)(SimMemory &, std::uint64_t, std::uint32_t);
+using Loop = PipelineResult (Pipeline::*)(std::uint64_t);
+
+void
+expectSameHeap(const SimMemory &a, const SimMemory &b)
+{
+    for (std::uint64_t addr = kernels::kHeapBase;
+         addr < kernels::kHeapBase + kernels::kHeapBytes; addr += 8)
+        ASSERT_EQ(a.read(addr, 8), b.read(addr, 8))
+            << "heap address 0x" << std::hex << addr;
+}
+
+/**
+ * The committed-prefix oracle: after a run cut at a cycle budget,
+ * state() and memory equal the functional core's, stopped at the
+ * pipeline's committed count.
+ */
+void
+expectCommittedPrefix(Pipeline &pipe, const Program &prog, Stage stage)
+{
+    const std::uint64_t committed = pipe.stats().committed;
+    SimMemory mem;
+    if (stage)
+        stage(mem, 1, 42);
+    ArchState ref;
+    ref.pc = prog.base();
+    ASSERT_EQ(FunctionalCore::run(prog, ref, mem, committed), committed);
+    EXPECT_EQ(pipe.state().regs, ref.regs);
+    EXPECT_EQ(pipe.state().pc, ref.pc);
+    EXPECT_TRUE(pipe.state().hfi == ref.hfi);
+    expectSameHeap(pipe.memory(), mem);
+}
+
+/** Two runs of one program agree on everything the model exposes. */
+void
+expectSameRun(Pipeline &a, const PipelineResult &ar, Pipeline &b,
+              const PipelineResult &br)
+{
+    ASSERT_EQ(ar.cycles, br.cycles);
+    ASSERT_EQ(ar.instructions, br.instructions);
+    ASSERT_EQ(ar.halted, br.halted);
+    ASSERT_EQ(ar.faulted, br.faulted);
+    ASSERT_EQ(static_cast<int>(ar.faultReason),
+              static_cast<int>(br.faultReason));
+    ASSERT_EQ(ar.faultPc, br.faultPc);
+
+    const PipelineStats &as = a.stats();
+    const PipelineStats &bs = b.stats();
+    ASSERT_EQ(as.fetched, bs.fetched);
+    ASSERT_EQ(as.dispatched, bs.dispatched);
+    ASSERT_EQ(as.committed, bs.committed);
+    ASSERT_EQ(as.squashed, bs.squashed);
+    ASSERT_EQ(as.mispredicts, bs.mispredicts);
+    ASSERT_EQ(as.serializations, bs.serializations);
+    ASSERT_EQ(as.hfiDataChecks, bs.hfiDataChecks);
+    ASSERT_EQ(as.hfiFaultsSuppressed, bs.hfiFaultsSuppressed);
+
+    // A skipped cycle must not have hidden a cache or dtb access.
+    ASSERT_EQ(a.icache().hits(), b.icache().hits());
+    ASSERT_EQ(a.icache().misses(), b.icache().misses());
+    ASSERT_EQ(a.dcache().hits(), b.dcache().hits());
+    ASSERT_EQ(a.dcache().misses(), b.dcache().misses());
+    ASSERT_EQ(a.dtb().hits(), b.dtb().hits());
+    ASSERT_EQ(a.dtb().misses(), b.dtb().misses());
+
+    for (unsigned r = 0; r < kNumRegs; ++r)
+        ASSERT_EQ(a.state().regs[r], b.state().regs[r]) << "reg " << r;
+    ASSERT_EQ(a.state().pc, b.state().pc);
+    ASSERT_TRUE(a.state().hfi == b.state().hfi);
+    expectSameHeap(a.memory(), b.memory());
+}
+
 /** Run both loops on identical inputs and compare everything. */
 void
-expectPipelineParity(const Program &prog,
-                     void (*stage)(SimMemory &, std::uint64_t,
-                                   std::uint32_t),
+expectPipelineParity(const Program &prog, Stage stage,
                      std::uint64_t max_cycles = 500'000'000)
 {
     Pipeline fast(prog);
@@ -42,41 +116,9 @@ expectPipelineParity(const Program &prog,
 
     const PipelineResult fr = fast.run(max_cycles);
     const PipelineResult rr = ref.runReference(max_cycles);
-
-    ASSERT_EQ(fr.cycles, rr.cycles);
-    ASSERT_EQ(fr.instructions, rr.instructions);
-    ASSERT_EQ(fr.halted, rr.halted);
-    ASSERT_EQ(fr.faulted, rr.faulted);
-    ASSERT_EQ(static_cast<int>(fr.faultReason),
-              static_cast<int>(rr.faultReason));
-    ASSERT_EQ(fr.faultPc, rr.faultPc);
-
-    const PipelineStats &fs = fast.stats();
-    const PipelineStats &rs = ref.stats();
-    ASSERT_EQ(fs.fetched, rs.fetched);
-    ASSERT_EQ(fs.dispatched, rs.dispatched);
-    ASSERT_EQ(fs.committed, rs.committed);
-    ASSERT_EQ(fs.squashed, rs.squashed);
-    ASSERT_EQ(fs.mispredicts, rs.mispredicts);
-    ASSERT_EQ(fs.serializations, rs.serializations);
-    ASSERT_EQ(fs.hfiDataChecks, rs.hfiDataChecks);
-    ASSERT_EQ(fs.hfiFaultsSuppressed, rs.hfiFaultsSuppressed);
-
-    // A skipped cycle must not have hidden a cache or dtb access.
-    ASSERT_EQ(fast.icache().hits(), ref.icache().hits());
-    ASSERT_EQ(fast.icache().misses(), ref.icache().misses());
-    ASSERT_EQ(fast.dcache().hits(), ref.dcache().hits());
-    ASSERT_EQ(fast.dcache().misses(), ref.dcache().misses());
-    ASSERT_EQ(fast.dtb().hits(), ref.dtb().hits());
-    ASSERT_EQ(fast.dtb().misses(), ref.dtb().misses());
-
-    for (unsigned r = 0; r < kNumRegs; ++r)
-        ASSERT_EQ(fast.state().regs[r], ref.state().regs[r])
-            << "reg " << r;
-    for (std::uint64_t a = kernels::kHeapBase;
-         a < kernels::kHeapBase + kernels::kHeapBytes; a += 8)
-        ASSERT_EQ(fast.memory().read(a, 8), ref.memory().read(a, 8))
-            << "heap address 0x" << std::hex << a;
+    expectSameRun(fast, fr, ref, rr);
+    if (!fr.halted && !fr.faulted)
+        expectCommittedPrefix(fast, prog, stage);
 }
 
 TEST(PipelineParity, WholeKernelSuiteBothModes)
@@ -96,7 +138,8 @@ TEST(PipelineParity, CycleBudgetCutsAgree)
 {
     // Truncation must land both loops on the same cycle: the
     // event-driven skip clamps its jumps to max_cycles rather than
-    // sailing past the limit the reference loop stops at.
+    // sailing past the limit the reference loop stops at. Each cut
+    // leaves the committed prefix.
     const auto &kernel = kernels::suite().front();
     const Program prog = kernel.build(kernels::Mode::HfiHardware, 1);
     for (std::uint64_t budget = 0; budget < 3000; budget += 97) {
@@ -121,25 +164,48 @@ TEST(PipelineParity, FaultingProgramAgrees)
     expectPipelineParity(b.build(), nullptr);
 }
 
-TEST(PipelineParity, RepeatedRunsAccumulate)
+/**
+ * Over the whole kernel suite in both modes: a run of @p loop cut at
+ * each of @p budgets leaves the committed prefix, and resuming it is
+ * indistinguishable from one uncut run.
+ */
+void
+expectResumeEqualsUncut(Loop loop, std::initializer_list<std::uint64_t> budgets)
 {
-    // run() may be called again after a cycle-budget cut; the resumed
-    // run must stay identical to a resumed reference run.
-    const auto &kernel = kernels::suite().front();
-    const Program prog = kernel.build(kernels::Mode::HfiHardware, 1);
-    Pipeline fast(prog);
-    Pipeline ref(prog);
-    kernel.stage(fast.memory(), 1, 42);
-    kernel.stage(ref.memory(), 1, 42);
-
-    PipelineResult fr, rr;
-    for (int leg = 0; leg < 3; ++leg) {
-        fr = fast.run(4000 * (leg + 1));
-        rr = ref.runReference(4000 * (leg + 1));
-        ASSERT_EQ(fr.cycles, rr.cycles) << "leg " << leg;
-        ASSERT_EQ(fr.instructions, rr.instructions) << "leg " << leg;
+    for (const auto &kernel : kernels::suite()) {
+        for (const auto mode : {kernels::Mode::HfiHardware,
+                                kernels::Mode::HfiEmulation}) {
+            const Program prog = kernel.build(mode, 1);
+            Pipeline whole(prog);
+            kernel.stage(whole.memory(), 1, 42);
+            const PipelineResult want = (whole.*loop)(500'000'000);
+            for (const std::uint64_t budget : budgets) {
+                SCOPED_TRACE(kernel.name +
+                             (mode == kernels::Mode::HfiHardware ? "/hw"
+                                                                 : "/emu") +
+                             " cut at " + std::to_string(budget));
+                Pipeline pipe(prog);
+                kernel.stage(pipe.memory(), 1, 42);
+                const PipelineResult cut = (pipe.*loop)(budget);
+                if (!cut.halted && !cut.faulted)
+                    expectCommittedPrefix(pipe, prog, kernel.stage);
+                const PipelineResult got = (pipe.*loop)(500'000'000);
+                expectSameRun(pipe, got, whole, want);
+            }
+        }
     }
-    ASSERT_EQ(fr.halted, rr.halted);
+}
+
+// The two loops split the cut budgets between them to keep each test
+// short; the parity tests above tie the loops to each other.
+TEST(PipelineParity, ResumeEqualsUncut)
+{
+    expectResumeEqualsUncut(&Pipeline::run, {1000, 10007});
+}
+
+TEST(PipelineParity, ResumeEqualsUncutReference)
+{
+    expectResumeEqualsUncut(&Pipeline::runReference, {3331, 50021});
 }
 
 } // namespace
