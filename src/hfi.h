@@ -30,7 +30,6 @@
 
 #include "vm/address_space.h"
 #include "vm/mmu.h"
-#include "vm/page_table.h"
 #include "vm/virtual_clock.h"
 
 #include "sfi/backend.h"

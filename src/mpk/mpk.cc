@@ -40,7 +40,7 @@ MpkDomainManager::pkeyMprotect(vm::VAddr addr, std::uint64_t size,
     if (key >= kNumPkeys || !keyUsed[key])
         return false;
     // Same kernel path as mprotect: VMA split + PTE rewrite + shootdown.
-    mmu.mprotect(addr, size, vm::PageProt::ReadWrite);
+    mmu.mprotect(addr, size);
     const vm::VAddr first = vm::alignDown(addr, vm::kPageSize) /
                             vm::kPageSize;
     const vm::VAddr last = vm::alignUp(addr + size, vm::kPageSize) /

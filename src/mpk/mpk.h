@@ -53,7 +53,7 @@ struct PkeyRights
 
 /**
  * The MPK state of one thread: key allocation bitmap, per-page key tags
- * (kept at 4 KiB granularity in the shared PageTable's address space),
+ * (kept at 4 KiB granularity over the shared Mmu's address space),
  * and the PKRU register.
  */
 class MpkDomainManager

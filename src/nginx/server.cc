@@ -45,7 +45,7 @@ NginxServer::NginxServer(vm::Mmu &mmu, core::HfiContext &ctx,
     : mmu(mmu), ctx(ctx), mpk_(mpk), kernel(kernel), protection_(protection)
 {
     // Allocate the session-key page and protect it per the scheme.
-    auto addr = mmu.mmap(vm::kPageSize, vm::PageProt::ReadWrite);
+    auto addr = mmu.mmap(vm::kPageSize);
     keyAddr = addr.value_or(0);
 
     if (protection_ == SessionProtection::Mpk) {

@@ -1,8 +1,10 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -11,9 +13,29 @@
 namespace hfi::serve
 {
 
+/** Throw std::invalid_argument naming the first field that cannot run. */
+static void
+checkConfig(const EngineConfig &config)
+{
+    const auto fail = [](const char *why) {
+        throw std::invalid_argument(std::string("EngineConfig::") + why);
+    };
+    if (config.workers == 0)
+        fail("workers must be at least 1");
+    if (config.mode == LoadMode::OpenLoop &&
+        !(std::isfinite(config.meanInterarrivalNs) &&
+          config.meanInterarrivalNs > 0))
+        fail("meanInterarrivalNs must be finite and positive");
+    if (config.mode == LoadMode::ClosedLoop && config.clients == 0)
+        fail("clients must be at least 1");
+    if (config.worker.teardownBatch == 0)
+        fail("worker.teardownBatch must be at least 1");
+}
+
 ServeEngine::ServeEngine(EngineConfig config, Handler handler)
     : config_(std::move(config)), handler_(std::move(handler))
 {
+    checkConfig(config_);
 }
 
 /**

@@ -163,6 +163,12 @@ bool identical(const ServeResult &a, const ServeResult &b);
 class ServeEngine
 {
   public:
+    /**
+     * Throws std::invalid_argument naming the field when @p config
+     * cannot run: zero workers, an open loop whose mean interarrival
+     * gap is not finite and positive, a closed loop with no clients, or
+     * a zero worker.teardownBatch.
+     */
     ServeEngine(EngineConfig config, Handler handler);
 
     /**

@@ -221,6 +221,18 @@ Worker::createInstance()
 }
 
 std::unique_ptr<sfi::Sandbox>
+Worker::respawn([[maybe_unused]] double wall_ns)
+{
+    auto s = createInstance();
+    if (s) {
+        ++stats_.robustness.respawns;
+        HFI_OBS_RECORD(trace_, obs::EventType::Respawn, wall_ns,
+                       stats_.robustness.respawns);
+    }
+    return s;
+}
+
+std::unique_ptr<sfi::Sandbox>
 Worker::acquireInstance(double wall_ns, double *wait_ns)
 {
     *wait_ns = 0;
@@ -235,13 +247,8 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
     // charged at the first dispatch that can observe the new instance.
     while (!respawns_.empty() && respawns_.front() <= wall_ns) {
         respawns_.pop_front();
-        auto s = createInstance();
-        if (s) {
-            ++stats_.robustness.respawns;
-            HFI_OBS_RECORD(trace_, obs::EventType::Respawn, wall_ns,
-                           stats_.robustness.respawns);
+        if (auto s = respawn(wall_ns))
             pool_.push_back(std::move(s));
-        }
     }
     if (pool_.empty() && !respawns_.empty()) {
         // Every warm slot is quarantined right now. Quarantine always
@@ -250,13 +257,8 @@ Worker::acquireInstance(double wall_ns, double *wait_ns)
         ++stats_.robustness.poolWaits;
         *wait_ns = respawns_.front() - wall_ns;
         respawns_.pop_front();
-        auto s = createInstance();
-        if (s) {
-            ++stats_.robustness.respawns;
-            HFI_OBS_RECORD(trace_, obs::EventType::Respawn, wall_ns,
-                           stats_.robustness.respawns);
+        if (auto s = respawn(wall_ns))
             return s;
-        }
     }
     if (pool_.empty()) {
         // Zero warm slots survived construction (VA exhaustion); fall
@@ -362,27 +364,20 @@ Worker::serve(const Request &req)
         // attempt/request but is invisible to this one's latency: the
         // response (or fault signal) has already left.
         const double post_start = clock_.nowNs();
-        if (config_.poolSize > 0) {
-            if (at.poisoned) {
-                // Quarantine: tear the suspect instance down (it joins
-                // the batched-madvise path) and schedule a background
-                // respawn for its slot.
-                ++stats_.robustness.quarantines;
-                HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done,
-                               req.id);
+        if (at.poisoned) {
+            // Quarantine: tear the suspect instance down (it joins the
+            // batched-madvise path); a warm pool schedules a background
+            // respawn for its slot.
+            ++stats_.robustness.quarantines;
+            HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done, req.id);
+            if (config_.poolSize > 0)
                 respawns_.push_back(done + config_.respawnDelayNs);
-                retire(std::move(instance));
-            } else {
-                // HFI contained the fault (or the request was clean):
-                // the instance state is intact, back into the warm pool.
-                pool_.push_back(std::move(instance));
-            }
+            retire(std::move(instance));
+        } else if (config_.poolSize > 0) {
+            // HFI contained the fault (or the request was clean): the
+            // instance state is intact, back into the warm pool.
+            pool_.push_back(std::move(instance));
         } else {
-            if (at.poisoned) {
-                ++stats_.robustness.quarantines;
-                HFI_OBS_RECORD(trace_, obs::EventType::Quarantine, done,
-                               req.id);
-            }
             retire(std::move(instance));
         }
         if (config_.dispatchViaScheduler) {

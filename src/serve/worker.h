@@ -192,6 +192,11 @@ class Worker
      */
     std::unique_ptr<sfi::Sandbox> createInstance();
     /**
+     * createInstance() for a quarantined slot, counted in respawns and
+     * traced as a Respawn at virtual time @p wall_ns when it succeeds.
+     */
+    std::unique_ptr<sfi::Sandbox> respawn(double wall_ns);
+    /**
      * An instance to run the attempt in: a fresh per-request create
      * (poolSize 0, the stock path) or the next warm pool member —
      * draining any respawn whose delay elapsed by virtual time

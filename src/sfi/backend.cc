@@ -83,16 +83,11 @@ bool
 Backend::create(std::uint64_t initial_pages, std::uint64_t max_pages)
 {
     reservation = footprintBytes(kind_, max_pages * kWasmPageSize);
-    // HFI's reservation is read-write with lazy backing: the region
-    // bound, not page permissions, enforces it, so growth never calls
-    // mprotect. The mask's power-of-two region is aligned to itself, so
-    // one AND keeps an address inside it.
-    const vm::PageProt prot = kind_ == BackendKind::Hfi
-                                  ? vm::PageProt::ReadWrite
-                                  : vm::PageProt::None;
+    // The mask's power-of-two region is aligned to itself, so one AND
+    // keeps an address inside it.
     const std::uint64_t align =
         kind_ == BackendKind::Mask ? reservation : kWasmPageSize;
-    auto addr = mmu.mmap(reservation, prot, align);
+    auto addr = mmu.mmap(reservation, align);
     if (!addr)
         return false;
     base = *addr;
@@ -134,7 +129,7 @@ Backend::addMemory(std::uint64_t initial_pages, std::uint64_t max_pages)
         return false;
     // Guard-free: guard pages would add 4 GiB per memory (§2).
     auto addr = mmu.mmap(footprintBytes(kind_, max_pages * kWasmPageSize),
-                         vm::PageProt::ReadWrite, kWasmPageSize);
+                         kWasmPageSize);
     if (!addr)
         return false;
     if (!binder_)
@@ -176,10 +171,8 @@ Backend::grow(std::uint64_t old_pages, std::uint64_t new_pages,
     // per-page cost dominates §6.1's 10.92 s heap-growth measurement.
     // (A bounds check's bound variable updates for free, but its pages
     // need the same backing.)
-    if (new_bytes > old_bytes) {
-        mmu.mprotect(base + old_bytes, new_bytes - old_bytes,
-                     vm::PageProt::ReadWrite);
-    }
+    if (new_bytes > old_bytes)
+        mmu.mprotect(base + old_bytes, new_bytes - old_bytes);
 }
 
 AccessCheck

@@ -18,9 +18,6 @@
  *    PROT_NONE guard, the heap alone (bounds checks, HFI), or the heap
  *    rounded up to a power of two and aligned to itself (mask), so an
  *    AND keeps every address inside it;
- *  - the reservation's protection: PROT_NONE with pages opened as the
- *    memory grows, or read-write for HFI, whose region bound (not page
- *    permissions) does the enforcing;
  *  - one cost row (BackendCosts, paperCosts).
  *
  * Where the mechanism differs, a branch on the kind picks it: growth
@@ -34,7 +31,9 @@
  * Sandbox accepts in-bounds accesses inline (Backend::accepts, against
  * the memory's size or HFI's live heap register) and calls checkAccess
  * only for the rest, so every trap, every mask wrap and every HFI trap
- * reason comes from there.
+ * reason comes from there. A guard page's SIGSEGV is that rule too: the
+ * vm::Mmu models the syscalls' costs, the reservations and page
+ * residency, and keeps no page protections.
  *
  * HFI alone takes extra Wasm memories (addMemory): memories 1..N-1
  * share explicit registers 1..3 through an LruBinder, so the heap keeps

@@ -70,15 +70,14 @@ struct BackingStore
  *
  * No tenant may see another's bytes, so every write path raises the
  * store's dirty mark (BackingStore): store<T>, writeBytes and the
- * non-const data() here, and Sandbox's first touch of a page and its
- * grow past a touched last page. A reused store is zeroed only below
- * its mark, so a cold instance costs what its last tenant could have
- * written, not its declared size. A fresh store is allocated zeroed and
- * a grow past the capacity moves to a zeroed buffer, so the bytes above
- * the mark stay zero. The store is zeroed when it is reused, not when
- * it is destroyed: the serving engine destroys instances a whole batch
- * at a time, and zeroing there would add every store's memset to the
- * request that ends the batch.
+ * non-const data() here, and Sandbox's first touch of a page. A reused
+ * store is zeroed only below its mark, so a cold instance costs what
+ * its last tenant could have written, not its declared size. A fresh
+ * store is allocated zeroed and a grow past the capacity moves to a
+ * zeroed buffer, so the bytes above the mark stay zero. The store is
+ * zeroed when it is reused, not when it is destroyed: the serving
+ * engine destroys instances a whole batch at a time, and zeroing there
+ * would add every store's memset to the request that ends the batch.
  */
 class LinearMemory
 {

@@ -94,15 +94,8 @@ Sandbox::memoryGrow(unsigned memory, std::uint64_t delta_pages)
     if (prev < 0)
         return -1;
     backend_.grow(old_pages, mem.pages(), memory);
-    if (memory != 0)
-        return prev;
-    // firstTouch clamps its mark to the size, so a touched last page did
-    // not cover the page after it. That page is in bounds now, and an
-    // access starting in the touched page can spill into it.
-    if (!touched.empty() && touched.back())
-        memory_.markDirty(std::min(memory_.size(),
-                                   old_pages * kWasmPageSize + vm::kPageSize));
-    touched.resize(memory_.size() / vm::kPageSize, 0);
+    if (memory == 0)
+        touched.resize(memory_.size() / vm::kPageSize, 0);
     return prev;
 }
 
@@ -139,18 +132,15 @@ Sandbox::checkMemory(unsigned memory, std::uint64_t offset,
 }
 
 void
-Sandbox::firstTouch(std::uint64_t page, std::uint64_t at,
-                    std::uint32_t width, bool write)
+Sandbox::firstTouch(std::uint64_t at, std::uint32_t width)
 {
-    touched[page] = 1;
-    // An access starts in a touched page and is at most a page wide, so
-    // it can write into the next page without touching it (8 bytes
-    // stored at 4094 write two bytes of page 1): the mark covers both.
-    // Past the size there is nothing to cover until memoryGrow.
-    memory_.markDirty(std::min(memory_.size(), (page + 2) * vm::kPageSize));
-    // Access the backing virtual address so the Mmu charges the fault
+    const std::uint64_t last = (at + width - 1) / vm::kPageSize;
+    touched[at / vm::kPageSize] = 1;
+    touched[last] = 1;
+    memory_.markDirty((last + 1) * vm::kPageSize);
+    // Access the backing virtual address so the Mmu charges the faults
     // and marks residency for the teardown experiments.
-    mmu_.access(backend_.baseAddress() + at, width, write);
+    mmu_.access(backend_.baseAddress() + at, width);
 }
 
 void

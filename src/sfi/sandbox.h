@@ -300,7 +300,7 @@ class Sandbox
     {
         if (!acceptsSpan(offset, width, n, write))
             return nullptr;
-        touchSpan(offset, width, n, write);
+        touchSpan(offset, width, n);
         return memory_.bytesUnmarked() + offset;
     }
 
@@ -345,39 +345,41 @@ class Sandbox
             backend_.accepts(offset, width, write, memory_)
                 ? offset
                 : checkedOffset(offset, width, write);
-        touch(at, width, write);
+        touch(at, width);
         return at;
     }
 
     /**
      * First touch of a 4 KiB page takes a minor fault through the Mmu
      * (allocation + page-table fill); later accesses are free. An access
-     * is at most a page wide (see firstTouch).
+     * is at most a page wide, so it covers its first byte's page and at
+     * most the next one: both are probed (one AND of the two flags keeps
+     * the loop counters of a kernel's access loop in registers).
      */
     void
-    touch(std::uint64_t at, std::uint32_t width, bool write)
+    touch(std::uint64_t at, std::uint32_t width)
     {
-        const std::uint64_t page = at / vm::kPageSize;
-        assert(page < touched.size());
+        assert((at + width - 1) / vm::kPageSize < touched.size());
         assert(width <= vm::kPageSize);
-        if (!touched[page])
-            firstTouch(page, at, width, write);
+        if (!(touched[at / vm::kPageSize] &
+              touched[(at + width - 1) / vm::kPageSize]))
+            firstTouch(at, width);
     }
 
     /**
      * touch() for each page of an accepted span, by the element that
-     * first lands on it — the element loop's Mmu calls, in its order.
+     * first reaches it (the one holding the page's first byte) — the
+     * element loop's Mmu calls, in its order.
      */
     void
-    touchSpan(std::uint64_t offset, std::uint32_t width, std::size_t n,
-              bool write)
+    touchSpan(std::uint64_t offset, std::uint32_t width, std::size_t n)
     {
-        const std::uint64_t first = offset / vm::kPageSize;
-        const std::uint64_t last = (offset + (n - 1) * width) / vm::kPageSize;
-        touch(offset, width, write);
-        for (std::uint64_t page = first + 1; page <= last; ++page) {
+        const std::uint64_t last = (offset + n * width - 1) / vm::kPageSize;
+        touch(offset, width);
+        for (std::uint64_t page = offset / vm::kPageSize + 1; page <= last;
+             ++page) {
             const std::uint64_t skip = page * vm::kPageSize - offset;
-            touch(offset + (skip + width - 1) / width * width, width, write);
+            touch(offset + skip / width * width, width);
         }
     }
 
@@ -390,11 +392,11 @@ class Sandbox
                               std::uint32_t width, bool write);
 
     /**
-     * Mark @p page touched, raise the memory's dirty mark over it, and
-     * fault it in through the Mmu.
+     * Mark the pages of an access of @p width at @p at touched, raise
+     * the memory's dirty mark over them, and fault them in through the
+     * Mmu.
      */
-    void firstTouch(std::uint64_t page, std::uint64_t at,
-                    std::uint32_t width, bool write);
+    void firstTouch(std::uint64_t at, std::uint32_t width);
 
     void
     chargeMilli(std::uint64_t milli)

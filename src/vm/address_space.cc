@@ -44,35 +44,6 @@ AddressSpace::reserve(std::uint64_t size, std::uint64_t align)
 }
 
 bool
-AddressSpace::reserveFixed(VAddr addr, std::uint64_t size)
-{
-    if (size == 0 || addr != alignDown(addr, kPageSize))
-        return false;
-    size = alignUp(size, kPageSize);
-    if (addr < base || addr + size > limit || addr + size < addr)
-        return false;
-
-    // Find the first range ending after addr and check for overlap.
-    auto it = ranges.upper_bound(addr);
-    if (it != ranges.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second > addr)
-            return false;
-    }
-    if (it != ranges.end() && it->first < addr + size)
-        return false;
-
-    ranges.emplace(addr, size);
-    reserved_ += size;
-    highWater = std::max(highWater, addr + size);
-    // A fixed mapping below other reservations does not open holes, but
-    // the gap in front of it might now be unreachable by the bump path;
-    // force a scan next time to stay first-fit correct.
-    hasHoles = true;
-    return true;
-}
-
-bool
 AddressSpace::release(VAddr addr)
 {
     auto it = ranges.find(addr);

@@ -66,13 +66,6 @@ class AddressSpace
     std::optional<VAddr> reserve(std::uint64_t size,
                                  std::uint64_t align = kPageSize);
 
-    /**
-     * Reserve the exact range [addr, addr+size).
-     * @return true on success, false if it overlaps an existing
-     *         reservation or exceeds the usable range.
-     */
-    bool reserveFixed(VAddr addr, std::uint64_t size);
-
     /** Release a previously reserved range starting at @p addr. */
     bool release(VAddr addr);
 
@@ -90,9 +83,6 @@ class AddressSpace
 
     /** Total usable bytes in this address space. */
     std::uint64_t usableBytes() const { return limit - base; }
-
-    /** Number of live reservations. */
-    std::size_t reservationCount() const { return ranges.size(); }
 
     /** Number of user VA bits. */
     unsigned vaBits() const { return bits; }

@@ -1,5 +1,8 @@
 #include "vm/mmu.h"
 
+#include <cassert>
+#include <iterator>
+
 namespace hfi::vm
 {
 
@@ -9,15 +12,11 @@ Mmu::Mmu(VirtualClock &clock, unsigned va_bits)
 }
 
 std::optional<VAddr>
-Mmu::mmap(std::uint64_t size, PageProt prot, std::uint64_t align)
+Mmu::mmap(std::uint64_t size, std::uint64_t align)
 {
     ++stats_.mmapCalls;
     charge(kMmuCosts.syscallFixedNs + kMmuCosts.mmapReserveNs);
-    size = alignUp(size, kPageSize);
-    auto base = space.reserve(size, align);
-    if (base)
-        table.map(*base, size, prot);
-    return base;
+    return space.reserve(alignUp(size, kPageSize), align);
 }
 
 bool
@@ -29,12 +28,12 @@ Mmu::munmap(VAddr addr)
     auto size = space.rangeAt(addr);
     if (!size || !space.release(addr))
         return false;
-    table.unmap(addr, *size);
+    discard(addr, addr + *size);
     return true;
 }
 
 void
-Mmu::mprotect(VAddr addr, std::uint64_t size, PageProt prot)
+Mmu::mprotect(VAddr addr, std::uint64_t size)
 {
     ++stats_.mprotectCalls;
     const std::uint64_t pages =
@@ -43,7 +42,6 @@ Mmu::mprotect(VAddr addr, std::uint64_t size, PageProt prot)
     charge(kMmuCosts.syscallFixedNs + kMmuCosts.mprotectFixedNs +
            kMmuCosts.mprotectShootdownNs +
            kMmuCosts.mprotectPerPageNs * static_cast<double>(pages));
-    table.protect(alignDown(addr, kPageSize), pages * kPageSize, prot);
 }
 
 void
@@ -57,7 +55,7 @@ Mmu::madviseDontneed(VAddr addr, std::uint64_t size)
     constexpr std::uint64_t pmd_size = 2 * 1024 * 1024;
     const std::uint64_t pmds =
         (alignUp(end, pmd_size) - alignDown(start, pmd_size)) / pmd_size;
-    const std::uint64_t discarded = table.discard(start, end - start);
+    const std::uint64_t discarded = discard(start, end);
     stats_.pagesDiscarded += discarded;
     charge(kMmuCosts.syscallFixedNs + kMmuCosts.madviseFixedNs +
            kMmuCosts.madvisePerResidentPageNs *
@@ -65,41 +63,29 @@ Mmu::madviseDontneed(VAddr addr, std::uint64_t size)
            kMmuCosts.madvisePerWalkedPmdNs * static_cast<double>(pmds));
 }
 
-AccessResult
-Mmu::access(VAddr addr, std::uint64_t size, bool write)
+void
+Mmu::access(VAddr addr, std::uint64_t size)
 {
-    // A single access may straddle a page boundary; check both ends.
-    for (VAddr probe : {addr, addr + size - 1}) {
-        const PageProt prot = table.protectionAt(probe);
-        if (prot == PageProt::None)
-            return AccessResult::NotMapped;
-        if (write ? !protWritable(prot) : !protReadable(prot))
-            return AccessResult::BadPermission;
-        if (!table.isResident(probe)) {
+    assert(space.isReserved(addr) && space.isReserved(addr + size - 1));
+    // A single access may straddle a page boundary: fault in every page
+    // it covers.
+    const VAddr last = (addr + size - 1) / kPageSize;
+    for (VAddr page = addr / kPageSize; page <= last; ++page) {
+        if (resident.insert(page).second) {
             ++stats_.pageFaults;
             charge(kMmuCosts.pageFaultNs);
-            table.touch(probe);
         }
-        if (addr / kPageSize == (addr + size - 1) / kPageSize)
-            break;
     }
-    return AccessResult::Ok;
 }
 
-AccessResult
-Mmu::fetch(VAddr addr)
+std::uint64_t
+Mmu::discard(VAddr start, VAddr end)
 {
-    const PageProt prot = table.protectionAt(addr);
-    if (prot == PageProt::None)
-        return AccessResult::NotMapped;
-    if (!protExecutable(prot))
-        return AccessResult::BadPermission;
-    if (!table.isResident(addr)) {
-        ++stats_.pageFaults;
-        charge(kMmuCosts.pageFaultNs);
-        table.touch(addr);
-    }
-    return AccessResult::Ok;
+    auto first = resident.lower_bound(start / kPageSize);
+    auto last = resident.lower_bound(end / kPageSize);
+    const auto count = static_cast<std::uint64_t>(std::distance(first, last));
+    resident.erase(first, last);
+    return count;
 }
 
 } // namespace hfi::vm

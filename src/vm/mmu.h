@@ -12,6 +12,12 @@
  * so that the microbenchmarks land on the paper's absolute numbers
  * (25.7 µs stock teardown, ~166 µs per mprotect-grow, etc.) and are
  * documented per-constant.
+ *
+ * The Mmu models what these costs depend on and nothing more: the
+ * first-fit reservations (AddressSpace) that bound guard-page scaling
+ * and the set of resident pages that first touches fault in and
+ * madvise discards. It keeps no page protections: every out-of-bounds
+ * trap comes from sfi::Backend::checkAccess.
  */
 
 #ifndef HFI_VM_MMU_H
@@ -19,9 +25,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 
 #include "vm/address_space.h"
-#include "vm/page_table.h"
 #include "vm/virtual_clock.h"
 
 namespace hfi::vm
@@ -77,19 +83,9 @@ struct MmuStats
     std::uint64_t pagesDiscarded = 0;
 };
 
-/** Result of an access check against the page table. */
-enum class AccessResult
-{
-    Ok,
-    NotMapped,   ///< SIGSEGV: no VMA / PROT_NONE guard page
-    BadPermission///< SIGSEGV: mapped but permission missing
-};
-
 /**
- * The process-level memory management unit.
- *
- * Combines the reservation map (AddressSpace) with page-level state
- * (PageTable) and charges every modeled syscall to the VirtualClock.
+ * The process-level memory management unit: reservations, residency,
+ * and every modeled syscall charged to the VirtualClock.
  */
 class Mmu
 {
@@ -97,48 +93,54 @@ class Mmu
     Mmu(VirtualClock &clock, unsigned va_bits = 47);
 
     /**
-     * Map @p size bytes anywhere, aligned to @p align, with protection
-     * @p prot. PageProt::None is how Wasm runtimes reserve heap + guard
-     * region.
+     * Reserve @p size bytes anywhere, aligned to @p align; no page is
+     * resident until it is touched.
      * @return base address or std::nullopt when the VA space is full.
      */
-    std::optional<VAddr> mmap(std::uint64_t size, PageProt prot,
+    std::optional<VAddr> mmap(std::uint64_t size,
                               std::uint64_t align = kPageSize);
 
-    /** Unmap the reservation starting at @p addr. */
+    /** Unmap the reservation starting at @p addr and drop its residency. */
     bool munmap(VAddr addr);
 
-    /** Change protections on a page range (charges shootdown cost). */
-    void mprotect(VAddr addr, std::uint64_t size, PageProt prot);
+    /**
+     * Change protections on a page range: charges the syscall, the TLB
+     * shootdown and the per-page cost.
+     */
+    void mprotect(VAddr addr, std::uint64_t size);
 
     /**
      * madvise(MADV_DONTNEED): discard residency over [addr, addr+size).
      * Walks every page in the range (resident or not) like the kernel
      * does, which is why batching across guard regions is costly without
-     * HFI (§6.3.1).
+     * HFI (§6.3.1). The reservation stays.
      */
     void madviseDontneed(VAddr addr, std::uint64_t size);
 
     /**
-     * Check a data access of @p size bytes at @p addr. First touches
-     * charge a minor page fault and mark the page resident.
+     * A data access of @p size bytes at @p addr, inside a live
+     * reservation: the first touch of each page it covers charges a
+     * minor page fault and makes the page resident.
      */
-    AccessResult access(VAddr addr, std::uint64_t size, bool write);
-
-    /** Check an instruction fetch at @p addr. */
-    AccessResult fetch(VAddr addr);
+    void access(VAddr addr, std::uint64_t size);
 
     const MmuStats &stats() const { return stats_; }
     AddressSpace &addressSpace() { return space; }
-    PageTable &pageTable() { return table; }
     VirtualClock &clock() { return clock_; }
 
   private:
     void charge(double ns) { clock_.tick(clock_.nsToCycles(ns)); }
 
+    /**
+     * Drop residency over the page-aligned [start, end); returns the
+     * pages dropped.
+     */
+    std::uint64_t discard(VAddr start, VAddr end);
+
     VirtualClock &clock_;
     AddressSpace space;
-    PageTable table;
+    /** Page numbers of resident pages. */
+    std::set<VAddr> resident;
     MmuStats stats_;
 };
 

@@ -48,7 +48,7 @@ TEST_F(MpkTest, FreeMakesKeyReusable)
 
 TEST_F(MpkTest, TaggingAndKeyLookup)
 {
-    auto base = mmu.mmap(4 * vm::kPageSize, vm::PageProt::ReadWrite);
+    auto base = mmu.mmap(4 * vm::kPageSize);
     ASSERT_TRUE(base);
     auto key = mgr.pkeyAlloc();
     ASSERT_TRUE(key);
@@ -61,7 +61,7 @@ TEST_F(MpkTest, TaggingAndKeyLookup)
 
 TEST_F(MpkTest, PkruGatesAccess)
 {
-    auto base = mmu.mmap(vm::kPageSize, vm::PageProt::ReadWrite);
+    auto base = mmu.mmap(vm::kPageSize);
     ASSERT_TRUE(base);
     auto key = mgr.pkeyAlloc();
     ASSERT_TRUE(key);
@@ -83,7 +83,7 @@ TEST_F(MpkTest, PkruGatesAccess)
 
 TEST_F(MpkTest, WriteDisableIsSeparate)
 {
-    auto base = mmu.mmap(vm::kPageSize, vm::PageProt::ReadWrite);
+    auto base = mmu.mmap(vm::kPageSize);
     ASSERT_TRUE(base);
     auto key = mgr.pkeyAlloc();
     ASSERT_TRUE(key);
@@ -107,7 +107,7 @@ TEST_F(MpkTest, WrpkruIsUserLevelCheap)
 
 TEST_F(MpkTest, PkeyMprotectPaysKernelCosts)
 {
-    auto base = mmu.mmap(1 << 20, vm::PageProt::ReadWrite);
+    auto base = mmu.mmap(1 << 20);
     ASSERT_TRUE(base);
     auto key = mgr.pkeyAlloc();
     ASSERT_TRUE(key);

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "serve/engine.h"
@@ -354,6 +356,62 @@ TEST(ServeEngine, FreshInstancePerRequestWithBatchedTeardown)
     EXPECT_EQ(res.instancesCreated, 48u);
     EXPECT_EQ(res.reclaimBatches, 3u); // 48 / 16
     EXPECT_EQ(res.rejected, 0u);
+}
+
+// ------------------------------------------------------- configuration
+
+TEST(ServeEngine, ConfigValidatedPerField)
+{
+    // One row per way an EngineConfig cannot run; the constructor
+    // throws std::invalid_argument naming the field.
+    struct Row
+    {
+        const char *field;
+        void (*mutate)(EngineConfig &);
+    };
+    const Row rows[] = {
+        {"workers", [](EngineConfig &c) { c.workers = 0; }},
+        {"meanInterarrivalNs",
+         [](EngineConfig &c) { c.meanInterarrivalNs = -1.0; }},
+        {"meanInterarrivalNs",
+         [](EngineConfig &c) { c.meanInterarrivalNs = 0.0; }},
+        {"meanInterarrivalNs",
+         [](EngineConfig &c) { c.meanInterarrivalNs = std::nan(""); }},
+        {"meanInterarrivalNs",
+         [](EngineConfig &c) { c.meanInterarrivalNs = HUGE_VAL; }},
+        {"clients",
+         [](EngineConfig &c) {
+             c.mode = LoadMode::ClosedLoop;
+             c.clients = 0;
+         }},
+        {"teardownBatch", [](EngineConfig &c) { c.worker.teardownBatch = 0; }},
+    };
+    for (const Row &row : rows) {
+        auto cfg = sparseConfig(2);
+        row.mutate(cfg);
+        SCOPED_TRACE(row.field);
+        try {
+            ServeEngine engine(cfg, smallHandler());
+            ADD_FAILURE() << "accepted a bad " << row.field;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(row.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // What each rule leaves legal: an interarrival gap is not read in a
+    // closed loop, nor a client count in an open one.
+    auto closed = sparseConfig(1);
+    closed.mode = LoadMode::ClosedLoop;
+    closed.clients = 4;
+    closed.meanInterarrivalNs = std::nan("");
+    EXPECT_EQ(ServeEngine(closed, smallHandler()).run().served, 48u);
+    auto open = sparseConfig(1);
+    open.clients = 0;
+    open.worker.teardownBatch = 1;
+    const auto res = ServeEngine(open, smallHandler()).run();
+    EXPECT_EQ(res.served, 48u);
+    EXPECT_EQ(res.reclaimBatches, 48u);
 }
 
 // ---------------------------------------------------------------------

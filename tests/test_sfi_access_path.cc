@@ -100,11 +100,14 @@ class ReferencePath
             throw SandboxTrap(offset, width, write);
         if (check.outcome == AccessOutcome::Wrapped)
             ++wrapped;
-        const std::uint64_t page = check.offset / vm::kPageSize;
-        if (page < touched.size() && !touched[page]) {
-            touched[page] = true;
-            s.mmu().access(s.backend().baseAddress() + check.offset, width,
-                           write);
+        // The access faults in the page of its first byte and the page
+        // of its last.
+        const std::uint64_t first = check.offset / vm::kPageSize;
+        const std::uint64_t last = (check.offset + width - 1) / vm::kPageSize;
+        if (last < touched.size() && (!touched[first] || !touched[last])) {
+            touched[first] = true;
+            touched[last] = true;
+            s.mmu().access(s.backend().baseAddress() + check.offset, width);
         }
         return check.offset;
     }

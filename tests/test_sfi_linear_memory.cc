@@ -305,10 +305,10 @@ constexpr BackendKind kAllKinds[] = {BackendKind::GuardPages,
 /** The first 4 KiB page of linear memory, which the cases touch first. */
 constexpr std::uint64_t kPage = hfi::vm::kPageSize;
 
-// The sandbox cases touch page 0, then write a few bytes past its end
-// from an access that starts in it. Page 1 is never touched (the checks
-// read it through LinearMemory, not the sandbox), so only page 0's first
-// touch can mark those bytes.
+// The sandbox cases write a few bytes past the end of a page from an
+// access that starts in it. That access covers the next page too, so the
+// next page's first touch (the checks read it through LinearMemory, not
+// the sandbox) is what must mark those bytes.
 
 TEST(ReusedStore, ZeroAfterSandboxStore)
 {
@@ -328,12 +328,18 @@ TEST(ReusedStore, ZeroAfterStoreNAndCheckedSpan)
         SCOPED_TRACE(backendKindName(kind));
         World w(kind);
         ASSERT_TRUE(w.sandbox->valid());
+        // Only the span's second word reaches page 1.
         const std::uint32_t words[2] = {0x11111111, 0x22222222};
         w.sandbox->storeN(kPage - 6, words, 2);
         EXPECT_EQ(w.sandbox->memory().load<std::uint16_t>(kPage), 0x2222u);
-        std::uint8_t *span = w.sandbox->checkedSpan(kPage - 1, 4, 1, true);
+        EXPECT_EQ(w.sandbox->memory().dirtyEnd(), 2 * kPage);
+        // A checked span starting in touched page 1 reaches page 2.
+        std::uint8_t *span =
+            w.sandbox->checkedSpan(2 * kPage - 1, 4, 1, true);
         ASSERT_NE(span, nullptr);
         std::memset(span, 0x33, 4);
+        EXPECT_EQ(w.sandbox->memory().dirtyEnd(), 3 * kPage);
+        EXPECT_EQ(w.mmu.stats().pageFaults, 3u);
         expectReusedStoreReadsZero(w.destroy());
     }
 }
@@ -341,8 +347,8 @@ TEST(ReusedStore, ZeroAfterStoreNAndCheckedSpan)
 TEST(ReusedStore, ZeroAfterStoreAcrossAGrownEnd)
 {
     // The last page's first touch cannot mark past the size. After a
-    // grow, a store that starts in that page writes the first grown
-    // bytes without touching their page, so the grow must mark them.
+    // grow, a store that starts in that page and writes the first grown
+    // bytes touches their page, whose first touch must mark them.
     for (BackendKind kind : kAllKinds) {
         SCOPED_TRACE(backendKindName(kind));
         World w(kind);
@@ -371,10 +377,10 @@ TEST(ReusedStore, ZeroAfterMaskWrappedStore)
 
 TEST(ReusedStore, SandboxMarksOnlyWhatItsAccessesCanReach)
 {
-    // The serving handler's 256 bytes at 64 dirty the two pages an
-    // access starting in page 0 can reach, not the 64 KiB memory; a
-    // reuse zeroes 8 KiB. Loads mark too: a page first touched by a load
-    // is not touched again by a later store into it.
+    // The serving handler's 256 bytes at 64 dirty the one page they
+    // touch, not the 64 KiB memory; a reuse zeroes 4 KiB. Loads mark
+    // too: a page first touched by a load is not touched again by a
+    // later store into it.
     for (BackendKind kind : kAllKinds) {
         SCOPED_TRACE(backendKindName(kind));
         hfi::vm::VirtualClock clock;
@@ -385,15 +391,18 @@ TEST(ReusedStore, SandboxMarksOnlyWhatItsAccessesCanReach)
         ASSERT_TRUE(s->valid());
         const std::vector<std::uint8_t> payload(256, 7);
         s->storeN(64, payload.data(), payload.size());
-        EXPECT_EQ(s->memory().dirtyEnd(), 2 * kPage);
+        EXPECT_EQ(s->memory().dirtyEnd(), kPage);
         EXPECT_EQ(s->load<std::uint8_t>(5 * kPage), 0u);
-        EXPECT_EQ(s->memory().dirtyEnd(), 7 * kPage);
-        // A first touch in the last page marks up to the size, no more;
-        // a grow extends the mark over the page after it.
+        EXPECT_EQ(s->memory().dirtyEnd(), 6 * kPage);
+        // A first touch in the last page marks up to the size, no more,
+        // and a grow marks nothing; a store spilling into the first grown
+        // page touches it, and that marks it.
         const std::uint64_t size = s->memory().size();
         s->store<std::uint8_t>(size - 1, 1);
         EXPECT_EQ(s->memory().dirtyEnd(), size);
         ASSERT_EQ(s->memoryGrow(1), 1);
+        EXPECT_EQ(s->memory().dirtyEnd(), size);
+        s->store<std::uint64_t>(size - 4, ~0ULL);
         EXPECT_EQ(s->memory().dirtyEnd(), size + kPage);
     }
 }

@@ -61,6 +61,34 @@ TEST_P(SandboxAllBackends, MemoryGrowSemantics)
     EXPECT_EQ(sandbox->stats().growCalls, 2u);
 }
 
+TEST_P(SandboxAllBackends, StraddlingAccessesFaultBothPages)
+{
+    // First touch faults every page an access covers, not only the page
+    // of its first byte, on the span path and the single-access path.
+    auto sandbox = make(GetParam(), {1, 4});
+    ASSERT_TRUE(sandbox);
+    const auto faults0 = mmu.stats().pageFaults;
+    const std::uint32_t words[2] = {1, 2};
+    sandbox->storeN(vm::kPageSize - 6, words, 2); // 2nd word spills over
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 2);
+    // A single access starting in a touched page faults the next one.
+    sandbox->store<std::uint8_t>(4 * vm::kPageSize, 1);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 3);
+    sandbox->store<std::uint64_t>(5 * vm::kPageSize - 4, ~0ULL);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 4);
+    // A span whose elements all start in a touched page reaches the next.
+    sandbox->load<std::uint8_t>(8 * vm::kPageSize);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 5);
+    std::uint32_t out[2];
+    sandbox->loadN(9 * vm::kPageSize - 6, out, 2);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 6);
+    // Every page is resident now: touching them again faults nothing.
+    sandbox->load<std::uint8_t>(vm::kPageSize);
+    sandbox->load<std::uint8_t>(5 * vm::kPageSize);
+    sandbox->load<std::uint8_t>(9 * vm::kPageSize);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 6);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, SandboxAllBackends,
                          ::testing::Values(BackendKind::GuardPages,
                                            BackendKind::BoundsCheck,

@@ -65,7 +65,6 @@ TEST(AddressSpace, ReserveTracksTotals)
     space.reserve(kPageSize);
     space.reserve(3 * kPageSize);
     EXPECT_EQ(space.reservedBytes(), 4 * kPageSize);
-    EXPECT_EQ(space.reservationCount(), 2u);
 }
 
 TEST(AddressSpace, ReleaseMakesSpaceReusable)
@@ -88,22 +87,6 @@ TEST(AddressSpace, ReleaseUnknownBaseFails)
     ASSERT_TRUE(a);
     // Mid-range addresses are not valid release handles.
     EXPECT_FALSE(space.release(*a + 1));
-}
-
-TEST(AddressSpace, ReserveFixedRejectsOverlap)
-{
-    AddressSpace space;
-    ASSERT_TRUE(space.reserveFixed(1ULL << 30, 1 << 20));
-    EXPECT_FALSE(space.reserveFixed((1ULL << 30) + kPageSize, kPageSize));
-    EXPECT_FALSE(space.reserveFixed((1ULL << 30) - kPageSize, 2 * kPageSize));
-    EXPECT_TRUE(space.reserveFixed((1ULL << 30) + (1 << 20), kPageSize));
-}
-
-TEST(AddressSpace, ReserveFixedRejectsOutOfRange)
-{
-    AddressSpace space(47);
-    EXPECT_FALSE(space.reserveFixed((1ULL << 47) - kPageSize, 2 * kPageSize));
-    EXPECT_FALSE(space.reserveFixed(0, kPageSize)); // below mmap_min_addr
 }
 
 TEST(AddressSpace, IsReservedAndRangeAt)
