@@ -141,8 +141,10 @@ struct Op
  * memory size the stream's own grows produce: in-bounds accesses,
  * accesses straddling the bound or a 4 KiB page edge, far out-of-bounds
  * offsets, offsets that overflow u64 once the width is added, offsets
- * just below 2^63 (negative as an hmov index beyond it), and spans that
- * start inside and end outside the memory.
+ * just below 2^63 (negative as an hmov index beyond it), spans that
+ * start inside and end outside the memory, and spans whose last element
+ * alone reaches across a 4 KiB page edge (the page a span's last byte
+ * lands on, not its last element's first byte, must fault).
  */
 std::vector<Op>
 makeStream(std::uint64_t seed, std::size_t length, const SandboxOptions &opts)
@@ -174,7 +176,7 @@ makeStream(std::uint64_t seed, std::size_t length, const SandboxOptions &opts)
                                    : static_cast<std::uint32_t>(1 + below(48));
         const std::uint64_t size = pages * kWasmPageSize;
         const std::uint64_t bytes = std::uint64_t{op.width} * op.count;
-        switch (below(10)) {
+        switch (below(11)) {
           case 0:
           case 1:
           case 2:
@@ -197,6 +199,17 @@ makeStream(std::uint64_t seed, std::size_t length, const SandboxOptions &opts)
           case 8:
             op.offset = (1ULL << 63) - below(16);
             break;
+          case 9: { // the last element alone straddles a 4 KiB page edge
+            const std::uint64_t lowest = bytes / vm::kPageSize + 1;
+            const std::uint64_t pages4k = size / vm::kPageSize;
+            const std::uint64_t edge =
+                (lowest + below(pages4k > lowest ? pages4k - lowest : 1)) *
+                vm::kPageSize;
+            const std::uint64_t last =
+                edge - 1 - below(op.width > 1 ? op.width - 1 : 1);
+            op.offset = last - std::uint64_t{op.count - 1} * op.width;
+            break;
+          }
           default:
             op.offset = below(64);
             break;
@@ -347,6 +360,11 @@ class AccessPathDifferential
             const Observed want =
                 runReference(*reference.sandbox, ref, ops[i]);
             ASSERT_TRUE(got == want) << describe(ops[i], i);
+            // Per op: a page one path faults late would even out in the
+            // totals once a later access touched it.
+            ASSERT_EQ(subject.mmu.stats().pageFaults,
+                      reference.mmu.stats().pageFaults)
+                << describe(ops[i], i);
         }
         // The reference charged its accesses to a counter; flush it.
         reference.clock.tick(ref.milli / 1000);

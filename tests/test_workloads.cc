@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "sfi/sandbox.h"
@@ -419,11 +420,13 @@ TEST_F(FaasWorkloads, ClassifyImageIsDeterministic)
     EXPECT_EQ(a, b);
 }
 
-// ------------------------------------------- classifyImage row oracle
+// ------------------------------------------------ FaaS kernel oracles
 
 /**
- * The image classifier as a plain per-element kernel, the spec the row
- * kernel in faas_workloads.cc must match on every observable: per output
+ * The image classifier as a plain per-element kernel, the spec the
+ * checked kernel in faas_workloads.cc must match on every observable
+ * (the pool reads the feature map's border, which the convolution
+ * never writes, so a dirty instance's bytes reach the result): per output
  * pixel it loads three 3-pixel input rows and the filter's nine weights,
  * stores one value and charges 31 ops; per pooled pixel it loads two
  * pairs, stores one value and charges 8 ops; the dense layer charges 22
@@ -528,8 +531,173 @@ classifyImagePerElement(sfi::Sandbox &s, std::uint64_t img_off,
     return sum.value();
 }
 
-/** Everything a classifier run leaves behind that a caller can see. */
-struct ClassifyObserved
+/**
+ * xmlToJson as a per-access loop, the spec its host pass must match:
+ * each input byte one load, each output byte one store. The per-depth
+ * flags are guarded as the kernel guards them (malformed input can
+ * take the depth below 0 or past 15).
+ */
+std::uint64_t
+xmlToJsonPerAccess(sfi::Sandbox &s, std::uint64_t in_off, std::uint64_t in_len)
+{
+    Arena arena(s, in_off + in_len + 8);
+    const std::uint64_t out = arena.alloc(in_len * 2 + 64);
+
+    Checksum sum;
+    std::uint64_t at = 0;
+    auto emit = [&](char c) {
+        s.store<std::uint8_t>(out + at++, static_cast<std::uint8_t>(c));
+        sum.mix(static_cast<std::uint8_t>(c));
+    };
+
+    std::uint64_t i = 0;
+    int depth = 0;
+    bool first_at_depth[16] = {};
+    const auto flagged = [&] { return depth >= 0 && depth < 16; };
+    while (i < in_len) {
+        const char c = static_cast<char>(s.load<std::uint8_t>(in_off + i));
+        s.chargeOps(4);
+        if (c == '<') {
+            const bool closing =
+                static_cast<char>(s.load<std::uint8_t>(in_off + i + 1)) ==
+                '/';
+            std::uint64_t j = i + (closing ? 2 : 1);
+            std::string tag;
+            while (j < in_len) {
+                const char t =
+                    static_cast<char>(s.load<std::uint8_t>(in_off + j));
+                s.chargeOps(3);
+                if (t == '>')
+                    break;
+                tag += t;
+                ++j;
+            }
+            if (closing) {
+                emit('}');
+                --depth;
+            } else {
+                if (depth > 0 && flagged() && !first_at_depth[depth])
+                    emit(',');
+                if (flagged())
+                    first_at_depth[depth] = false;
+                emit('"');
+                for (char t : tag)
+                    emit(t);
+                emit('"');
+                emit(':');
+                emit('{');
+                ++depth;
+                if (flagged())
+                    first_at_depth[depth] = true;
+            }
+            i = j + 1;
+        } else {
+            if (flagged() && !first_at_depth[depth])
+                emit(',');
+            if (flagged())
+                first_at_depth[depth] = false;
+            emit('"');
+            emit('v');
+            emit('"');
+            emit(':');
+            while (i < in_len) {
+                const char t =
+                    static_cast<char>(s.load<std::uint8_t>(in_off + i));
+                s.chargeOps(3);
+                if (t == '<')
+                    break;
+                emit(t);
+                ++i;
+            }
+        }
+    }
+    sum.mix(at);
+    return sum.value();
+}
+
+/** renderTemplate as a per-access loop, the spec its host pass must match. */
+std::uint64_t
+renderTemplatePerAccess(sfi::Sandbox &s, std::uint64_t tpl_off,
+                        std::uint64_t tpl_len, std::uint64_t rows,
+                        std::uint32_t seed)
+{
+    Arena arena(s, tpl_off + tpl_len + 8);
+    const std::uint64_t out = arena.alloc(tpl_len + rows * 96 + 512);
+
+    Rng rng(seed);
+    Checksum sum;
+    std::uint64_t at = 0;
+    auto emit = [&](char c) {
+        s.store<std::uint8_t>(out + at++, static_cast<std::uint8_t>(c));
+        sum.mix(static_cast<std::uint8_t>(c));
+    };
+    auto emitStr = [&](const std::string &str) {
+        for (char c : str)
+            emit(c);
+    };
+    auto substitute = [&](const std::string &name) {
+        if (name == "title")
+            emitStr("Order Summary");
+        else if (name == "user")
+            emitStr("tenant-" + std::to_string(rng.nextBelow(1000)));
+        else if (name == "balance")
+            emitStr(std::to_string(rng.nextBelow(100000)));
+        else if (name == "item")
+            emitStr("sku-" + std::to_string(rng.nextBelow(10000)));
+        else if (name == "count")
+            emitStr(std::to_string(1 + rng.nextBelow(9)));
+        else if (name == "total")
+            emitStr(std::to_string(rng.nextBelow(50000)));
+        else if (name == "footer")
+            emitStr("generated in-sandbox");
+        else
+            emitStr("?");
+    };
+
+    std::uint64_t i = 0;
+    std::uint64_t loop_start = 0;
+    std::uint64_t loop_remaining = 0;
+    while (i < tpl_len) {
+        const char c = static_cast<char>(s.load<std::uint8_t>(tpl_off + i));
+        s.chargeOps(4);
+        if (c != '{' || i + 1 >= tpl_len ||
+            static_cast<char>(s.load<std::uint8_t>(tpl_off + i + 1)) != '{') {
+            emit(c);
+            ++i;
+            continue;
+        }
+        std::uint64_t j = i + 2;
+        std::string token;
+        while (j + 1 < tpl_len) {
+            const char t =
+                static_cast<char>(s.load<std::uint8_t>(tpl_off + j));
+            s.chargeOps(3);
+            if (t == '}' &&
+                static_cast<char>(s.load<std::uint8_t>(tpl_off + j + 1)) ==
+                    '}')
+                break;
+            token += t;
+            ++j;
+        }
+        i = j + 2;
+        if (!token.empty() && token[0] == '#') {
+            loop_start = i;
+            loop_remaining = rows;
+        } else if (!token.empty() && token[0] == '/') {
+            if (loop_remaining > 1) {
+                --loop_remaining;
+                i = loop_start;
+            }
+        } else {
+            substitute(token);
+        }
+    }
+    sum.mix(at);
+    return sum.value();
+}
+
+/** Everything a kernel run leaves behind that a caller can see. */
+struct KernelObserved
 {
     std::uint64_t value = 0;
     bool trapped = false;
@@ -540,37 +708,58 @@ struct ClassifyObserved
     std::uint64_t memoryPages = 0;
     vm::Cycles clock = 0;
     std::uint64_t pageFaults = 0;
+    std::uint64_t dirtyEnd = 0;
+    std::vector<std::uint8_t> memory;
 };
 
-using Classifier = std::uint64_t (*)(sfi::Sandbox &, std::uint64_t,
-                                     std::uint32_t, std::uint32_t);
+/** A kernel run on a sandbox whose input is staged at offset 64. */
+using Kernel = std::function<std::uint64_t(sfi::Sandbox &)>;
+
+/** How observe() prepares the sandbox a kernel runs on. */
+struct KernelSetup
+{
+    sfi::BackendKind kind = sfi::BackendKind::GuardPages;
+    /**
+     * Nonzero: an HFI {8, 64}-page sandbox runs while a
+     * {stalePages}-page instance's heap region is installed (created
+     * after it, not rebound). Such a run is not entered (hfi_enter
+     * would reload the region); it traps past the smaller bound.
+     */
+    std::uint64_t stalePages = 0;
+    /**
+     * Nonnegative: every byte of the memory holds this value before
+     * the input is staged, as a reused instance holds an earlier
+     * request's bytes.
+     */
+    int prefill = -1;
+};
 
 /**
- * Classify a @p side x @p side image on a fresh {4, 64}-page sandbox, or,
- * when @p stale_pages is nonzero, on an HFI {8, 64}-page sandbox that
- * runs while a {stale_pages}-page instance's heap region is installed:
- * created after it, not rebound. Such a run is not entered (hfi_enter
- * would reload the region); it traps past the smaller bound.
+ * Run @p kernel on a {4, 64}-page sandbox (see KernelSetup) with
+ * @p input at offset 64, and record what it left behind.
  */
-ClassifyObserved
-classifyObserved(Classifier classify, sfi::BackendKind kind,
-                 std::uint32_t side, std::uint64_t stale_pages = 0)
+KernelObserved
+observe(const Kernel &kernel, const KernelSetup &setup,
+        const std::vector<std::uint8_t> &input)
 {
     vm::VirtualClock clock;
     vm::Mmu mmu(clock);
     core::HfiContext ctx(clock);
     sfi::SandboxOptions opts;
-    opts.initialPages = stale_pages ? 8 : 4;
+    opts.initialPages = setup.stalePages ? 8 : 4;
     opts.maxPages = 64;
-    auto sandbox = std::make_unique<sfi::Sandbox>(mmu, ctx, kind, opts);
+    auto sandbox = std::make_unique<sfi::Sandbox>(mmu, ctx, setup.kind, opts);
     EXPECT_TRUE(sandbox->valid());
-    const auto img = image::makeTestImage(side, side, 7);
-    sandbox->memory().writeBytes(64, img.data(), img.size());
+    if (setup.prefill >= 0)
+        std::memset(sandbox->memory().data(), setup.prefill,
+                    sandbox->memory().size());
+    if (!input.empty())
+        sandbox->memory().writeBytes(64, input.data(), input.size());
 
-    ClassifyObserved obs;
+    KernelObserved obs;
     const auto body = [&](sfi::Sandbox &s) {
         try {
-            obs.value = classify(s, 64, side, 99);
+            obs.value = kernel(s);
         } catch (const sfi::SandboxTrap &trap) {
             obs.trapped = true;
             obs.trapOffset = trap.offset();
@@ -579,9 +768,10 @@ classifyObserved(Classifier classify, sfi::BackendKind kind,
         }
     };
     std::unique_ptr<sfi::Sandbox> smaller;
-    if (stale_pages) {
+    if (setup.stalePages) {
         smaller = std::make_unique<sfi::Sandbox>(
-            mmu, ctx, kind, sfi::SandboxOptions{stale_pages, stale_pages});
+            mmu, ctx, setup.kind,
+            sfi::SandboxOptions{setup.stalePages, setup.stalePages});
         EXPECT_TRUE(smaller->valid());
         body(*sandbox);
         sandbox->exit();
@@ -592,12 +782,14 @@ classifyObserved(Classifier classify, sfi::BackendKind kind,
     obs.memoryPages = sandbox->memory().pages();
     obs.clock = clock.now();
     obs.pageFaults = mmu.stats().pageFaults;
+    const sfi::LinearMemory &mem = sandbox->memory();
+    obs.dirtyEnd = mem.dirtyEnd();
+    obs.memory.assign(mem.data(), mem.data() + mem.size());
     return obs;
 }
 
 void
-expectSameObservables(const ClassifyObserved &got,
-                      const ClassifyObserved &want)
+expectSameObservables(const KernelObserved &got, const KernelObserved &want)
 {
     EXPECT_EQ(got.value, want.value);
     EXPECT_EQ(got.trapped, want.trapped);
@@ -614,6 +806,41 @@ expectSameObservables(const ClassifyObserved &got,
     EXPECT_EQ(got.memoryPages, want.memoryPages);
     EXPECT_EQ(got.clock, want.clock);
     EXPECT_EQ(got.pageFaults, want.pageFaults);
+    EXPECT_EQ(got.dirtyEnd, want.dirtyEnd);
+    ASSERT_EQ(got.memory.size(), want.memory.size());
+    const auto diff =
+        std::mismatch(got.memory.begin(), got.memory.end(), want.memory.begin());
+    EXPECT_TRUE(diff.first == got.memory.end())
+        << "memory differs at offset " << (diff.first - got.memory.begin());
+}
+
+std::vector<std::uint8_t>
+bytesOf(const std::string &text)
+{
+    return {text.begin(), text.end()};
+}
+
+std::string
+backendParamName(const ::testing::TestParamInfo<sfi::BackendKind> &info)
+{
+    std::string name = sfi::backendKindName(info.param);
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
+const auto kAllBackends =
+    ::testing::Values(sfi::BackendKind::GuardPages,
+                      sfi::BackendKind::BoundsCheck, sfi::BackendKind::Mask,
+                      sfi::BackendKind::Hfi);
+
+using Classifier = std::uint64_t (*)(sfi::Sandbox &, std::uint64_t,
+                                     std::uint32_t, std::uint32_t);
+
+/** A classifier at @p side x @p side, weight seed 99. */
+Kernel
+classifier(Classifier classify, std::uint32_t side)
+{
+    return [=](sfi::Sandbox &s) { return classify(s, 64, side, 99); };
 }
 
 class ClassifyImageOracle : public ::testing::TestWithParam<sfi::BackendKind>
@@ -622,28 +849,45 @@ class ClassifyImageOracle : public ::testing::TestWithParam<sfi::BackendKind>
 
 TEST_P(ClassifyImageOracle, RowKernelMatchesPerElementKernel)
 {
-    for (std::uint32_t side : {28u, 96u}) {
+    for (std::uint32_t side : {28u, 96u, 29u, 2u}) {
         SCOPED_TRACE(side);
+        const auto img = image::makeTestImage(side, side, 7);
+        const KernelSetup setup{GetParam()};
         const auto want =
-            classifyObserved(classifyImagePerElement, GetParam(), side);
+            observe(classifier(classifyImagePerElement, side), setup, img);
         const auto got =
-            classifyObserved(faas::classifyImage, GetParam(), side);
+            observe(classifier(faas::classifyImage, side), setup, img);
         EXPECT_FALSE(want.trapped);
         EXPECT_NE(want.value, 0u);
         expectSameObservables(got, want);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ClassifyImageOracle,
-    ::testing::Values(sfi::BackendKind::GuardPages,
-                      sfi::BackendKind::BoundsCheck, sfi::BackendKind::Mask,
-                      sfi::BackendKind::Hfi),
-    [](const ::testing::TestParamInfo<sfi::BackendKind> &info) {
-        std::string name = sfi::backendKindName(info.param);
-        std::replace(name.begin(), name.end(), '-', '_');
-        return name;
-    });
+TEST_P(ClassifyImageOracle, DirtyInstanceMatchesPerElementKernel)
+{
+    // The pool reads the feature map's border, which the convolution
+    // never writes: on a reused instance the result depends on the
+    // bytes an earlier request left there. At 96x96 the map outgrows
+    // the first 256 KiB, so later filters' borders sit in grown,
+    // zeroed pages.
+    for (std::uint32_t side : {28u, 96u}) {
+        SCOPED_TRACE(side);
+        const auto img = image::makeTestImage(side, side, 7);
+        const auto clean = observe(classifier(faas::classifyImage, side),
+                                   KernelSetup{GetParam()}, img);
+        const KernelSetup dirty{GetParam(), 0, 0x22};
+        const auto want =
+            observe(classifier(classifyImagePerElement, side), dirty, img);
+        const auto got =
+            observe(classifier(faas::classifyImage, side), dirty, img);
+        EXPECT_FALSE(want.trapped);
+        EXPECT_NE(want.value, clean.value);
+        expectSameObservables(got, want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ClassifyImageOracle, kAllBackends,
+                         backendParamName);
 
 TEST(ClassifyImageStaleHfiRegion, TrapsOnTheSameElementAsPerElement)
 {
@@ -658,12 +902,144 @@ TEST(ClassifyImageStaleHfiRegion, TrapsOnTheSameElementAsPerElement)
     for (const auto &c : cases) {
         SCOPED_TRACE(testing::Message() << c.side << "x" << c.side << " under "
                                         << c.stalePages << " pages");
+        const auto img = image::makeTestImage(c.side, c.side, 7);
+        const KernelSetup setup{sfi::BackendKind::Hfi, c.stalePages};
         const auto want =
-            classifyObserved(classifyImagePerElement, sfi::BackendKind::Hfi,
-                             c.side, c.stalePages);
-        const auto got = classifyObserved(
-            faas::classifyImage, sfi::BackendKind::Hfi, c.side, c.stalePages);
+            observe(classifier(classifyImagePerElement, c.side), setup, img);
+        const auto got =
+            observe(classifier(faas::classifyImage, c.side), setup, img);
         EXPECT_EQ(want.trapped, c.traps);
+        expectSameObservables(got, want);
+    }
+}
+
+using TextKernel = std::uint64_t (*)(sfi::Sandbox &, std::uint64_t,
+                                     std::uint64_t);
+
+/** xmlToJson (or its spec) over the @p len input bytes at offset 64. */
+Kernel
+xmlKernel(TextKernel kernel, std::uint64_t len)
+{
+    return [=](sfi::Sandbox &s) { return kernel(s, 64, len); };
+}
+
+using RenderKernel = std::uint64_t (*)(sfi::Sandbox &, std::uint64_t,
+                                       std::uint64_t, std::uint64_t,
+                                       std::uint32_t);
+
+/** renderTemplate (or its spec) with @p rows rows, data seed 5. */
+Kernel
+htmlKernel(RenderKernel kernel, std::uint64_t len, std::uint64_t rows)
+{
+    return [=](sfi::Sandbox &s) { return kernel(s, 64, len, rows, 5); };
+}
+
+std::string
+repeat(const std::string &unit, int times)
+{
+    std::string out;
+    for (int i = 0; i < times; ++i)
+        out += unit;
+    return out;
+}
+
+class TextKernelOracle : public ::testing::TestWithParam<sfi::BackendKind>
+{
+};
+
+TEST_P(TextKernelOracle, XmlToJsonMatchesPerAccessLoop)
+{
+    const std::string inputs[] = {
+        faas::makeXmlDocument(40, 3),
+        faas::makeXmlDocument(220, 4), // Table 1's size: four input pages
+        "",
+        faas::makeXmlDocument(3, 5) + "<", // peeks one byte past the input
+        "<orders><order><id>12</id><qty",  // ends inside a tag name
+        // 16 output bytes per 7 input: past the 2 * len + 64 buffer.
+        repeat("x<>x</>", 64),
+        // Deeper than the 16 flagged depths, then below depth 0.
+        repeat("<a>", 20) + "t" + repeat("</a>", 25) + "u<b>v",
+    };
+    for (const std::string &xml : inputs) {
+        SCOPED_TRACE(xml.substr(0, 40));
+        // A dirty instance: a '/' right past the input turns the
+        // trailing '<' into a closing tag.
+        for (int prefill : {-1, int{'/'}}) {
+            SCOPED_TRACE(prefill);
+            const KernelSetup setup{GetParam(), 0, prefill};
+            const auto want = observe(
+                xmlKernel(xmlToJsonPerAccess, xml.size()), setup, bytesOf(xml));
+            const auto got = observe(xmlKernel(faas::xmlToJson, xml.size()),
+                                     setup, bytesOf(xml));
+            EXPECT_FALSE(want.trapped);
+            expectSameObservables(got, want);
+        }
+    }
+}
+
+TEST_P(TextKernelOracle, RenderTemplateMatchesPerAccessLoop)
+{
+    const std::string tpl = faas::makeHtmlTemplate(0);
+    const struct
+    {
+        std::string tpl;
+        std::uint64_t rows;
+    } cases[] = {
+        {tpl, 24},
+        {tpl, 0},
+        {"", 24},
+        {tpl + "{", 3},                    // a lone brace at the end
+        {"<p>{{title}} {{user", 3},        // ends inside a token
+        {"{{#r}}" + repeat("{{footer}}", 8) + "{{/r}}", 24}, // past the buffer
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.tpl.substr(0, 40));
+        const KernelSetup setup{GetParam()};
+        const auto want =
+            observe(htmlKernel(renderTemplatePerAccess, c.tpl.size(), c.rows),
+                    setup, bytesOf(c.tpl));
+        const auto got =
+            observe(htmlKernel(faas::renderTemplate, c.tpl.size(), c.rows),
+                    setup, bytesOf(c.tpl));
+        EXPECT_FALSE(want.trapped);
+        expectSameObservables(got, want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, TextKernelOracle, kAllBackends,
+                         backendParamName);
+
+TEST(TextKernelStaleHfiRegion, TrapsOnTheSameAccessAsPerAccessLoop)
+{
+    // Under a 64 KiB bound: a 700-record document's output runs past it
+    // mid-document; a 1200-record document's output starts past it, so
+    // its first store traps; 2000 template rows render past it, 200 do
+    // not.
+    for (std::uint64_t records : {700u, 1200u}) {
+        SCOPED_TRACE(records);
+        const std::string xml = faas::makeXmlDocument(records, 3);
+        const KernelSetup setup{sfi::BackendKind::Hfi, 1};
+        const auto want = observe(xmlKernel(xmlToJsonPerAccess, xml.size()),
+                                  setup, bytesOf(xml));
+        const auto got = observe(xmlKernel(faas::xmlToJson, xml.size()),
+                                 setup, bytesOf(xml));
+        EXPECT_TRUE(want.trapped);
+        EXPECT_TRUE(want.trapWrite);
+        EXPECT_EQ(want.stats.stores > 0, records == 700);
+        expectSameObservables(got, want);
+    }
+    const std::string tpl = faas::makeHtmlTemplate(0);
+    for (std::uint64_t rows : {200u, 2000u}) {
+        SCOPED_TRACE(rows);
+        const KernelSetup setup{sfi::BackendKind::Hfi, 1};
+        const auto want =
+            observe(htmlKernel(renderTemplatePerAccess, tpl.size(), rows),
+                    setup, bytesOf(tpl));
+        const auto got = observe(
+            htmlKernel(faas::renderTemplate, tpl.size(), rows), setup,
+            bytesOf(tpl));
+        EXPECT_EQ(want.trapped, rows > 200);
+        EXPECT_EQ(want.trapWrite, rows > 200);
         expectSameObservables(got, want);
     }
 }
