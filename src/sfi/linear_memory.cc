@@ -150,6 +150,10 @@ void
 LinearMemory::writeBytes(std::uint64_t offset, const void *src,
                          std::uint64_t len)
 {
+    // An empty copy may come from a null pointer (an empty vector's
+    // data()), which memcpy does not allow, and writes nothing to mark.
+    if (len == 0)
+        return;
     std::memcpy(store_.bytes.get() + offset, src, len);
     markDirty(offset + len);
 }
@@ -158,6 +162,8 @@ void
 LinearMemory::readBytes(std::uint64_t offset, void *dst,
                         std::uint64_t len) const
 {
+    if (len == 0)
+        return;
     std::memcpy(dst, store_.bytes.get() + offset, len);
 }
 

@@ -28,41 +28,122 @@ constexpr std::array<std::uint32_t, 8> kSha256Init = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
-/** One SHA-256 compression round over a prepared 64-byte block. */
-void
-sha256Compress(std::array<std::uint32_t, 8> &h, const std::uint8_t *block)
-{
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
-               static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
-               static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
-               static_cast<std::uint32_t>(block[4 * i + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^
-                                 std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^
-                                 std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
+/** Four message-schedule words, one per lane. */
+typedef std::uint32_t U4 __attribute__((vector_size(16)));
 
-    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
-    std::uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 =
-            std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t t1 = hh + s1 + ch + kSha256K[i] + w[i];
-        const std::uint32_t s0 =
-            std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t t2 = s0 + maj;
-        hh = g; g = f; f = e; e = d + t1;
-        d = c; c = b; b = a; a = t1 + t2;
+std::uint32_t
+readBe32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) << 24 |
+           static_cast<std::uint32_t>(p[1]) << 16 |
+           static_cast<std::uint32_t>(p[2]) << 8 |
+           static_cast<std::uint32_t>(p[3]);
+}
+
+/** Four big-endian words from @p p. */
+inline U4
+readBe4(const std::uint8_t *p)
+{
+    return U4{readBe32(p), readBe32(p + 4), readBe32(p + 8),
+              readBe32(p + 12)};
+}
+
+U4
+rotrU4(U4 x, int n)
+{
+    return x >> n | x << (32 - n);
+}
+
+/**
+ * W[t..t+3] from W[t-16..t-1], held oldest first in @p x0..@p x3.
+ * Lanes 2 and 3 take sigma1 of lanes 0 and 1, so those go first.
+ */
+inline U4
+scheduleU4(U4 x0, U4 x1, U4 x2, U4 x3)
+{
+    const U4 w15 = __builtin_shufflevector(x0, x1, 1, 2, 3, 4);
+    const U4 w7 = __builtin_shufflevector(x2, x3, 1, 2, 3, 4);
+    const U4 sum = x0 + w7 + (rotrU4(w15, 7) ^ rotrU4(w15, 18) ^ w15 >> 3);
+    const auto sigma1 = [](U4 w2) {
+        return rotrU4(w2, 17) ^ rotrU4(w2, 19) ^ w2 >> 10;
+    };
+    const U4 lo = sum + sigma1(__builtin_shufflevector(x3, x3, 2, 3, 2, 3));
+    const U4 hi = sum + sigma1(__builtin_shufflevector(lo, lo, 0, 1, 0, 1));
+    return __builtin_shufflevector(lo, hi, 0, 1, 6, 7);
+}
+
+/** W + K for four rounds, from @p k onward, stored at @p wk. */
+void
+addK(std::uint32_t *wk, U4 w, const std::uint32_t *k)
+{
+    U4 kv;
+    std::memcpy(&kv, k, sizeof(kv));
+    w += kv;
+    std::memcpy(wk, &w, sizeof(w));
+}
+
+/**
+ * One round. The caller rotates the state by argument order: @p h
+ * becomes the next a and @p d the next e. @p bc is b ^ c on entry and
+ * a ^ b on return, which is the next round's b ^ c.
+ */
+inline void
+sha256Round(std::uint32_t a, std::uint32_t b, std::uint32_t &d,
+            std::uint32_t e, std::uint32_t f, std::uint32_t g,
+            std::uint32_t &h, std::uint32_t wk, std::uint32_t &bc)
+{
+    h += (std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25)) +
+         (g ^ (e & (f ^ g))) + wk;
+    d += h;
+    const std::uint32_t ab = a ^ b;
+    h += (std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22)) +
+         (b ^ (ab & bc));
+    bc = ab;
+}
+
+/**
+ * One SHA-256 compression over a 64-byte block. The schedule keeps the
+ * last 16 words in four vectors, x0 oldest; each 8-round group runs on
+ * the W + K that the group before it computed.
+ */
+void
+sha256Compress(std::array<std::uint32_t, 8> &state, const std::uint8_t *block)
+{
+    U4 x0 = readBe4(block), x1 = readBe4(block + 16);
+    U4 x2 = readBe4(block + 32), x3 = readBe4(block + 48);
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    std::uint32_t bc = b ^ c;
+
+    alignas(16) std::uint32_t wk[2][8];
+    addK(wk[0], x0, &kSha256K[0]);
+    addK(wk[0] + 4, x1, &kSha256K[4]);
+    for (int i = 0; i < 8; ++i) {
+        // Group i runs on W[8i..8i+7]; x2 and x3 hold the next group's.
+        if (i < 7) {
+            if (i > 0) {
+                const U4 n0 = scheduleU4(x0, x1, x2, x3);
+                const U4 n1 = scheduleU4(x1, x2, x3, n0);
+                x0 = x2;
+                x1 = x3;
+                x2 = n0;
+                x3 = n1;
+            }
+            addK(wk[(i + 1) % 2], x2, &kSha256K[8 * i + 8]);
+            addK(wk[(i + 1) % 2] + 4, x3, &kSha256K[8 * i + 12]);
+        }
+        const std::uint32_t *k = wk[i % 2];
+        sha256Round(a, b, d, e, f, g, h, k[0], bc);
+        sha256Round(h, a, c, d, e, f, g, k[1], bc);
+        sha256Round(g, h, b, c, d, e, f, k[2], bc);
+        sha256Round(f, g, a, b, c, d, e, k[3], bc);
+        sha256Round(e, f, h, a, b, c, d, k[4], bc);
+        sha256Round(d, e, g, h, a, b, c, k[5], bc);
+        sha256Round(c, d, f, g, h, a, b, k[6], bc);
+        sha256Round(b, c, e, f, g, h, a, k[7], bc);
     }
-    h[0] += a; h[1] += b; h[2] += c; h[3] += d;
-    h[4] += e; h[5] += f; h[6] += g; h[7] += hh;
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
 }
 
 /** Finish padding + length and squeeze the digest. */
@@ -155,13 +236,11 @@ sha256Sandboxed(sfi::Sandbox &sandbox, std::uint64_t in_off,
                 std::uint64_t len, std::uint64_t out_off)
 {
     std::array<std::uint32_t, 8> h = kSha256Init;
-    std::uint8_t block[64];
     std::uint64_t off = 0;
     while (len - off >= 64) {
         std::uint64_t words[8];
         sandbox.loadN(in_off + off, words, 8);
-        std::memcpy(block, words, 64);
-        sha256Compress(h, block);
+        sha256Compress(h, reinterpret_cast<const std::uint8_t *>(words));
         // The compression function is ~64 rounds of ~12 ALU ops plus
         // the message schedule.
         sandbox.chargeOps(64 * 12 + 48 * 8);

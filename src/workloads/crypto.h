@@ -3,11 +3,13 @@
  * Real cryptographic primitives: SHA-256 and ChaCha20.
  *
  * These do genuine work — the host-side variants are bit-exact
- * implementations tested against published vectors, and the sandboxed
- * SHA-256 streams its data through Sandbox::load/store so every byte
- * is isolation-checked and cost-metered. They power the Check-SHA-256
- * FaaS workload (Table 1) and the NGINX "OpenSSL" session layer
- * (Fig 5).
+ * implementations tested against published vectors. The sandboxed
+ * SHA-256 reads its input through the sandbox: one 8-word loadN per
+ * 64-byte block and a byte load per tail byte, then writes the digest
+ * with 32 byte stores, so all of its input and output is
+ * isolation-checked and cost-metered. Both SHA-256 variants share one
+ * compression function. They power the Check-SHA-256 FaaS workload
+ * (Table 1) and the NGINX "OpenSSL" session layer (Fig 5).
  */
 
 #ifndef HFI_WORKLOADS_CRYPTO_H
@@ -28,7 +30,8 @@ std::array<std::uint8_t, 32> sha256(const std::uint8_t *data,
 
 /**
  * SHA-256 over @p len bytes at @p in_off of the sandbox memory; the
- * 32-byte digest is stored at @p out_off.
+ * 32-byte digest is stored at @p out_off. Charges one compression's
+ * ops per 64-byte block and one more for the padding.
  * @return FNV checksum of the digest.
  */
 std::uint64_t sha256Sandboxed(sfi::Sandbox &sandbox, std::uint64_t in_off,

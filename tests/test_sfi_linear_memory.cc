@@ -158,6 +158,20 @@ TEST(LinearMemory, BulkCopies)
     EXPECT_STREQ(back, text);
 }
 
+TEST(LinearMemory, EmptyCopiesTouchNothing)
+{
+    // An empty vector stages as (nullptr, 0): no bytes move and the
+    // dirty mark stays where it was.
+    LinearMemory mem(2, 4);
+    mem.store<std::uint8_t>(10, 1);
+    const std::uint64_t mark = mem.dirtyEnd();
+    const std::vector<std::uint8_t> empty;
+    mem.writeBytes(kWasmPageSize, empty.data(), 0);
+    mem.writeBytes(kWasmPageSize, nullptr, 0);
+    EXPECT_EQ(mem.dirtyEnd(), mark);
+    mem.readBytes(kWasmPageSize, nullptr, 0);
+}
+
 TEST(LinearMemory, ReusedStoreStartsZeroed)
 {
     // A destroyed memory's store backs the next one on this thread, and

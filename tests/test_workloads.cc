@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sfi/sandbox.h"
@@ -51,40 +52,121 @@ class WorkloadFixture : public ::testing::Test
 
 // --------------------------------------------------------------- crypto
 
+std::string
+hex(const std::uint8_t *bytes, std::size_t n)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) {
+        out += kDigits[bytes[i] >> 4];
+        out += kDigits[bytes[i] & 15];
+    }
+    return out;
+}
+
+std::string
+sha256Hex(const std::vector<std::uint8_t> &data)
+{
+    return hex(crypto::sha256(data.data(), data.size()).data(), 32);
+}
+
+std::vector<std::uint8_t>
+bytesOf(const char *text)
+{
+    return std::vector<std::uint8_t>(text, text + std::strlen(text));
+}
+
 TEST(Crypto, Sha256EmptyString)
 {
-    const auto digest = crypto::sha256(nullptr, 0);
-    const std::uint8_t expected[] = {0xe3, 0xb0, 0xc4, 0x42, 0x98, 0xfc,
-                                     0x1c, 0x14, 0x9a, 0xfb, 0xf4, 0xc8,
-                                     0x99, 0x6f, 0xb9, 0x24};
-    EXPECT_EQ(std::memcmp(digest.data(), expected, sizeof(expected)), 0);
+    EXPECT_EQ(
+        hex(crypto::sha256(nullptr, 0).data(), 32),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Crypto, Sha256Abc)
 {
     // FIPS 180-2 test vector.
-    const char *msg = "abc";
-    const auto digest =
-        crypto::sha256(reinterpret_cast<const std::uint8_t *>(msg), 3);
-    const std::uint8_t expected[] = {0xba, 0x78, 0x16, 0xbf, 0x8f, 0x01,
-                                     0xcf, 0xea, 0x41, 0x41, 0x40, 0xde,
-                                     0x5d, 0xae, 0x22, 0x23, 0xb0, 0x03,
-                                     0x61, 0xa3, 0x96, 0x17, 0x7a, 0x9c};
-    EXPECT_EQ(std::memcmp(digest.data(), expected, sizeof(expected)), 0);
+    EXPECT_EQ(
+        sha256Hex(bytesOf("abc")),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Crypto, Sha256LongInput)
 {
-    // FIPS 180-2: one million 'a' has a known digest; use the two-block
-    // "abcdbcde..." vector instead to keep it fast.
-    const char *msg =
-        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-    const auto digest = crypto::sha256(
-        reinterpret_cast<const std::uint8_t *>(msg), std::strlen(msg));
-    const std::uint8_t expected[] = {0x24, 0x8d, 0x6a, 0x61, 0xd2, 0x06,
-                                     0x38, 0xb8, 0xe5, 0xc0, 0x26, 0x93,
-                                     0x0c, 0x3e, 0x60, 0x39};
-    EXPECT_EQ(std::memcmp(digest.data(), expected, sizeof(expected)), 0);
+    // FIPS 180-2: the two-block "abcdbcde..." vector.
+    EXPECT_EQ(
+        sha256Hex(bytesOf(
+            "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Crypto, Sha256MillionA)
+{
+    // FIPS 180-2: one million 'a'.
+    EXPECT_EQ(
+        sha256Hex(std::vector<std::uint8_t>(1000000, 'a')),
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+/** Byte i of a known-answer input is (31 i + 7) mod 256. */
+std::vector<std::uint8_t>
+shaFill(std::size_t len)
+{
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i)
+        data[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    return data;
+}
+
+struct ShaVector
+{
+    std::size_t len;
+    /** Clock cycles sha256Sandboxed charges on a fresh HFI sandbox. */
+    vm::Cycles sandboxedCycles;
+    const char *digest;
+};
+
+/**
+ * Digests of shaFill(len), computed apart from this code with Python's
+ * hashlib and pasted in:
+ *   python3 -c 'import hashlib; n = 55; print(hashlib.sha256(
+ *       bytes((i * 31 + 7) % 256 for i in range(n))).hexdigest())'
+ * The lengths cover no block, one byte, the last one-block padding (55),
+ * the first two-block padding (56), block edges and a 96 KiB input. The
+ * cycle figures pin what sha256Sandboxed charges, which follows from its
+ * accesses and op charges alone, never from how a block is compressed.
+ */
+const ShaVector kShaVectors[] = {
+    {0, 4782,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {1, 8413,
+     "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879"},
+    {55, 8467,
+     "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+    {56, 8468,
+     "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+    {63, 8475,
+     "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+    {64, 9572,
+     "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+    {65, 9573,
+     "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0"},
+    {119, 9627,
+     "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+    {120, 9628,
+     "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656"},
+    {128, 10732,
+     "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356"},
+    {1000, 25852,
+     "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179"},
+    {96 * 1024, 1877292,
+     "b1587c08f56bfadfae0b8b4bbf637989867624248ba4ccfce2e99ac393f8fdda"},
+};
+
+TEST(Crypto, Sha256KnownAnswersAtBlockEdges)
+{
+    for (const ShaVector &v : kShaVectors)
+        EXPECT_EQ(sha256Hex(shaFill(v.len)), v.digest) << "len " << v.len;
 }
 
 TEST(Crypto, Chacha20Rfc8439Block)
@@ -121,6 +203,41 @@ TEST_F(CryptoSandboxed, Sha256MatchesHostReference)
 
     const auto host = crypto::sha256(data.data(), data.size());
     EXPECT_EQ(std::memcmp(in_sandbox, host.data(), 32), 0);
+}
+
+/**
+ * The sandboxed digest of every known-answer input, and what it costs:
+ * one 8-word load per block, one byte load per tail byte, 32 byte
+ * stores, one compression charge per block plus one for the padding,
+ * and the clock those charge.
+ */
+TEST(CryptoSandboxedVectors, KnownAnswersAndCosts)
+{
+    constexpr std::uint64_t kOut = 128 * 1024;
+    constexpr std::uint64_t kCompressOps = 64 * 12 + 48 * 8;
+    for (const ShaVector &v : kShaVectors) {
+        SCOPED_TRACE(v.len);
+        vm::VirtualClock clock;
+        vm::Mmu mmu(clock);
+        core::HfiContext ctx(clock);
+        auto sandbox = makeSandbox(mmu, ctx, sfi::BackendKind::Hfi);
+        ASSERT_TRUE(sandbox);
+        const auto data = shaFill(v.len);
+        sandbox->memory().writeBytes(64, data.data(), data.size());
+
+        const vm::Cycles before = clock.now();
+        crypto::sha256Sandboxed(*sandbox, 64, v.len, kOut);
+        const vm::Cycles cycles = clock.now() - before;
+
+        std::uint8_t digest[32];
+        sandbox->memory().readBytes(kOut, digest, 32);
+        EXPECT_EQ(hex(digest, 32), v.digest);
+        const sfi::SandboxStats &st = sandbox->stats();
+        EXPECT_EQ(st.loads, 8 * (v.len / 64) + v.len % 64);
+        EXPECT_EQ(st.stores, 32u);
+        EXPECT_EQ(st.ops, (v.len / 64 + 1) * kCompressOps);
+        EXPECT_EQ(cycles, v.sandboxedCycles);
+    }
 }
 
 // ------------------------------------------------- backend invariance
@@ -753,8 +870,7 @@ observe(const Kernel &kernel, const KernelSetup &setup,
     if (setup.prefill >= 0)
         std::memset(sandbox->memory().data(), setup.prefill,
                     sandbox->memory().size());
-    if (!input.empty())
-        sandbox->memory().writeBytes(64, input.data(), input.size());
+    sandbox->memory().writeBytes(64, input.data(), input.size());
 
     KernelObserved obs;
     const auto body = [&](sfi::Sandbox &s) {
